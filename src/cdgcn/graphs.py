@@ -3,13 +3,16 @@
 Everything downstream (linkage refinement, community detection, overlap
 assignment) runs on the structures built here: the dense cosine affinity
 matrix, the union-of-top-k sparsified graph, pivot-centered sub-graphs for
-the linkage predictor, and the max-merge of refined sub-graph edges.
+the linkage predictor, and the max-merge of refined sub-graph edges. The
+sparse graphs are SpeakerGraph objects: immutable CSR graphs, built from
+edge arrays in one step, whose rows keep insertion order.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +36,9 @@ class EmbeddingSet:
         self.segments = np.asarray(self.segments, dtype=np.float64).reshape(-1, 2)
         if self.vectors.ndim != 2:
             raise ValueError("vectors must be a 2-d array")
+        bad = np.flatnonzero(~np.isfinite(self.vectors).all(axis=1))
+        if bad.size:
+            raise ValueError(f"segment {bad[0]} has a non-finite embedding")
         if self.segments.shape[0] != self.vectors.shape[0]:
             raise ValueError(
                 f"{self.segments.shape[0]} segments do not match "
@@ -96,81 +102,96 @@ def cosine_affinity(emb: EmbeddingSet) -> np.ndarray:
     return scores
 
 
-class SpeakerGraph:
-    """Weighted undirected graph over segment nodes.
+def _distinct_pairs(n: int, heads: np.ndarray, tails: np.ndarray, weights: np.ndarray):
+    """(low end, high end, weight) of each distinct pair, ordered by first
+    position, with the largest weight the pair was given."""
+    key = np.minimum(heads, tails) * n + np.maximum(heads, tails)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))   # keys are >= 0
+    largest = np.maximum.reduceat(weights[order], starts)
+    by_position = np.argsort(order[starts])
+    lo, hi = np.divmod(key[starts[by_position]], n)
+    return lo, hi, largest[by_position]
 
-    Pair edges are stored per node for O(1) weight lookup. Self-loops only
-    appear on aggregated graphs and live in a separate array, so ordinary
-    graphs stay loop-free; a self-loop counts twice in a node's weighted
-    degree.
+
+class SpeakerGraph:
+    """Immutable weighted undirected graph over segment nodes, in CSR form.
+
+    Every pair edge is stored in both rows of (indptr, indices, weights);
+    row order equals insertion order, and a pair given more than once keeps
+    its first position and its largest weight. Self-loops only appear on
+    aggregated graphs and live in the self_loops vector; a self-loop counts
+    twice in a node's weighted degree. Computed once at construction:
+    weighted_degrees, total_weight (m) and edges, the (heads, tails,
+    weights) stream of pair edges with head < tail in row order.
     """
 
-    def __init__(self, node_count: int, self_loops=None):
+    def __init__(self, node_count: int, heads=(), tails=(), weights=(), self_loops=None):
         if node_count < 0:
             raise ValueError("node_count must be non-negative")
-        self.node_count = node_count
-        self._adj: list[dict[int, float]] = [{} for _ in range(node_count)]
-        self._edge_count = 0
-        if self_loops is None:
-            self.self_loops = np.zeros(node_count)
-        else:
-            self.self_loops = np.asarray(self_loops, dtype=np.float64).copy()
-            if self.self_loops.shape != (node_count,):
-                raise ValueError("self_loops must have one entry per node")
+        n = self.node_count = node_count
+        heads = np.asarray(heads, dtype=np.int64).reshape(-1)
+        tails = np.asarray(tails, dtype=np.int64).reshape(-1)
+        weights = np.asarray(weights, dtype=np.float64).reshape(-1)
+        if not heads.shape == tails.shape == weights.shape:
+            raise ValueError("heads, tails and weights must have the same length")
+        loop = np.flatnonzero(heads == tails)
+        if loop.size:
+            raise ValueError(f"self-loop on node {heads[loop[0]]} not allowed as a pair edge")
+        bad = np.flatnonzero((np.minimum(heads, tails) < 0) | (np.maximum(heads, tails) >= n))
+        if bad.size:
+            raise ValueError(f"edge ({heads[bad[0]]}, {tails[bad[0]]}) outside graph of {n} nodes")
+        if not np.isfinite(weights).all():
+            raise ValueError("edge weights must be finite")
+        self.self_loops = np.array(np.zeros(n) if self_loops is None else self_loops, dtype=float)
+        if self.self_loops.shape != (n,):
+            raise ValueError("self_loops must have one entry per node")
+
+        lo, hi, weights = _distinct_pairs(n, heads, tails, weights)
+        # Both directions of every pair in pair order, then stable-sorted by
+        # row, so each row lists its pairs by first position.
+        src = np.stack([lo, hi], axis=1).reshape(-1)
+        both = np.repeat(weights, 2)
+        order = np.argsort(src, kind="stable")
+        self.indices = np.stack([hi, lo], axis=1).reshape(-1)[order]
+        self.weights = both[order]
+        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+        self.weighted_degrees = 2.0 * self.self_loops + np.bincount(
+            src, weights=both, minlength=n)
+        del src, both, order   # keeps the build's transient memory low
+        # A pair's head < tail entry sits in the row of its low end.
+        by_row = np.argsort(lo, kind="stable")
+        self.edges = (lo[by_row], hi[by_row], weights[by_row])
+        self.edge_count = len(by_row)
+        # cumsum adds in stream order, as the per-edge sums elsewhere do.
+        pair = np.cumsum(self.edges[2])[-1] if self.edge_count else 0.0
+        self.total_weight = float(pair + self.self_loops.sum())
+        for array in (self.self_loops, self.indices, self.weights, self.indptr,
+                      self.weighted_degrees, *self.edges):
+            array.flags.writeable = False
 
     @classmethod
-    def from_edges(cls, node_count: int, edges) -> "SpeakerGraph":
-        g = cls(node_count)
-        for i, j, w in edges:
-            g.add_edge(i, j, w)
-        return g
+    def from_edges(cls, node_count: int, edges, self_loops=None) -> "SpeakerGraph":
+        """Build from a sequence of (i, j, weight) triples, in insertion order."""
+        heads, tails, weights = zip(*edges) if edges else ((), (), ())
+        return cls(node_count, heads, tails, weights, self_loops)
 
-    def add_edge(self, i: int, j: int, weight: float) -> None:
-        if i == j:
-            raise ValueError(f"self-loop on node {i} not allowed as a pair edge")
-        if not (0 <= i < self.node_count and 0 <= j < self.node_count):
-            raise ValueError(f"edge ({i}, {j}) outside graph of {self.node_count} nodes")
-        if j not in self._adj[i]:
-            self._edge_count += 1
-        self._adj[i][j] = float(weight)
-        self._adj[j][i] = float(weight)
+    @cached_property
+    def neighbor_lists(self) -> list[tuple[list[int], list[float]]]:
+        """Per row, (neighbour ids, weights) as Python lists, built on first use."""
+        ptr = self.indptr.tolist()
+        node = list(range(self.node_count)).__getitem__   # one int object per node id
+        return [(list(map(node, self.indices[s:e].tolist())), self.weights[s:e].tolist())
+                for s, e in zip(ptr[:-1], ptr[1:])]
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return j in self._adj[i]
-
-    def edge_weight(self, i: int, j: int, default: float = 0.0) -> float:
-        return self._adj[i].get(j, default)
-
-    def neighbors(self, i: int):
+    def neighbors(self, i: int) -> list[tuple[int, float]]:
         """(neighbor, weight) pairs in insertion order."""
-        return self._adj[i].items()
-
-    def degree(self, i: int) -> int:
-        return len(self._adj[i])
-
-    def edges(self):
-        """Yield (i, j, weight) once per pair edge with i < j."""
-        for i, nbrs in enumerate(self._adj):
-            for j, w in nbrs.items():
-                if i < j:
-                    yield i, j, w
-
-    @property
-    def edge_count(self) -> int:
-        return self._edge_count
-
-    def weighted_degrees(self) -> np.ndarray:
-        k = 2.0 * self.self_loops
-        for i, nbrs in enumerate(self._adj):
-            k[i] += sum(nbrs.values())
-        return k
-
-    def total_weight(self) -> float:
-        pair = sum(w for _, _, w in self.edges())
-        return float(pair + self.self_loops.sum())
+        return list(zip(*self.neighbor_lists[i]))
 
     def edge_dict(self) -> dict[tuple[int, int], float]:
-        return {(i, j): w for i, j, w in self.edges()}
+        heads, tails, weights = (a.tolist() for a in self.edges)
+        return dict(zip(zip(heads, tails), weights))
 
 
 def _top_neighbors(aff: np.ndarray, node: int, k: int) -> np.ndarray:
@@ -191,14 +212,14 @@ def knn_graph(aff: np.ndarray, k: int) -> SpeakerGraph:
     if k < 1:
         raise ValueError("k must be >= 1")
     n = aff.shape[0]
-    g = SpeakerGraph(n)
     if n <= 1:
-        return g
+        return SpeakerGraph(n)
     k_eff = min(k, n - 1)
+    top = np.empty((n, k_eff), dtype=np.int64)
     for i in range(n):
-        for j in _top_neighbors(aff, i, k_eff):
-            g.add_edge(i, int(j), aff[i, j])
-    return g
+        top[i] = _top_neighbors(aff, i, k_eff)
+    heads = np.repeat(np.arange(n), k_eff)
+    return SpeakerGraph(n, heads, top.ravel(), aff[heads, top.ravel()])
 
 
 @dataclass
@@ -243,15 +264,12 @@ def merge_subgraphs(refined, node_count: int) -> SpeakerGraph:
     entry per sub-graph. A pair predicted by several sub-graphs keeps its
     largest probability. Probabilities must lie in [0, 1].
     """
-    g = SpeakerGraph(node_count)
+    parts = []
     for pivot, neighbors, probs in refined:
         probs = np.asarray(probs, dtype=np.float64)
-        if probs.size and (probs.min() < 0.0 or probs.max() > 1.0):
+        if not ((probs >= 0.0) & (probs <= 1.0)).all():
             raise ValueError(f"sub-graph of pivot {pivot}: edge probability outside [0, 1]")
-        for j, p in zip(neighbors, probs):
-            j = int(j)
-            a, b = (pivot, j) if pivot < j else (j, pivot)
-            current = g.edge_weight(a, b, default=-1.0)
-            if p > current:
-                g.add_edge(a, b, p)
-    return g
+        parts.append((np.full(probs.size, pivot), neighbors, probs))
+    if not parts:
+        return SpeakerGraph(node_count)
+    return SpeakerGraph(node_count, *(np.concatenate(column) for column in zip(*parts)))

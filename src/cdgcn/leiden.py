@@ -61,8 +61,6 @@ class Partition:
     labels: np.ndarray
     internal_weight: np.ndarray
     community_degree: np.ndarray
-    total_edges: int
-    total_weight: float
 
     @property
     def community_count(self) -> int:
@@ -77,19 +75,20 @@ class Partition:
             raise ValueError(
                 f"{labels.size} labels do not cover a graph of {graph.node_count} nodes"
             )
-        seen: dict[int, int] = {}
-        compact = np.empty_like(labels)
-        for i, lab in enumerate(labels.tolist()):
-            compact[i] = seen.setdefault(lab, len(seen))
-        c = len(seen)
-        internal = np.zeros(c)
-        for i, j, w in graph.edges():
-            if compact[i] == compact[j]:
-                internal[compact[i]] += w
-        if c:
-            internal += np.bincount(compact, weights=graph.self_loops, minlength=c)
-        degree = np.bincount(compact, weights=graph.weighted_degrees(), minlength=c)
-        return cls(compact, internal, degree, graph.edge_count, graph.total_weight())
+        _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+        compact = np.argsort(np.argsort(first))[inverse]
+        return cls(compact, *_community_sums(graph, compact, first.size))
+
+
+def _community_sums(graph: SpeakerGraph, labels: np.ndarray, c: int):
+    """(m_c, K_c) for labels in 0..c-1, each summed in edge-stream order."""
+    heads, tails, weights = graph.edges
+    a = labels[heads]
+    inside = a == labels[tails]
+    internal = (np.bincount(a[inside], weights=weights[inside], minlength=c)
+                + np.bincount(labels, weights=graph.self_loops, minlength=c))
+    degree = np.bincount(labels, weights=graph.weighted_degrees, minlength=c)
+    return internal, degree
 
 
 def quality(graph: SpeakerGraph, partition: Partition, gamma: float) -> float:
@@ -97,30 +96,18 @@ def quality(graph: SpeakerGraph, partition: Partition, gamma: float) -> float:
     labels = partition.labels
     if labels.shape != (graph.node_count,):
         raise ValueError("partition does not cover the graph")
-    m = graph.total_weight()
+    m = graph.total_weight
     if m == 0.0:
         return 0.0
     c = int(labels.max()) + 1 if labels.size else 0
-    internal = np.zeros(c)
-    for i, j, w in graph.edges():
-        if labels[i] == labels[j]:
-            internal[labels[i]] += w
-    if c:
-        internal += np.bincount(labels, weights=graph.self_loops, minlength=c)
-    degree = np.bincount(labels, weights=graph.weighted_degrees(), minlength=c)
+    internal, degree = _community_sums(graph, labels, c)
     return float(internal.sum() - gamma * np.sum(degree**2) / (4.0 * m))
 
 
 def singleton_partition(graph: SpeakerGraph) -> Partition:
     """One community per node; m_c is the node's self-loop (zero on plain graphs)."""
-    n = graph.node_count
-    return Partition(
-        labels=np.arange(n, dtype=np.int64),
-        internal_weight=graph.self_loops.copy(),
-        community_degree=graph.weighted_degrees(),
-        total_edges=graph.edge_count,
-        total_weight=graph.total_weight(),
-    )
+    return Partition(np.arange(graph.node_count, dtype=np.int64), graph.self_loops.copy(),
+                     graph.weighted_degrees.copy())
 
 
 def local_move(graph: SpeakerGraph, partition: Partition, gamma: float, seed: int = 0) -> Partition:
@@ -136,34 +123,32 @@ def local_move(graph: SpeakerGraph, partition: Partition, gamma: float, seed: in
     n = graph.node_count
     if n == 0:
         return partition
-    m = graph.total_weight()
+    m = graph.total_weight
     if m == 0.0:
         return Partition.from_labels(graph, partition.labels)
 
-    labels = partition.labels.copy()
-    k = graph.weighted_degrees()
-    loops = graph.self_loops
+    rows = graph.neighbor_lists
+    labels = partition.labels.tolist()
+    k = graph.weighted_degrees.tolist()
     # Community slots: at most n communities can be live at any point.
-    comm_degree = np.zeros(n)
-    comm_internal = np.zeros(n)
     c = partition.community_count
-    comm_degree[:c] = partition.community_degree
-    comm_internal[:c] = partition.internal_weight
-    comm_size = np.bincount(labels, minlength=n)
+    comm_degree = partition.community_degree.tolist() + [0.0] * (n - c)
+    comm_size = np.bincount(partition.labels, minlength=n).tolist()
     free_ids: list[int] = []
     next_fresh = c
 
     rng = np.random.default_rng(seed)
-    queue = deque(int(i) for i in rng.permutation(n))
-    in_queue = np.ones(n, dtype=bool)
+    queue = deque(rng.permutation(n).tolist())
+    in_queue = [True] * n
 
     while queue:
         i = queue.popleft()
         in_queue[i] = False
-        a = int(labels[i])
+        a = labels[i]
+        neighbors, weights = rows[i]
         w_to: dict[int, float] = {}
-        for j, w in graph.neighbors(i):
-            lbl = int(labels[j])
+        for j, w in zip(neighbors, weights):
+            lbl = labels[j]
             w_to[lbl] = w_to.get(lbl, 0.0) + w
         k_i = k[i]
         # Gain of staying relative to sitting alone in an empty community.
@@ -188,20 +173,17 @@ def local_move(graph: SpeakerGraph, partition: Partition, gamma: float, seed: in
             else:
                 best_comm = next_fresh
                 next_fresh += 1
-        comm_internal[a] -= w_to.get(a, 0.0) + loops[i]
         comm_degree[a] -= k_i
         comm_size[a] -= 1
         if comm_size[a] == 0:
-            comm_internal[a] = 0.0
             comm_degree[a] = 0.0
             heapq.heappush(free_ids, a)
-        comm_internal[best_comm] += w_to.get(best_comm, 0.0) + loops[i]
         comm_degree[best_comm] += k_i
         comm_size[best_comm] += 1
         labels[i] = best_comm
-        for j, _ in graph.neighbors(i):
+        for j in neighbors:
             if labels[j] != best_comm and not in_queue[j]:
-                queue.append(int(j))
+                queue.append(j)
                 in_queue[j] = True
 
     return Partition.from_labels(graph, labels)
@@ -220,41 +202,43 @@ def refine_partition(graph: SpeakerGraph, partition: Partition, gamma: float,
     gains.
     """
     n = graph.node_count
-    m = graph.total_weight()
+    m = graph.total_weight
     if n == 0 or m == 0.0:
         return singleton_partition(graph)
 
+    rows = graph.neighbor_lists
     parent = partition.labels
-    k = graph.weighted_degrees()
-    loops = graph.self_loops
-    ref_labels = np.arange(n, dtype=np.int64)
-    ref_degree = k.astype(np.float64).copy()
-    ref_internal = loops.copy()
-    ref_size = np.ones(n, dtype=np.int64)
-    # Edge weight from each refined community to the rest of its parent.
-    cross = np.zeros(n)
+    parent_of = parent.tolist()
+    k = graph.weighted_degrees.tolist()
+    ref_labels = list(range(n))
+    ref_degree = list(k)
+    ref_size = [1] * n
+    # Edge weight from each refined community to the rest of its parent,
+    # starting from each node's weight into its own parent community.
+    row_of = np.repeat(np.arange(n), np.diff(graph.indptr))
+    inside = parent[row_of] == parent[graph.indices]
+    cross = np.bincount(row_of[inside], weights=graph.weights[inside], minlength=n).tolist()
 
     rng = np.random.default_rng(seed)
     two_m = 2.0 * m
 
+    by_parent = np.argsort(parent, kind="stable")
+    bounds = np.searchsorted(parent[by_parent], np.arange(partition.community_count + 1))
     for comm in range(partition.community_count):
-        members = np.flatnonzero(parent == comm)
+        members = by_parent[bounds[comm]:bounds[comm + 1]]
         if members.size < 2:
             continue
         k_total = partition.community_degree[comm]
-        for v in members:
-            cross[v] = sum(w for j, w in graph.neighbors(int(v)) if parent[j] == comm)
-        for v in rng.permutation(members):
-            v = int(v)
-            own = int(ref_labels[v])
+        for v in rng.permutation(members).tolist():
+            own = ref_labels[v]
             if ref_size[own] > 1:
                 continue
             if cross[v] < gamma * k[v] * (k_total - k[v]) / two_m:
                 continue
             w_to: dict[int, float] = {}
-            for j, w in graph.neighbors(v):
-                if parent[j] == comm:
-                    lbl = int(ref_labels[j])
+            for j, w in zip(*rows[v]):
+                if parent_of[j] == comm:
+                    lbl = ref_labels[j]
                     if lbl != own:
                         w_to[lbl] = w_to.get(lbl, 0.0) + w
             candidates = []
@@ -287,7 +271,6 @@ def refine_partition(graph: SpeakerGraph, partition: Partition, gamma: float,
                             break
             if target is None:
                 continue
-            ref_internal[target] += w_to[target] + loops[v]
             ref_degree[target] += k[v]
             cross[target] += cross[v] - 2.0 * w_to[target]
             ref_size[target] += 1
@@ -297,32 +280,27 @@ def refine_partition(graph: SpeakerGraph, partition: Partition, gamma: float,
     return Partition.from_labels(graph, ref_labels)
 
 
-def aggregate_graph(graph: SpeakerGraph, refined: Partition):
-    """Collapse each refined community into one super-node.
+def aggregate_graph(graph: SpeakerGraph, refined: Partition) -> SpeakerGraph:
+    """Collapse each refined community c into super-node c.
 
-    Cross-community weights accumulate into single edges; intra-community
-    weights (plus pre-existing self-loops) accumulate on the new node's
-    self-loop, so the total weighted degree is conserved exactly. Returns
-    the aggregated graph and the refined-community -> new-node mapping.
+    Cross-community weights accumulate into single edges, listed in sorted
+    (a, b) order; intra-community weights (plus pre-existing self-loops)
+    accumulate on the new node's self-loop, so the total weighted degree is
+    conserved exactly.
     """
     labels = refined.labels
     c = refined.community_count
-    loops = np.zeros(c)
-    if c:
-        loops += np.bincount(labels, weights=graph.self_loops, minlength=c)
-    acc: dict[tuple[int, int], float] = {}
-    for i, j, w in graph.edges():
-        a, b = int(labels[i]), int(labels[j])
-        if a == b:
-            loops[a] += w
-        else:
-            key = (a, b) if a < b else (b, a)
-            acc[key] = acc.get(key, 0.0) + w
-    agg = SpeakerGraph(c, self_loops=loops)
-    for (a, b), w in sorted(acc.items()):
-        agg.add_edge(a, b, w)
-    mapping = np.arange(c, dtype=np.int64)
-    return agg, mapping
+    heads, tails, weights = graph.edges
+    a, b = labels[heads], labels[tails]
+    inside = a == b
+    # Each self-loop sums the old self-loops first, then the inside edges in stream order.
+    loops = np.bincount(np.concatenate((labels, a[inside])),
+                        weights=np.concatenate((graph.self_loops, weights[inside])),
+                        minlength=c)
+    lo, hi = np.minimum(a, b)[~inside], np.maximum(a, b)[~inside]
+    pairs, slot = np.unique(lo * c + hi, return_inverse=True)
+    summed = np.bincount(slot, weights=weights[~inside], minlength=pairs.size)
+    return SpeakerGraph(c, pairs // c, pairs % c, summed, self_loops=loops)
 
 
 def _hierarchy_pass(graph: SpeakerGraph, flat_labels: np.ndarray, gamma: float,
@@ -349,8 +327,8 @@ def _hierarchy_pass(graph: SpeakerGraph, flat_labels: np.ndarray, gamma: float,
         # its members held before refinement.
         first_member = np.unique(refined.labels, return_index=True)[1]
         lifted = level_partition.labels[first_member]
-        level_graph, mapping = aggregate_graph(level_graph, refined)
-        node_map = mapping[refined.labels[node_map]]
+        level_graph = aggregate_graph(level_graph, refined)
+        node_map = refined.labels[node_map]
         level_partition = Partition.from_labels(level_graph, lifted)
     return level_partition.labels[node_map]
 

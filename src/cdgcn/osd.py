@@ -66,10 +66,13 @@ def belonging_coefficients(graph: SpeakerGraph, partition: Partition) -> np.ndar
     labels = partition.labels
     if labels.shape != (graph.node_count,):
         raise ValueError("partition does not cover the graph")
-    b = np.zeros((partition.community_count, graph.node_count))
-    for i, j, w in graph.edges():
-        b[labels[j], i] += w
-        b[labels[i], j] += w
+    heads, tails, weights = graph.edges
+    n = graph.node_count
+    b = np.zeros((partition.community_count, n))
+    # Cells b[labels[tail], head] and b[labels[head], tail], interleaved so
+    # that every cell sums its weights in edge-stream order.
+    cells = np.stack([labels[tails] * n + heads, labels[heads] * n + tails], axis=1)
+    np.add.at(b.reshape(-1), cells.reshape(-1), np.repeat(weights, 2))
     return b
 
 

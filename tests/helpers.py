@@ -20,19 +20,18 @@ def random_gcn_weights(rng, feature_dim, num_layers=2, hidden_dim=None, scale=0.
 
 
 def graph_from_matrix(weight: np.ndarray) -> SpeakerGraph:
-    n = weight.shape[0]
-    g = SpeakerGraph(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if weight[i, j] != 0.0:
-                g.add_edge(i, j, weight[i, j])
-    return g
+    """Non-zero upper-triangle entries as pair edges, in row-major order."""
+    heads, tails = np.nonzero(np.triu(weight, 1))
+    return SpeakerGraph(weight.shape[0], heads, tails, weight[heads, tails])
 
 
 def matrix_from_graph(g: SpeakerGraph) -> np.ndarray:
-    a = np.zeros((g.node_count, g.node_count))
-    for i, j, w in g.edges():
-        a[i, j] = a[j, i] = w
+    """Dense adjacency; a self-loop of weight s sits on the diagonal as 2s,
+    so row sums are weighted degrees and the matrix sum is 2m."""
+    a = np.diag(2.0 * g.self_loops)
+    for i in range(g.node_count):
+        for j, w in g.neighbors(i):
+            a[i, j] = w
     return a
 
 
@@ -96,14 +95,14 @@ def best_partition(weight: np.ndarray, gamma: float):
 def clique_pair_graph(size: int) -> SpeakerGraph:
     """Two unit-weight cliques of `size` nodes joined by a single bridge."""
     n = 2 * size
-    g = SpeakerGraph(n)
+    edges = []
     for group in (range(size), range(size, n)):
         group = list(group)
         for a in range(len(group)):
             for b in range(a + 1, len(group)):
-                g.add_edge(group[a], group[b], 1.0)
-    g.add_edge(size - 1, size, 1.0)
-    return g
+                edges.append((group[a], group[b], 1.0))
+    edges.append((size - 1, size, 1.0))
+    return SpeakerGraph.from_edges(n, edges)
 
 
 def random_weight_matrix(rng, planted: bool, n: int | None = None) -> np.ndarray:

@@ -1,8 +1,11 @@
+import struct
+
+import numpy as np
 import pytest
 
 from cdgcn.cli import main
 from cdgcn.gcn import load_weights, save_weights
-from cdgcn.graphs import write_embeddings
+from cdgcn.graphs import EMBEDDING_MAGIC, write_embeddings
 from cdgcn.osd import write_overlap_mask
 from cdgcn.pipeline import write_vad_regions
 from cdgcn.scoring import der
@@ -56,6 +59,20 @@ class TestClusterCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("cdgcn:") and err.count("\n") == 1
+
+    def test_non_finite_embedding_is_one_line_error(self, tmp_path, capsys):
+        # write_embeddings refuses such a set, so the file is written by hand.
+        vectors = np.ones((3, 2), dtype="<f4")
+        vectors[2, 1] = np.nan
+        segments = np.array([[0.0, 1.5], [0.75, 1.5], [1.5, 1.5]], dtype="<f8")
+        path = tmp_path / "nan.emb"
+        path.write_bytes(struct.pack("<4sII", EMBEDDING_MAGIC, 3, 2)
+                         + vectors.tobytes() + segments.tobytes())
+        code = main(["cluster", "--embeddings", str(path), "--mode", "raw_leiden",
+                     "--out", str(tmp_path / "x.rttm")])
+        assert code == 1
+        assert capsys.readouterr().err == "cdgcn: segment 2 has a non-finite embedding\n"
+        assert not (tmp_path / "x.rttm").exists()
 
     def test_missing_file_is_error(self, session_dir, capsys):
         code = main(["cluster", "--embeddings", str(session_dir / "nope.emb"),

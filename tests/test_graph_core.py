@@ -1,0 +1,190 @@
+"""Property tests of the CSR graph core against direct dense-matrix formulas.
+
+Most weights are signed multiples of 1/8, so every sum is exact in any
+order and the vectorized bookkeeping must match the dense formulas
+bit for bit. With a one-hot community matrix S and the dense adjacency A
+(self-loops as 2s on the diagonal): K = S^T k, m_c = diag(S^T A S) / 2,
+the aggregated graph is S^T A S, and belonging strengths are S^T A_off,
+A_off being A without its diagonal. One test uses arbitrary real weights
+and checks bit for bit that every sum runs in edge-stream order, as the
+loops over the former dict-of-dicts graph did; RTTM output depends on
+those last bits.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from cdgcn.graphs import SpeakerGraph, merge_subgraphs
+from cdgcn.leiden import Partition, aggregate_graph, quality
+from cdgcn.osd import belonging_coefficients
+from helpers import matrix_from_graph, quality_of_blocks
+
+dyadic = st.integers(-8, 8).map(lambda q: q / 8.0)
+
+
+@st.composite
+def edge_streams(draw):
+    """(node_count, [(i, j, w), ...]) with repeated and reversed pairs likely."""
+    n = draw(st.integers(1, 8))
+    if n == 1:
+        return n, []
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1])
+    stream = draw(st.lists(st.tuples(pair, dyadic), max_size=3 * n))
+    return n, [(i, j, w) for (i, j), w in stream]
+
+
+@st.composite
+def graphs_and_labels(draw):
+    n, stream = draw(edge_streams())
+    loops = draw(st.lists(dyadic, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        loops = [0.0] * n
+    graph = SpeakerGraph.from_edges(n, stream, self_loops=loops)
+    labels = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    return graph, labels
+
+
+def one_hot(labels, count):
+    return np.eye(count)[labels]
+
+
+def insertion_reference(n, stream):
+    """The dict-of-dicts reference: a repeated pair keeps its first
+    position in each row and its largest weight."""
+    adj = [{} for _ in range(n)]
+    for i, j, w in stream:
+        best = max(w, adj[i].get(j, w))
+        adj[i][j] = adj[j][i] = best
+    return adj
+
+
+@given(graphs_and_labels())
+def test_from_labels_caches_match_dense(case):
+    graph, labels = case
+    p = Partition.from_labels(graph, labels)
+    _, first = np.unique(labels, return_index=True)
+    assert p.labels[np.sort(first)].tolist() == list(range(first.size))
+    a = matrix_from_graph(graph)
+    s = one_hot(p.labels, p.community_count)
+    assert p.community_degree.tolist() == (s.T @ a.sum(axis=1)).tolist()
+    assert p.internal_weight.tolist() == (np.diag(s.T @ a @ s) / 2.0).tolist()
+
+
+@given(graphs_and_labels(), st.sampled_from([0.3, 1.0, 2.5]))
+def test_quality_matches_block_oracle(case, gamma):
+    graph, labels = case
+    p = Partition.from_labels(graph, labels)
+    blocks = [np.flatnonzero(p.labels == c) for c in range(p.community_count)]
+    expected = quality_of_blocks(matrix_from_graph(graph), blocks, gamma)
+    assert quality(graph, p, gamma) == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+
+@given(graphs_and_labels())
+def test_aggregate_graph_is_st_a_s(case):
+    graph, labels = case
+    p = Partition.from_labels(graph, labels)
+    agg = aggregate_graph(graph, p)
+    a = matrix_from_graph(graph)
+    s = one_hot(p.labels, p.community_count)
+    assert agg.node_count == p.community_count
+    np.testing.assert_array_equal(matrix_from_graph(agg), s.T @ a @ s)
+    # Aggregation conserves the total weighted degree exactly.
+    assert agg.weighted_degrees.sum() == graph.weighted_degrees.sum()
+    assert agg.total_weight == graph.total_weight
+
+
+@given(graphs_and_labels())
+def test_belonging_is_st_a(case):
+    graph, labels = case
+    p = Partition.from_labels(graph, labels)
+    a = matrix_from_graph(graph)
+    np.fill_diagonal(a, 0.0)
+    s = one_hot(p.labels, p.community_count)
+    np.testing.assert_array_equal(belonging_coefficients(graph, p), s.T @ a)
+
+
+@given(edge_streams())
+def test_rows_keep_first_insertion_order(case):
+    n, stream = case
+    graph = SpeakerGraph.from_edges(n, stream)
+    adj = insertion_reference(n, stream)
+    for i in range(n):
+        assert graph.neighbors(i) == list(adj[i].items())
+        assert graph.weighted_degrees[i] == sum(adj[i].values())
+    edges = [(i, j, w) for i, row in enumerate(adj) for j, w in row.items() if i < j]
+    assert list(zip(*(a.tolist() for a in graph.edges))) == edges
+    assert graph.edge_count == len(edges)
+    assert graph.total_weight == sum(w for _, _, w in edges)
+
+
+def dense_real_graph(seed):
+    """A dense stream with repeated pairs, arbitrary real weights, self-loops
+    on half the graphs, and three communities, so that summing in another
+    order usually changes the last bits."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 13))
+    heads = rng.integers(0, n, 8 * n)
+    tails = (heads + rng.integers(1, n, 8 * n)) % n
+    loops = rng.uniform(-1.0, 1.0, n) * (seed % 2)
+    graph = SpeakerGraph(n, heads, tails, rng.uniform(-1.0, 1.0, 8 * n), self_loops=loops)
+    return graph, rng.integers(0, 3, n)
+
+
+@given(st.integers(0, 10_000))
+def test_sums_run_in_edge_stream_order(seed):
+    graph, labels = dense_real_graph(seed)
+    n, loops = graph.node_count, graph.self_loops
+    stream = [(i, j, w) for i in range(n) for j, w in graph.neighbors(i) if i < j]
+    k = 2.0 * loops
+    for i in range(n):
+        k[i] += sum(w for _, w in graph.neighbors(i))
+    assert graph.weighted_degrees.tolist() == k.tolist()
+    assert graph.total_weight == float(sum(w for _, _, w in stream) + loops.sum())
+
+    p = Partition.from_labels(graph, labels)
+    lab, c = p.labels, p.community_count
+    internal = np.zeros(c)
+    b = np.zeros((c, n))
+    agg_loops = np.bincount(lab, weights=loops, minlength=c)
+    cross = {}
+    for i, j, w in stream:
+        b[lab[j], i] += w
+        b[lab[i], j] += w
+        if lab[i] == lab[j]:
+            internal[lab[i]] += w
+            agg_loops[lab[i]] += w
+        else:
+            key = (min(lab[i], lab[j]), max(lab[i], lab[j]))
+            cross[key] = cross.get(key, 0.0) + w
+    internal += np.bincount(lab, weights=loops, minlength=c)
+    assert p.internal_weight.tolist() == internal.tolist()
+    assert belonging_coefficients(graph, p).tolist() == b.tolist()
+    agg = aggregate_graph(graph, p)
+    assert agg.self_loops.tolist() == agg_loops.tolist()
+    assert list(agg.edge_dict().items()) == sorted(cross.items())
+
+
+@given(edge_streams())
+def test_merge_keeps_largest_probability(case):
+    n, stream = case
+    refined = [(i, [j], [abs(w)]) for i, j, w in stream]
+    expected = {}
+    for i, j, w in stream:
+        key = (min(i, j), max(i, j))
+        expected[key] = max(abs(w), expected.get(key, 0.0))
+    assert merge_subgraphs(refined, n).edge_dict() == expected
+
+
+def test_graph_arrays_are_read_only():
+    graph = SpeakerGraph.from_edges(3, [(0, 1, 0.5), (1, 2, 0.25)])
+    for array in (graph.indices, graph.weights, graph.weighted_degrees, graph.edges[2]):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+
+
+def test_non_finite_weight_rejected():
+    with pytest.raises(ValueError, match="finite"):
+        SpeakerGraph.from_edges(2, [(0, 1, float("nan"))])

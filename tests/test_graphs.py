@@ -40,6 +40,13 @@ class TestEmbeddingSet:
         with pytest.raises(ValueError, match="duration"):
             EmbeddingSet(np.ones((1, 2)), np.array([(0.0, 0.0)]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_embedding_rejected(self, bad):
+        vectors = np.ones((3, 2))
+        vectors[1, 0] = bad
+        with pytest.raises(ValueError, match="segment 1 has a non-finite embedding"):
+            embedding_set(vectors)
+
     def test_file_round_trip(self, tmp_path, rng):
         emb = random_embeddings(rng, 7, d=4)
         path = tmp_path / "x.emb"
@@ -185,11 +192,11 @@ class TestBuildSubgraph:
 class TestMergeSubgraphs:
     def test_max_rule(self):
         g = merge_subgraphs([(2, [5], [0.7]), (5, [2], [0.4])], node_count=6)
-        assert g.edge_weight(2, 5) == 0.7
+        assert g.edge_dict() == {(2, 5): 0.7}
 
     def test_single_occurrence_identity(self):
         g = merge_subgraphs([(0, [3], [0.3])], node_count=4)
-        assert g.edge_weight(0, 3) == 0.3
+        assert g.edge_dict() == {(0, 3): 0.3}
         assert g.edge_count == 1
 
     def test_empty_input(self):
@@ -201,6 +208,8 @@ class TestMergeSubgraphs:
             merge_subgraphs([(0, [1], [1.2])], node_count=2)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             merge_subgraphs([(0, [1], [-0.1])], node_count=2)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            merge_subgraphs([(0, [1], [float("nan")])], node_count=2)
 
     @given(seed=st.integers(0, 10_000))
     def test_idempotent(self, seed):
@@ -218,12 +227,16 @@ class TestMergeSubgraphs:
 
 class TestSpeakerGraph:
     def test_no_self_loop_edges(self):
-        g = SpeakerGraph(3)
         with pytest.raises(ValueError, match="self-loop"):
-            g.add_edge(1, 1, 0.5)
+            SpeakerGraph.from_edges(3, [(0, 2, 0.3), (1, 1, 0.5)])
+
+    def test_out_of_range_edge_rejected(self):
+        with pytest.raises(ValueError, match="outside graph"):
+            SpeakerGraph(3, [0], [3], [0.5])
+        with pytest.raises(ValueError, match="outside graph"):
+            SpeakerGraph(3, [-1], [2], [0.5])
 
     def test_degrees_count_self_loops_twice(self):
-        g = SpeakerGraph(2, self_loops=[1.5, 0.0])
-        g.add_edge(0, 1, 2.0)
-        assert g.weighted_degrees().tolist() == [5.0, 2.0]
-        assert g.total_weight() == 3.5
+        g = SpeakerGraph(2, [0], [1], [2.0], self_loops=[1.5, 0.0])
+        assert g.weighted_degrees.tolist() == [5.0, 2.0]
+        assert g.total_weight == 3.5

@@ -18,18 +18,14 @@ from helpers import graph_from_matrix, random_weight_matrix
 
 class TestBelongingCoefficients:
     def test_isolated_node_zero(self):
-        g = SpeakerGraph(3)
-        g.add_edge(0, 1, 0.9)
+        g = SpeakerGraph.from_edges(3, [(0, 1, 0.9)])
         p = Partition.from_labels(g, [0, 0, 1])
         b = belonging_coefficients(g, p)
         assert (b[:, 2] == 0.0).all()
 
     def test_two_community_example(self):
         # node 0: edges 0.5 and 0.3 into community A, 0.6 into community B
-        g = SpeakerGraph(4)
-        g.add_edge(0, 1, 0.5)
-        g.add_edge(0, 2, 0.3)
-        g.add_edge(0, 3, 0.6)
+        g = SpeakerGraph.from_edges(4, [(0, 1, 0.5), (0, 2, 0.3), (0, 3, 0.6)])
         p = Partition.from_labels(g, [0, 0, 0, 1])
         b = belonging_coefficients(g, p)
         assert b[0, 0] == pytest.approx(0.8)
@@ -42,7 +38,7 @@ class TestBelongingCoefficients:
         labels = rng.integers(0, 3, g.node_count)
         p = Partition.from_labels(g, labels)
         b = belonging_coefficients(g, p)
-        assert b.sum(axis=0) == pytest.approx(g.weighted_degrees(), abs=1e-9)
+        assert b.sum(axis=0) == pytest.approx(g.weighted_degrees, abs=1e-9)
 
 
 class TestSecondCommunity:
