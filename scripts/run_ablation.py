@@ -31,7 +31,8 @@ def train_weights(dim, seed, lr, epochs):
     losses = []
     weights = train(batches, init=GcnWeights.glorot(dim, seed=seed), lr=lr,
                     epochs=epochs, on_epoch=lambda _, loss: losses.append(loss))
-    print(f"trained on {len(batches)} sub-graphs: "
+    count = sum(sub.members.shape[0] for sub, _ in batches)
+    print(f"trained on {count} sub-graphs: "
           f"loss {losses[0]:.4f} -> {losses[-1]:.4f}")
     return weights
 

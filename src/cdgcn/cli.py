@@ -13,27 +13,28 @@ from .graphs import build_subgraph, cosine_affinity, read_embeddings
 from .osd import read_overlap_mask
 from .pipeline import MODES, PipelineConfig, read_vad_regions, run_pipeline
 from .scoring import der, rttm_speaker_counts, speaker_count_mse
-from .synthetic import rotate_batches
+from .synthetic import rotate_batches, shared_speaker_labels
 from .timeline import read_rttm, write_rttm
 
 
-def _read_speaker_sets(path, expected: int):
-    """Per-segment speaker sets: one line per segment, 1 or 2 integer ids."""
-    sets = []
+def _read_speakers(path, expected: int) -> np.ndarray:
+    """(N, 2) speaker ids from one line of 1 or 2 integer ids per segment;
+    a segment with one speaker repeats its id."""
+    rows = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         try:
-            ids = {int(tok) for tok in line.split()}
+            ids = sorted({int(tok) for tok in line.split()})
         except ValueError:
             raise ValueError(f"{path} line {lineno}: speaker ids must be integers") from None
         if not 1 <= len(ids) <= 2:
             raise ValueError(f"{path} line {lineno}: expected 1 or 2 speaker ids")
-        sets.append(ids)
-    if len(sets) != expected:
-        raise ValueError(f"{path}: {len(sets)} label lines for {expected} segments")
-    return sets
+        rows.append((ids[0], ids[-1]))
+    if len(rows) != expected:
+        raise ValueError(f"{path}: {len(rows)} label lines for {expected} segments")
+    return np.array(rows, dtype=np.int64).reshape(-1, 2)
 
 
 def cmd_cluster(args) -> int:
@@ -62,24 +63,20 @@ def cmd_train_gcn(args) -> int:
         if not labels_path.exists():
             raise ValueError(f"missing labels file {labels_path}")
         emb = read_embeddings(emb_path)
-        speaker_sets = _read_speaker_sets(labels_path, emb.count)
-        aff = cosine_affinity(emb)
-        for pivot in range(emb.count):
-            sub = build_subgraph(aff, emb, pivot, args.knn_k)
-            labels = np.array([
-                float(bool(speaker_sets[pivot] & speaker_sets[j])) for j in sub.members[1:]
-            ])
-            batches.append((sub, labels))
+        speakers = _read_speakers(labels_path, emb.count)
+        sub = build_subgraph(cosine_affinity(emb), emb, np.arange(emb.count), args.knn_k)
+        batches.append((sub, shared_speaker_labels(speakers, sub.members)))
     if args.rotations:
         batches = rotate_batches(batches, args.rotations, seed=args.seed)
 
-    feature_dim = batches[0][0].features.shape[1]
+    feature_dim = batches[0][0].features.shape[-1]
     init = GcnWeights.glorot(feature_dim, num_layers=args.layers, seed=args.seed)
     losses = []
     weights = train(batches, init=init, lr=args.lr, epochs=args.epochs, seed=args.seed,
                     on_epoch=lambda _, loss: losses.append(loss))
     Path(args.out).write_bytes(save_weights(weights))
-    print(f"trained on {len(batches)} sub-graphs from {len(emb_files)} sessions: "
+    count = sum(sub.members.shape[0] for sub, _ in batches)
+    print(f"trained on {count} sub-graphs from {len(emb_files)} sessions: "
           f"loss {losses[0]:.4f} -> {losses[-1]:.4f} -> {args.out}")
     return 0
 

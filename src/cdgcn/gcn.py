@@ -6,6 +6,12 @@ softmax component becomes the probability that the node shares the pivot's
 speaker. Forward and backward passes are plain numpy so the analytic
 gradients can be checked against finite differences; inference runs in
 float32 and training in float64.
+
+Both passes run on stacks of equal-size sub-graphs (a leading sub-graph
+axis), BLOCK at a time. A stacked matmul computes each sub-graph's product
+as an unstacked one would, and training adds each sub-graph's loss and
+gradient to the totals in sub-graph order, so no result depends on how
+sub-graphs are stacked.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import SubGraph
+from .graphs import BLOCK, SubGraph
 
 WEIGHTS_MAGIC = b"GCNW"
 PROB_EPSILON = 1e-7
@@ -109,29 +115,30 @@ def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
 
     Adds the identity, then rescales by the inverse square root of the
     resulting row sums on both sides. The self-connection keeps every
-    degree positive, so no entry can divide by zero.
+    degree positive, so no entry can divide by zero. A stack of
+    adjacencies is normalized one matrix at a time.
     """
     a = np.asarray(adjacency)
-    a_tilde = a + np.eye(a.shape[0], dtype=a.dtype)
-    inv_sqrt = 1.0 / np.sqrt(a_tilde.sum(axis=1))
-    return a_tilde * inv_sqrt[:, None] * inv_sqrt[None, :]
+    a_tilde = a + np.eye(a.shape[-1], dtype=a.dtype)
+    inv_sqrt = 1.0 / np.sqrt(a_tilde.sum(axis=-1))
+    return a_tilde * inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
 
 
 def gcn_layer_forward(h: np.ndarray, a_hat: np.ndarray, w: np.ndarray) -> np.ndarray:
     """One aggregation layer: relu(concat(H, A_hat @ H) @ W)."""
     h = np.asarray(h)
-    if w.shape[0] != 2 * h.shape[1]:
-        raise ValueError(f"weight rows {w.shape[0]} do not match 2 * feature dim {2 * h.shape[1]}")
-    if a_hat.shape != (h.shape[0], h.shape[0]):
-        raise ValueError(f"adjacency shape {a_hat.shape} does not match {h.shape[0]} nodes")
-    m = np.concatenate([h, a_hat @ h], axis=1)
+    if w.shape[0] != 2 * h.shape[-1]:
+        raise ValueError(f"weight rows {w.shape[0]} do not match 2 * feature dim {2 * h.shape[-1]}")
+    if a_hat.shape != h.shape[:-1] + h.shape[-2:-1]:
+        raise ValueError(f"adjacency shape {a_hat.shape} does not match {h.shape[-2]} nodes")
+    m = np.concatenate([h, a_hat @ h], axis=-1)
     return np.maximum(m @ w, 0)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def gcn_forward(sub: SubGraph, weights: GcnWeights) -> np.ndarray:
@@ -139,11 +146,12 @@ def gcn_forward(sub: SubGraph, weights: GcnWeights) -> np.ndarray:
 
     Runs the aggregation stack in the weights' precision, applies the
     two-layer head to every node, and returns the positive-class softmax
-    component for the non-pivot members, in member order.
+    component for the non-pivot members, in member order; for a stack of
+    sub-graphs, one row of probabilities per sub-graph.
     """
-    if sub.features.shape[1] != weights.feature_dim:
+    if sub.features.shape[-1] != weights.feature_dim:
         raise ValueError(
-            f"sub-graph feature dim {sub.features.shape[1]} does not match "
+            f"sub-graph feature dim {sub.features.shape[-1]} does not match "
             f"weights feature dim {weights.feature_dim}"
         )
     dtype = weights.dtype
@@ -154,12 +162,12 @@ def gcn_forward(sub: SubGraph, weights: GcnWeights) -> np.ndarray:
     w1, w2 = weights.head_weights
     b1, b2 = weights.head_biases
     z = np.maximum(h @ w1 + b1, 0)
-    probs = _softmax(z @ w2 + b2)[:, 1]
-    return probs[1:]
+    return _softmax(z @ w2 + b2)[..., 1:, 1]
 
 
-def bce_loss(pred: np.ndarray, labels: np.ndarray) -> float:
-    """Mean binary cross entropy with predictions clipped to [eps, 1-eps]."""
+def bce_loss(pred: np.ndarray, labels: np.ndarray):
+    """Mean binary cross entropy with predictions clipped to [eps, 1-eps];
+    over the last axis, so a stack of rows gives one loss per row."""
     pred = np.asarray(pred, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     if pred.shape != labels.shape:
@@ -167,100 +175,97 @@ def bce_loss(pred: np.ndarray, labels: np.ndarray) -> float:
     if pred.size == 0:
         return 0.0
     p = np.clip(pred, PROB_EPSILON, 1.0 - PROB_EPSILON)
-    return float(np.mean(-(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))))
+    return np.mean(-(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)), axis=-1)
 
 
-class _PreparedBatch:
-    """Sub-graph with its normalized adjacency cached for repeated epochs."""
-
-    __slots__ = ("features", "a_hat", "labels")
-
-    def __init__(self, sub: SubGraph, labels, dtype):
+def _training_blocks(batches, dtype):
+    """(features, normalized adjacency, labels) of each batch's sub-graphs,
+    BLOCK at a time, in order. Sub-graphs without neighbors carry no loss
+    and are left out."""
+    blocks = []
+    for sub, labels in batches:
         labels = np.asarray(labels, dtype=np.float64)
-        if labels.shape != (sub.neighbor_count,):
-            raise ValueError(
-                f"pivot {sub.pivot}: {labels.size} labels for {sub.neighbor_count} neighbors"
-            )
+        if labels.shape != sub.members[..., 1:].shape:
+            raise ValueError(f"pivot {sub.pivot}: {labels.size} labels for "
+                             f"{sub.members[..., 1:].size} neighbors")
         if not np.isin(labels, (0.0, 1.0)).all():
             raise ValueError(f"pivot {sub.pivot}: labels must be 0 or 1")
-        self.features = sub.features.astype(dtype)
-        self.a_hat = normalize_adjacency(sub.adjacency.astype(dtype))
-        self.labels = labels.astype(dtype)
+        size, dim = sub.members.shape[-1], sub.features.shape[-1]
+        if size > 1:
+            features = sub.features.reshape(-1, size, dim).astype(dtype, copy=False)
+            adjacency = sub.adjacency.reshape(-1, size, size).astype(dtype, copy=False)
+            labels = labels.reshape(-1, size - 1).astype(dtype, copy=False)
+            blocks += [(features[i:i + BLOCK], normalize_adjacency(adjacency[i:i + BLOCK]),
+                        labels[i:i + BLOCK]) for i in range(0, len(labels), BLOCK)]
+    return blocks
 
 
-def _batch_loss_and_grads(batch: _PreparedBatch, weights: GcnWeights):
-    """Loss and parameter gradients for one sub-graph, by backpropagation."""
+def _block_loss_and_grads(features, a_hat, labels, weights: GcnWeights):
+    """Per-sub-graph losses and stacked parameter gradients (in tensors()
+    order) of one block, by backpropagation."""
     lw = weights.layer_weights
     w1, w2 = weights.head_weights
     b1, b2 = weights.head_biases
 
-    h = batch.features
-    hs = [h]
+    h = features
     concats = []
     pre_acts = []
     for w in lw:
-        m = np.concatenate([h, batch.a_hat @ h], axis=1)
+        m = np.concatenate([h, a_hat @ h], axis=-1)
         pre = m @ w
         h = np.maximum(pre, 0)
         concats.append(m)
         pre_acts.append(pre)
-        hs.append(h)
 
-    s = h @ w1 + b1
-    z = np.maximum(s, 0)
-    logits = z @ w2 + b2
-    sm = _softmax(logits)
-    probs = sm[1:, 1]
-    k = probs.size
-    loss = bce_loss(probs, batch.labels)
+    z = np.maximum(h @ w1 + b1, 0)
+    sm = _softmax(z @ w2 + b2)
+    probs = sm[:, 1:, 1]
+    k = probs.shape[1]
+    losses = bce_loss(probs, labels)
 
     # Clipped predictions contribute a flat loss, hence zero gradient.
-    dlogits = np.zeros_like(logits)
-    if k:
-        active = (probs > PROB_EPSILON) & (probs < 1.0 - PROB_EPSILON)
-        target = np.zeros_like(sm[1:])
-        target[np.arange(k), batch.labels.astype(np.int64)] = 1.0
-        dlogits[1:] = (sm[1:] - target) * (active[:, None] / k)
+    active = (probs > PROB_EPSILON) & (probs < 1.0 - PROB_EPSILON)
+    target = np.stack([1.0 - labels, labels], axis=-1)
+    dlogits = np.zeros_like(sm)
+    dlogits[:, 1:] = (sm[:, 1:] - target) * (active[..., None] / k)
 
-    dz = dlogits @ w2.T
-    ds = dz * (s > 0)
-    grad_w2 = z.T @ dlogits
-    grad_b2 = dlogits.sum(axis=0)
-    grad_w1 = hs[-1].T @ ds
-    grad_b1 = ds.sum(axis=0)
+    ds = (dlogits @ w2.T) * (z > 0)
+    grads = [None] * len(lw) + [h.transpose(0, 2, 1) @ ds, ds.sum(axis=1),
+                                z.transpose(0, 2, 1) @ dlogits, dlogits.sum(axis=1)]
     dh = ds @ w1.T
-
-    grad_layers = [None] * len(lw)
     for l in range(len(lw) - 1, -1, -1):
-        dpre = dh * (pre_acts[l] > 0)
-        grad_layers[l] = concats[l].T @ dpre
-        dm = dpre @ lw[l].T
-        d_in = hs[l].shape[1]
-        dh = dm[:, :d_in] + batch.a_hat.T @ dm[:, d_in:]
-
-    grads = GcnWeights(grad_layers, (grad_w1, grad_w2), (grad_b1, grad_b2))
-    return loss, grads
+        dpre = dh * (pre_acts.pop() > 0)
+        grads[l] = concats.pop().transpose(0, 2, 1) @ dpre
+        if l:   # the input gradient of layer 0 is never used
+            dm = dpre @ lw[l].T
+            d_in = lw[l].shape[0] // 2
+            dh = dm[..., :d_in] + a_hat.transpose(0, 2, 1) @ dm[..., d_in:]
+    return losses, grads
 
 
 def loss_and_gradients(batches, weights: GcnWeights):
-    """Mean BCE over (SubGraph, labels) batches and its parameter gradients."""
-    prepared = [_PreparedBatch(sub, labels, weights.dtype) for sub, labels in batches]
-    return _prepared_loss_and_gradients(prepared, weights)
+    """Mean BCE over (SubGraph, labels) batches, each one sub-graph or a stack
+    of them with a row of labels each, and its parameter gradients."""
+    return _loss_and_gradients(_training_blocks(batches, weights.dtype), weights)
 
 
-def _prepared_loss_and_gradients(prepared, weights: GcnWeights):
-    counted = [b for b in prepared if b.labels.size]
-    if not counted:
-        zero = GcnWeights.from_tensors([np.zeros_like(t) for t in weights.tensors()])
-        return 0.0, zero
+def _loss_and_gradients(blocks, weights: GcnWeights):
+    tensors = weights.tensors()
+    count = sum(len(labels) for _, _, labels in blocks)
+    if not count:
+        return 0.0, GcnWeights.from_tensors([np.zeros_like(t) for t in tensors])
+    # Each sub-graph's loss and gradient join the totals in sub-graph
+    # order, so the sums do not depend on how sub-graphs are blocked.
     total_loss = 0.0
-    total = [np.zeros_like(t) for t in weights.tensors()]
-    for batch in counted:
-        loss, grads = _batch_loss_and_grads(batch, weights)
-        total_loss += loss
-        for acc, g in zip(total, grads.tensors()):
-            acc += g
-    scale = 1.0 / len(counted)
+    total = [np.zeros_like(t) for t in tensors]
+    for block in blocks:
+        losses, grads = _block_loss_and_grads(*block, weights)
+        for loss in losses.tolist():
+            total_loss += loss
+        for acc, grad in zip(total, grads):
+            for g in grad:
+                acc += g
+    scale = 1.0 / count
     return total_loss * scale, GcnWeights.from_tensors([t * scale for t in total])
 
 
@@ -279,13 +284,13 @@ def train(batches, init: GcnWeights | None = None, lr: float = 1e-2, epochs: int
     if not batches:
         raise ValueError("no training batches")
     if init is None:
-        init = GcnWeights.glorot(batches[0][0].features.shape[1], seed=seed)
+        init = GcnWeights.glorot(batches[0][0].features.shape[-1], seed=seed)
     if epochs == 0:
         return init
     weights = init.astype(np.float64)
-    prepared = [_PreparedBatch(sub, labels, np.float64) for sub, labels in batches]
+    blocks = _training_blocks(batches, np.float64)
     for epoch in range(epochs):
-        loss, grads = _prepared_loss_and_gradients(prepared, weights)
+        loss, grads = _loss_and_gradients(blocks, weights)
         if not np.isfinite(loss):
             raise FloatingPointError(f"non-finite training loss at epoch {epoch}")
         if on_epoch is not None:
@@ -342,4 +347,10 @@ def load_weights(data: bytes) -> GcnWeights:
     b2 = take(out_dim)
     if offset != len(data):
         raise ValueError(f"{len(data) - offset} trailing bytes in weights data")
-    return GcnWeights(layers, (w1, w2), (b1, b2))
+    weights = GcnWeights(layers, (w1, w2), (b1, b2))
+    for index, tensor in enumerate(weights.tensors()):
+        if not np.isfinite(tensor).all():
+            name = (f"layer {index}" if index < num_layers
+                    else f"head layer {(index - num_layers) // 2}")
+            raise ValueError(f"{name} has a non-finite weight")
+    return weights

@@ -18,6 +18,9 @@ from pathlib import Path
 import numpy as np
 
 EMBEDDING_MAGIC = b"EMB1"
+# Rows, pivots or sub-graphs per block wherever work is stacked: few enough
+# that a block's arrays and activations stay in cache and off peak memory.
+BLOCK = 8
 
 
 @dataclass
@@ -194,12 +197,21 @@ class SpeakerGraph:
         return dict(zip(zip(heads, tails), weights))
 
 
-def _top_neighbors(aff: np.ndarray, node: int, k: int) -> np.ndarray:
-    """Indices of the top-k affinities of `node`, ties going to lower ids."""
-    row = aff[node].copy()
-    row[node] = -np.inf
-    order = np.lexsort((np.arange(row.size), -row))
-    return order[:k]
+def top_neighbors(aff: np.ndarray, k: int, rows: np.ndarray) -> np.ndarray:
+    """(len(rows), k) ids of the k largest affinities in each given row, the
+    row's own node left out, largest first with ties going to lower ids."""
+    n = aff.shape[1]
+    scores = np.negative(aff[rows])
+    scores[np.arange(rows.size), rows] = np.inf
+    ids = np.broadcast_to(np.arange(n), scores.shape)
+    if k < n - 1:
+        # Keep only scores up to each row's k-th smallest, ties included:
+        # a stable sort of the exceeds-flag moves them first, in id order.
+        beyond = scores > np.partition(scores, k - 1, axis=1)[:, k - 1:k]
+        ids = np.argsort(beyond, axis=1, kind="stable")[:, :n - beyond.sum(axis=1).min()]
+        scores = np.take_along_axis(scores, ids, axis=1)
+    order = np.argsort(scores, axis=1, kind="stable")[:, :k]
+    return np.take_along_axis(ids, order, axis=1)
 
 
 def knn_graph(aff: np.ndarray, k: int) -> SpeakerGraph:
@@ -215,45 +227,48 @@ def knn_graph(aff: np.ndarray, k: int) -> SpeakerGraph:
     if n <= 1:
         return SpeakerGraph(n)
     k_eff = min(k, n - 1)
-    top = np.empty((n, k_eff), dtype=np.int64)
-    for i in range(n):
-        top[i] = _top_neighbors(aff, i, k_eff)
+    tails = np.concatenate([top_neighbors(aff, k_eff, np.arange(start, min(n, start + BLOCK)))
+                            for start in range(0, n, BLOCK)]).ravel()
     heads = np.repeat(np.arange(n), k_eff)
-    return SpeakerGraph(n, heads, top.ravel(), aff[heads, top.ravel()])
+    return SpeakerGraph(n, heads, tails, aff[heads, tails])
 
 
 @dataclass
 class SubGraph:
-    """Pivot-centered local graph fed to the linkage predictor.
+    """Pivot-centered local graph fed to the linkage predictor, or a stack
+    of equal-size ones along a leading axis.
 
     members lists the pivot first, then its nearest neighbors. features
     holds the member embeddings with the pivot's embedding subtracted
     (row 0 is therefore zero); adjacency is the members' pairwise affinity
-    clamped at zero with a zero diagonal.
+    clamped at zero with a zero diagonal. A stack has an array of pivots
+    and one more leading axis on every other field.
     """
 
-    pivot: int
+    pivot: int | np.ndarray
     members: np.ndarray
     features: np.ndarray
     adjacency: np.ndarray
 
-    @property
-    def neighbor_count(self) -> int:
-        return len(self.members) - 1
 
-
-def build_subgraph(aff: np.ndarray, emb: EmbeddingSet, pivot: int, k: int) -> SubGraph:
-    """Build the sub-graph of `pivot` and its top-min(k, N-1) neighbors."""
+def build_subgraph(aff: np.ndarray, emb: EmbeddingSet, pivot, k: int) -> SubGraph:
+    """Build the sub-graph of `pivot` and its top-min(k, N-1) neighbors;
+    given an array of pivots, their sub-graphs stacked in that order."""
     n = aff.shape[0]
-    if not 0 <= pivot < n:
-        raise ValueError(f"pivot {pivot} outside graph of {n} nodes")
+    pivots = np.asarray(pivot, dtype=np.int64)
+    bad = pivots[(pivots < 0) | (pivots >= n)]
+    if bad.size:
+        raise ValueError(f"pivot {bad[0]} outside graph of {n} nodes")
     if k < 1:
         raise ValueError("k must be >= 1")
-    neighbors = _top_neighbors(aff, pivot, min(k, n - 1))
-    members = np.concatenate(([pivot], neighbors)).astype(np.int64)
-    features = emb.vectors[members] - emb.vectors[pivot]
-    adjacency = np.maximum(aff[np.ix_(members, members)], 0.0)
-    np.fill_diagonal(adjacency, 0.0)
+    neighbors = top_neighbors(aff, min(k, n - 1), pivots.reshape(-1)).reshape(*pivots.shape, -1)
+    members = np.concatenate((pivots[..., None], neighbors), axis=-1)
+    features = emb.vectors[members]
+    features -= emb.vectors[pivots][..., None, :]
+    adjacency = aff[members[..., :, None], members[..., None, :]]
+    np.maximum(adjacency, 0.0, out=adjacency)
+    diagonal = np.arange(members.shape[-1])
+    adjacency[..., diagonal, diagonal] = 0.0
     return SubGraph(pivot=pivot, members=members, features=features, adjacency=adjacency)
 
 
@@ -261,15 +276,18 @@ def merge_subgraphs(refined, node_count: int) -> SpeakerGraph:
     """Combine per-pivot linkage probabilities into one refined graph.
 
     refined: iterable of (pivot, neighbor ids, edge probabilities), one
-    entry per sub-graph. A pair predicted by several sub-graphs keeps its
-    largest probability. Probabilities must lie in [0, 1].
+    entry per sub-graph or per stack of them (pivots in an array). A pair
+    predicted by several sub-graphs keeps its largest probability.
+    Probabilities must lie in [0, 1].
     """
     parts = []
     for pivot, neighbors, probs in refined:
         probs = np.asarray(probs, dtype=np.float64)
-        if not ((probs >= 0.0) & (probs <= 1.0)).all():
-            raise ValueError(f"sub-graph of pivot {pivot}: edge probability outside [0, 1]")
-        parts.append((np.full(probs.size, pivot), neighbors, probs))
+        heads = np.broadcast_to(np.asarray(pivot)[..., None], probs.shape)
+        bad = ~((probs >= 0.0) & (probs <= 1.0))
+        if bad.any():
+            raise ValueError(f"sub-graph of pivot {heads[bad][0]}: edge probability outside [0, 1]")
+        parts.append((heads.ravel(), np.ravel(neighbors), probs.ravel()))
     if not parts:
         return SpeakerGraph(node_count)
     return SpeakerGraph(node_count, *(np.concatenate(column) for column in zip(*parts)))

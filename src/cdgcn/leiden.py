@@ -228,7 +228,7 @@ def refine_partition(graph: SpeakerGraph, partition: Partition, gamma: float,
         members = by_parent[bounds[comm]:bounds[comm + 1]]
         if members.size < 2:
             continue
-        k_total = partition.community_degree[comm]
+        k_total = float(partition.community_degree[comm])   # Python float: fast scalar math
         for v in rng.permutation(members).tolist():
             own = ref_labels[v]
             if ref_size[own] > 1:

@@ -89,13 +89,14 @@ def second_community(belonging: np.ndarray, primary) -> list[int | None]:
         raise ValueError("primary labels do not match the belonging matrix")
     if primary.size and (primary.min() < 0 or primary.max() >= c):
         raise ValueError("primary label outside the belonging matrix communities")
-    out: list[int | None] = []
-    for i in range(n):
-        column = belonging[:, i].copy()
-        column[primary[i]] = -np.inf
-        best = int(np.argmax(column))
-        out.append(best if column[best] > 0.0 else None)
-    return out
+    if n == 0:
+        return []
+    nodes = np.arange(n)
+    masked = np.array(belonging, dtype=np.float64)
+    masked[primary, nodes] = -np.inf
+    best = np.argmax(masked, axis=0)   # first maximum: ties go to the smaller label
+    strength = masked[best, nodes]
+    return [b if s > 0.0 else None for b, s in zip(best.tolist(), strength.tolist())]
 
 
 def apply_overlap(primary: np.ndarray, frame_segment: np.ndarray, second,

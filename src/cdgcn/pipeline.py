@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .gcn import GcnWeights, gcn_forward
-from .graphs import EmbeddingSet, build_subgraph, cosine_affinity, knn_graph, merge_subgraphs
+from .graphs import (BLOCK, EmbeddingSet, build_subgraph, cosine_affinity, knn_graph,
+                     merge_subgraphs)
 from .leiden import LeidenConfig, leiden
 from .osd import OverlapMask, apply_overlap, belonging_coefficients, second_community
 from .timeline import DiarizationTimeline
@@ -142,13 +143,13 @@ def _frame_attribution(segments: np.ndarray, labels: np.ndarray, frame_duration:
 
 
 def refine_graph(emb: EmbeddingSet, aff: np.ndarray, weights: GcnWeights, k: int):
-    """Predict linkage probabilities on every pivot sub-graph and merge them."""
+    """Predict linkage probabilities on every pivot sub-graph, BLOCK stacked
+    pivots at a time, and merge them."""
     n = emb.count
     predictions = []
-    for pivot in range(n):
-        sub = build_subgraph(aff, emb, pivot, k)
-        probs = gcn_forward(sub, weights)
-        predictions.append((pivot, sub.members[1:], probs))
+    for start in range(0, n, BLOCK):
+        sub = build_subgraph(aff, emb, np.arange(start, min(n, start + BLOCK)), k)
+        predictions.append((sub.pivot, sub.members[:, 1:], gcn_forward(sub, weights)))
     return merge_subgraphs(predictions, n)
 
 

@@ -176,23 +176,24 @@ def make_overlap_session(solo_seconds: float = 24.0, overlap_seconds: float = 12
     )
 
 
+def shared_speaker_labels(speakers: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """1 where a member shares at least one speaker with the pivot, first on
+    the last axis of members; speakers holds two ids per segment, the same
+    id twice for a segment with one speaker."""
+    ids = speakers[members]
+    shared = ids[..., :1, :, None] == ids[..., 1:, None, :]
+    return shared.any(axis=(-2, -1)).astype(np.float64)
+
+
 def linkage_labels(session: SyntheticSession, members: np.ndarray) -> np.ndarray:
     """1 where the member shares at least one speaker with the pivot."""
-    pivot = members[0]
-
-    def speakers_of(idx):
-        out = {int(session.speaker[idx])}
-        if session.second_speaker[idx] >= 0:
-            out.add(int(session.second_speaker[idx]))
-        return out
-
-    pivot_speakers = speakers_of(pivot)
-    return np.array([float(bool(pivot_speakers & speakers_of(j))) for j in members[1:]])
+    second = np.where(session.second_speaker >= 0, session.second_speaker, session.speaker)
+    return shared_speaker_labels(np.column_stack([session.speaker, second]), members)
 
 
 def rotate_batches(batches, rotations: int, seed: int = 0):
-    """Append copies of (SubGraph, labels) batches with features mapped
-    through random orthogonal matrices.
+    """Append copies of (SubGraph, labels) batches, single or stacked, with
+    features mapped through random orthogonal matrices.
 
     Labels and adjacency are rotation invariant (features are
     pivot-relative differences), so augmenting this way teaches the
@@ -203,7 +204,7 @@ def rotate_batches(batches, rotations: int, seed: int = 0):
 
     if rotations <= 0 or not batches:
         return list(batches)
-    dim = batches[0][0].features.shape[1]
+    dim = batches[0][0].features.shape[-1]
     rng = np.random.default_rng(seed)
     out = list(batches)
     for _ in range(rotations):
@@ -217,10 +218,8 @@ def rotate_batches(batches, rotations: int, seed: int = 0):
 
 def linkage_training_batches(session: SyntheticSession, k: int, rotations: int = 0,
                              seed: int = 0):
-    """(SubGraph, labels) pairs, one per pivot segment of the session."""
-    aff = cosine_affinity(session.embeddings)
-    batches = []
-    for pivot in range(session.embeddings.count):
-        sub = build_subgraph(aff, session.embeddings, pivot, k)
-        batches.append((sub, linkage_labels(session, sub.members)))
-    return rotate_batches(batches, rotations, seed=seed)
+    """(SubGraph, labels) batches: the stacked sub-graphs of every pivot
+    segment of the session with their labels, then any rotated copies."""
+    emb = session.embeddings
+    sub = build_subgraph(cosine_affinity(emb), emb, np.arange(emb.count), k)
+    return rotate_batches([(sub, linkage_labels(session, sub.members))], rotations, seed=seed)

@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from cdgcn.gcn import GcnWeights
-from cdgcn.graphs import SpeakerGraph
+from cdgcn.gcn import PROB_EPSILON, GcnWeights
+from cdgcn.graphs import SpeakerGraph, SubGraph
 
 
 def random_gcn_weights(rng, feature_dim, num_layers=2, hidden_dim=None, scale=0.5):
@@ -128,3 +128,135 @@ def random_fixture_graphs(fixture_seed: int, count: int):
     """The frozen random-graph corpus: alternating planted and ER matrices."""
     rng = np.random.default_rng(fixture_seed)
     return [random_weight_matrix(rng, planted=(t % 2 == 0)) for t in range(count)]
+
+
+# ------------------------------------------------- per-item reference paths
+
+def reference_top_neighbors(aff: np.ndarray, node: int, k: int) -> np.ndarray:
+    """Top-k affinities of one row by a full lexsort, ties to lower ids."""
+    row = aff[node].copy()
+    row[node] = -np.inf
+    order = np.lexsort((np.arange(row.size), -row))
+    return order[:k]
+
+
+def reference_second_community(belonging: np.ndarray, primary) -> list:
+    """Runner-up community of each node, one column at a time."""
+    out = []
+    for i in range(belonging.shape[1]):
+        column = belonging[:, i].copy()
+        column[primary[i]] = -np.inf
+        best = int(np.argmax(column))
+        out.append(best if column[best] > 0.0 else None)
+    return out
+
+
+def unstack(batches):
+    """(SubGraph, labels) batches split into one pair per sub-graph."""
+    out = []
+    for sub, labels in batches:
+        if sub.members.ndim == 1:
+            out.append((sub, np.asarray(labels)))
+            continue
+        for i in range(sub.members.shape[0]):
+            out.append((SubGraph(int(sub.pivot[i]), sub.members[i], sub.features[i],
+                                 sub.adjacency[i]), np.asarray(labels)[i]))
+    return out
+
+
+def _normalize(a):
+    a_tilde = a + np.eye(a.shape[0], dtype=a.dtype)
+    inv_sqrt = 1.0 / np.sqrt(a_tilde.sum(axis=1))
+    return a_tilde * inv_sqrt[:, None] * inv_sqrt[None, :]
+
+
+def _softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _bce(pred, labels):
+    p = np.clip(np.asarray(pred, dtype=np.float64), PROB_EPSILON, 1.0 - PROB_EPSILON)
+    labels = np.asarray(labels, dtype=np.float64)
+    return float(np.mean(-(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))))
+
+
+def reference_forward(sub: SubGraph, weights: GcnWeights) -> np.ndarray:
+    """Linkage probabilities of one unstacked sub-graph, layer by layer."""
+    dtype = weights.dtype
+    a_hat = _normalize(sub.adjacency.astype(dtype))
+    h = sub.features.astype(dtype)
+    for w in weights.layer_weights:
+        h = np.maximum(np.concatenate([h, a_hat @ h], axis=1) @ w, 0)
+    w1, w2 = weights.head_weights
+    b1, b2 = weights.head_biases
+    z = np.maximum(h @ w1 + b1, 0)
+    return _softmax(z @ w2 + b2)[1:, 1]
+
+
+def _reference_sub_loss_and_grads(features, a_hat, labels, weights):
+    lw = weights.layer_weights
+    w1, w2 = weights.head_weights
+    b1, b2 = weights.head_biases
+
+    h = features
+    hs = [h]
+    concats = []
+    pre_acts = []
+    for w in lw:
+        m = np.concatenate([h, a_hat @ h], axis=1)
+        pre = m @ w
+        h = np.maximum(pre, 0)
+        concats.append(m)
+        pre_acts.append(pre)
+        hs.append(h)
+
+    s = h @ w1 + b1
+    z = np.maximum(s, 0)
+    logits = z @ w2 + b2
+    sm = _softmax(logits)
+    probs = sm[1:, 1]
+    k = probs.size
+    loss = _bce(probs, labels)
+
+    dlogits = np.zeros_like(logits)
+    active = (probs > PROB_EPSILON) & (probs < 1.0 - PROB_EPSILON)
+    target = np.zeros_like(sm[1:])
+    target[np.arange(k), labels.astype(np.int64)] = 1.0
+    dlogits[1:] = (sm[1:] - target) * (active[:, None] / k)
+
+    dz = dlogits @ w2.T
+    ds = dz * (s > 0)
+    grad_w2 = z.T @ dlogits
+    grad_b2 = dlogits.sum(axis=0)
+    grad_w1 = hs[-1].T @ ds
+    grad_b1 = ds.sum(axis=0)
+    dh = ds @ w1.T
+
+    grad_layers = [None] * len(lw)
+    for l in range(len(lw) - 1, -1, -1):
+        dpre = dh * (pre_acts[l] > 0)
+        grad_layers[l] = concats[l].T @ dpre
+        dm = dpre @ lw[l].T
+        d_in = hs[l].shape[1]
+        dh = dm[:, :d_in] + a_hat.T @ dm[:, d_in:]
+    return loss, [*grad_layers, grad_w1, grad_b1, grad_w2, grad_b2]
+
+
+def reference_loss_and_gradients(batches, weights: GcnWeights):
+    """Mean BCE and its gradients, backpropagated one sub-graph at a time."""
+    dtype = weights.dtype
+    counted = [(sub, np.asarray(labels, dtype=dtype)) for sub, labels in unstack(batches)
+               if np.size(labels)]
+    total_loss = 0.0
+    total = [np.zeros_like(t) for t in weights.tensors()]
+    for sub, labels in counted:
+        loss, grads = _reference_sub_loss_and_grads(
+            sub.features.astype(dtype), _normalize(sub.adjacency.astype(dtype)),
+            labels, weights)
+        total_loss += loss
+        for acc, g in zip(total, grads):
+            acc += g
+    scale = 1.0 / max(len(counted), 1)
+    return total_loss * scale, GcnWeights.from_tensors([t * scale for t in total])

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from cdgcn.cli import main
-from cdgcn.gcn import load_weights, save_weights
-from cdgcn.graphs import EMBEDDING_MAGIC, write_embeddings
+from cdgcn.gcn import GcnWeights, load_weights, save_weights, train
+from cdgcn.graphs import EMBEDDING_MAGIC, read_embeddings, write_embeddings
 from cdgcn.osd import write_overlap_mask
 from cdgcn.pipeline import write_vad_regions
 from cdgcn.scoring import der
-from cdgcn.synthetic import make_session
+from cdgcn.synthetic import linkage_training_batches, make_overlap_session, make_session
 from cdgcn.timeline import read_rttm, write_rttm
 
 
@@ -74,6 +74,18 @@ class TestClusterCommand:
         assert capsys.readouterr().err == "cdgcn: segment 2 has a non-finite embedding\n"
         assert not (tmp_path / "x.rttm").exists()
 
+    def test_non_finite_weights_are_one_line_error(self, session_dir, capsys):
+        weights = GcnWeights.glorot(16, seed=0)
+        weights.layer_weights[1][2, 3] = np.nan
+        path = session_dir / "nan.gcnw"
+        path.write_bytes(save_weights(weights))
+        code = main(["cluster", "--embeddings", str(session_dir / "e2e.emb"),
+                     "--mode", "cdgcn_no_osd", "--weights", str(path),
+                     "--out", str(session_dir / "x.rttm")])
+        assert code == 1
+        assert capsys.readouterr().err == "cdgcn: layer 1 has a non-finite weight\n"
+        assert not (session_dir / "x.rttm").exists()
+
     def test_missing_file_is_error(self, session_dir, capsys):
         code = main(["cluster", "--embeddings", str(session_dir / "nope.emb"),
                      "--mode", "raw_leiden", "--out", str(session_dir / "x.rttm")])
@@ -90,6 +102,25 @@ class TestTrainCommand:
         assert "sub-graphs" in capsys.readouterr().out
         weights = load_weights(out.read_bytes())
         assert weights.num_layers == 4
+        assert out.read_bytes() == save_weights(weights)
+
+    def test_overlapped_labels_train_like_the_library(self, tmp_path, capsys):
+        session = make_overlap_session(solo_seconds=6.0, overlap_seconds=3.0, dim=8, seed=9)
+        write_embeddings(tmp_path / "ov.emb", session.embeddings)
+        (tmp_path / "ov.spk").write_text("".join(
+            f"{a}\n" if b < 0 else f"{b} {a}\n"
+            for a, b in zip(session.speaker, session.second_speaker)))
+        out = tmp_path / "w.gcnw"
+        code = main(["train-gcn", "--data", str(tmp_path), "--out", str(out), "--lr", "0.3",
+                     "--epochs", "3", "--seed", "2", "--knn-k", "6", "--layers", "2",
+                     "--rotations", "1"])
+        assert code == 0
+        assert f"trained on {2 * session.embeddings.count} sub-graphs" in capsys.readouterr().out
+        # The library labels segments by the same shares-a-speaker rule.
+        session.embeddings = read_embeddings(tmp_path / "ov.emb")
+        batches = linkage_training_batches(session, k=6, rotations=1, seed=2)
+        weights = train(batches, init=GcnWeights.glorot(8, num_layers=2, seed=2), lr=0.3,
+                        epochs=3)
         assert out.read_bytes() == save_weights(weights)
 
     def test_empty_data_dir_is_error(self, tmp_path, capsys):

@@ -286,6 +286,15 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_weights(bytes(data))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("index, name", [(0, "layer 0"), (3, "layer 3"), (4, "head layer 0"),
+                                             (5, "head layer 0"), (7, "head layer 1")])
+    def test_non_finite_weight_rejected(self, index, name, bad):
+        weights = GcnWeights.glorot(3, num_layers=4, seed=0)
+        weights.tensors()[index].flat[-1] = bad
+        with pytest.raises(ValueError, match=f"^{name} has a non-finite weight$"):
+            load_weights(save_weights(weights))
+
     @given(layers=st.integers(1, 4), dim=st.integers(1, 6), seed=st.integers(0, 100))
     def test_round_trip_any_shape(self, layers, dim, seed):
         weights = GcnWeights.glorot(dim, num_layers=layers, seed=seed)

@@ -91,8 +91,8 @@ class TestRotateBatches:
         assert (rot_labels0 == labels0).all()
         assert (rot0.adjacency == sub0.adjacency).all()
         # orthogonal maps preserve pairwise feature inner products
-        assert rot0.features @ rot0.features.T == pytest.approx(
-            sub0.features @ sub0.features.T, abs=1e-9)
+        assert rot0.features @ rot0.features.swapaxes(-1, -2) == pytest.approx(
+            sub0.features @ sub0.features.swapaxes(-1, -2), abs=1e-9)
         assert not np.allclose(rot0.features, sub0.features)
 
     def test_zero_rotations_is_copy(self):
