@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -180,17 +179,10 @@ class SpeakerGraph:
         heads, tails, weights = zip(*edges) if edges else ((), (), ())
         return cls(node_count, heads, tails, weights, self_loops)
 
-    @cached_property
-    def neighbor_lists(self) -> list[tuple[list[int], list[float]]]:
-        """Per row, (neighbour ids, weights) as Python lists, built on first use."""
-        ptr = self.indptr.tolist()
-        node = list(range(self.node_count)).__getitem__   # one int object per node id
-        return [(list(map(node, self.indices[s:e].tolist())), self.weights[s:e].tolist())
-                for s, e in zip(ptr[:-1], ptr[1:])]
-
     def neighbors(self, i: int) -> list[tuple[int, float]]:
         """(neighbor, weight) pairs in insertion order."""
-        return list(zip(*self.neighbor_lists[i]))
+        s, e = self.indptr[i], self.indptr[i + 1]
+        return list(zip(self.indices[s:e].tolist(), self.weights[s:e].tolist()))
 
     def edge_dict(self) -> dict[tuple[int, int], float]:
         heads, tails, weights = (a.tolist() for a in self.edges)

@@ -110,6 +110,30 @@ def singleton_partition(graph: SpeakerGraph) -> Partition:
                      graph.weighted_degrees.copy())
 
 
+def _well_connected(cross, degree, k_total, gamma, two_m):
+    """Refinement's well-connectedness test of parts, for scalars or arrays."""
+    return cross >= gamma * degree * (k_total - degree) / two_m
+
+
+def _movers(graph: SpeakerGraph, partition: Partition, gamma: float) -> np.ndarray:
+    """Which nodes local_move would move if popped before any other move, all
+    scored at once with its sums and gain expressions; O(n * c) memory."""
+    n, c = graph.node_count, partition.community_count
+    labels, k = partition.labels, graph.weighted_degrees
+    two_m = 2.0 * graph.total_weight
+    bins = np.repeat(np.arange(n) * c, np.diff(graph.indptr)) + labels[graph.indices]
+    w_to = np.bincount(bins, weights=graph.weights, minlength=n * c).reshape(n, c)
+    present = np.bincount(bins, minlength=n * c).reshape(n, c) > 0
+    g_k = gamma * k
+    own = (np.arange(n), labels)
+    stay = w_to[own] - g_k * (partition.community_degree[labels] - k) / two_m
+    gains = w_to - g_k[:, None] * partition.community_degree / two_m - stay[:, None]
+    present[own] = False
+    best = np.where(present, gains, -np.inf).max(axis=1)
+    fresh = np.where(np.bincount(labels, minlength=c)[labels] > 1, -stay, -np.inf)
+    return np.maximum(best, fresh) > GAIN_TOLERANCE
+
+
 def local_move(graph: SpeakerGraph, partition: Partition, gamma: float, seed: int = 0) -> Partition:
     """Queue-driven single-node moves to the neighboring community (or a
     fresh singleton) with maximal quality gain.
@@ -119,6 +143,13 @@ def local_move(graph: SpeakerGraph, partition: Partition, gamma: float, seed: in
     exceed GAIN_TOLERANCE, so the quality is non-decreasing and the queue
     drains in finite time. Ties go to the smallest community label, with a
     fresh singleton considered last. Labels are compacted on return.
+
+    A node's weights into its neighboring communities are one np.bincount
+    over its CSR row, which sums in row order from 0.0 exactly as a running
+    per-neighbor sum does; candidates are scanned in ascending label order.
+    From a start that is not all singletons, _movers scores every node
+    against it first: nothing changes before the first move, so the queue's
+    leading non-movers are dropped, and if none would move the call returns.
     """
     n = graph.node_count
     if n == 0:
@@ -127,38 +158,47 @@ def local_move(graph: SpeakerGraph, partition: Partition, gamma: float, seed: in
     if m == 0.0:
         return Partition.from_labels(graph, partition.labels)
 
-    rows = graph.neighbor_lists
-    labels = partition.labels.tolist()
+    ptr = graph.indptr.tolist()
+    labels = partition.labels.copy()
     k = graph.weighted_degrees.tolist()
     # Community slots: at most n communities can be live at any point.
     c = partition.community_count
     comm_degree = partition.community_degree.tolist() + [0.0] * (n - c)
-    comm_size = np.bincount(partition.labels, minlength=n).tolist()
+    comm_size = np.bincount(labels, minlength=n).tolist()
     free_ids: list[int] = []
     next_fresh = c
+    two_m = 2.0 * m
 
-    rng = np.random.default_rng(seed)
-    queue = deque(rng.permutation(n).tolist())
-    in_queue = [True] * n
+    order = np.random.default_rng(seed).permutation(n)
+    in_queue = np.ones(n, dtype=bool)
+    # The n x c scores of the pre-pass are kept within O(edges).
+    if c < n and n * c <= graph.indices.size:
+        lead = _movers(graph, partition, gamma)[order].nonzero()[0]
+        if lead.size == 0:
+            return Partition.from_labels(graph, labels)
+        in_queue[order[:lead[0]]] = False
+        order = order[lead[0]:]
+    queue = deque(order.tolist())
 
     while queue:
         i = queue.popleft()
         in_queue[i] = False
-        a = labels[i]
-        neighbors, weights = rows[i]
-        w_to: dict[int, float] = {}
-        for j, w in zip(neighbors, weights):
-            lbl = labels[j]
-            w_to[lbl] = w_to.get(lbl, 0.0) + w
+        a = labels.item(i)
+        s, e = ptr[i], ptr[i + 1]
+        row = graph.indices[s:e]
+        row_labels = labels[row]
+        w_to = np.bincount(row_labels, weights=graph.weights[s:e])
+        present = np.bincount(row_labels).nonzero()[0]
         k_i = k[i]
+        g_k = gamma * k_i
         # Gain of staying relative to sitting alone in an empty community.
-        stay = w_to.get(a, 0.0) - gamma * k_i * (comm_degree[a] - k_i) / (2.0 * m)
+        stay = (w_to.item(a) if a < w_to.size else 0.0) - g_k * (comm_degree[a] - k_i) / two_m
         best_gain = 0.0
         best_comm = None
-        for cand in sorted(w_to):
+        for cand, w in zip(present.tolist(), w_to[present].tolist()):
             if cand == a:
                 continue
-            gain = w_to[cand] - gamma * k_i * comm_degree[cand] / (2.0 * m) - stay
+            gain = w - g_k * comm_degree[cand] / two_m - stay
             if gain > best_gain:
                 best_gain = gain
                 best_comm = cand
@@ -181,10 +221,10 @@ def local_move(graph: SpeakerGraph, partition: Partition, gamma: float, seed: in
         comm_degree[best_comm] += k_i
         comm_size[best_comm] += 1
         labels[i] = best_comm
-        for j in neighbors:
-            if labels[j] != best_comm and not in_queue[j]:
-                queue.append(j)
-                in_queue[j] = True
+        # A row holds distinct neighbors other than i: one mask keeps row order.
+        requeue = row[(row_labels != best_comm) & ~in_queue[row]]
+        in_queue[requeue] = True
+        queue.extend(requeue.tolist())
 
     return Partition.from_labels(graph, labels)
 
@@ -200,28 +240,31 @@ def refine_partition(graph: SpeakerGraph, partition: Partition, gamma: float,
     merges greedily into the best-gain target; theta > 0 samples targets
     with probability proportional to exp(gain / theta) among non-negative
     gains.
+
+    CSR rows are masked to same-parent neighbors once per call, and a node's
+    weights into each part are one np.bincount over its masked row, in row
+    order. Every part's well-connectedness is computed once and again only
+    when the part grows; targets are scanned in ascending label order.
     """
     n = graph.node_count
     m = graph.total_weight
     if n == 0 or m == 0.0:
         return singleton_partition(graph)
 
-    rows = graph.neighbor_lists
     parent = partition.labels
-    parent_of = parent.tolist()
-    k = graph.weighted_degrees.tolist()
-    ref_labels = list(range(n))
-    ref_degree = list(k)
-    ref_size = [1] * n
-    # Edge weight from each refined community to the rest of its parent,
-    # starting from each node's weight into its own parent community.
+    k = graph.weighted_degrees
     row_of = np.repeat(np.arange(n), np.diff(graph.indptr))
     inside = parent[row_of] == parent[graph.indices]
-    cross = np.bincount(row_of[inside], weights=graph.weights[inside], minlength=n).tolist()
+    row_of, indices, weights = row_of[inside], graph.indices[inside], graph.weights[inside]
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(row_of, minlength=n)))).tolist()
+    ref_labels, ref_degree, ref_size = np.arange(n), k.copy(), [1] * n
+    # Edge weight from each refined community to the rest of its parent,
+    # starting from each node's weight into its own parent community.
+    cross = np.bincount(row_of, weights=weights, minlength=n)
+    two_m = 2.0 * m
+    connected = _well_connected(cross, k, partition.community_degree[parent], gamma, two_m)
 
     rng = np.random.default_rng(seed)
-    two_m = 2.0 * m
-
     by_parent = np.argsort(parent, kind="stable")
     bounds = np.searchsorted(parent[by_parent], np.arange(partition.community_count + 1))
     for comm in range(partition.community_count):
@@ -230,41 +273,30 @@ def refine_partition(graph: SpeakerGraph, partition: Partition, gamma: float,
             continue
         k_total = float(partition.community_degree[comm])   # Python float: fast scalar math
         for v in rng.permutation(members).tolist():
-            own = ref_labels[v]
-            if ref_size[own] > 1:
+            # A node is alone exactly while its own part has size 1.
+            if ref_size[v] != 1 or not connected[v]:
                 continue
-            if cross[v] < gamma * k[v] * (k_total - k[v]) / two_m:
-                continue
-            w_to: dict[int, float] = {}
-            for j, w in zip(*rows[v]):
-                if parent_of[j] == comm:
-                    lbl = ref_labels[j]
-                    if lbl != own:
-                        w_to[lbl] = w_to.get(lbl, 0.0) + w
-            candidates = []
-            for cand in sorted(w_to):
-                if cross[cand] < gamma * ref_degree[cand] * (k_total - ref_degree[cand]) / two_m:
-                    continue
-                gain = w_to[cand] - gamma * k[v] * ref_degree[cand] / two_m
-                candidates.append((cand, gain))
+            s, e = ptr[v], ptr[v + 1]
+            row_labels = ref_labels[indices[s:e]]
+            w_to = np.bincount(row_labels, weights=weights[s:e])
+            cands = np.bincount(row_labels).nonzero()[0]
+            cands = cands[connected[cands]]
+            gains = w_to[cands] - gamma * k[v] * ref_degree[cands] / two_m
             target = None
             if theta == 0.0:
-                best_gain = GAIN_TOLERANCE
-                for cand, gain in candidates:
-                    if gain > best_gain:
-                        best_gain = gain
-                        target = cand
+                if gains.size and gains.max() > GAIN_TOLERANCE:
+                    target = cands.item(gains.argmax())   # the first, smallest label
             else:
-                keep = [(cand, gain) for cand, gain in candidates if gain >= 0.0]
-                if keep:
-                    gains = np.array([g for _, g in keep])
-                    weights = np.exp((gains - gains.max()) / theta)
+                keep = gains >= 0.0
+                if keep.any():
+                    gains = gains[keep]
+                    odds = np.exp((gains - gains.max()) / theta)
                     # Staying put competes with gain zero.
                     stay_weight = np.exp((0.0 - gains.max()) / theta)
-                    total = weights.sum() + stay_weight
+                    total = odds.sum() + stay_weight
                     pick = rng.uniform(0.0, total)
                     acc = 0.0
-                    for (cand, _), wgt in zip(keep, weights):
+                    for cand, wgt in zip(cands[keep].tolist(), odds.tolist()):
                         acc += wgt
                         if pick < acc:
                             target = cand
@@ -273,8 +305,10 @@ def refine_partition(graph: SpeakerGraph, partition: Partition, gamma: float,
                 continue
             ref_degree[target] += k[v]
             cross[target] += cross[v] - 2.0 * w_to[target]
+            connected[target] = _well_connected(cross[target], ref_degree[target], k_total,
+                                                gamma, two_m)
             ref_size[target] += 1
-            ref_size[own] = 0
+            ref_size[v] = 0
             ref_labels[v] = target
 
     return Partition.from_labels(graph, ref_labels)
@@ -343,12 +377,15 @@ def leiden(graph: SpeakerGraph, config: LeidenConfig | None = None) -> Partition
     GAIN_TOLERANCE or after max_iterations. Because greedy moving can
     settle in a local optimum, the whole climb is repeated from
     singletons `restarts` times with fresh seeded orders and the best
-    partition wins. Deterministic given the seed.
+    partition wins. Deterministic given the seed. Graphs with negative total
+    weight m are refused: Q is undefined there. Node degrees may be negative.
     """
     if config is None:
         config = LeidenConfig()
     if graph.node_count == 0:
         raise ValueError("graph needs at least one node")
+    if graph.total_weight < 0.0:
+        raise ValueError(f"graph has negative total weight m = {graph.total_weight:.6g}")
 
     rng = np.random.default_rng(config.seed)
     best_labels = None

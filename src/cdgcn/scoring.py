@@ -12,7 +12,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 RESOLUTION = 0.001
 
@@ -69,6 +68,8 @@ def _score_file(ref, hyp, collar: float):
 
     n_correct = np.zeros(total_frames, dtype=np.int64)
     if ref_masks and hyp_masks:
+        # Imported here so that `import cdgcn` does not load scipy.
+        from scipy.optimize import linear_sum_assignment
         overlap = np.array([[int((rm & hm).sum()) for hm in hyp_masks] for rm in ref_masks])
         rows, cols = linear_sum_assignment(overlap, maximize=True)
         for r_idx, h_idx in zip(rows, cols):

@@ -200,10 +200,10 @@ def rotate_batches(batches, rotations: int, seed: int = 0):
     linkage predictor to ignore the embedding basis, which transfers
     better to sessions with unseen speaker directions.
     """
-    from scipy.stats import ortho_group
-
     if rotations <= 0 or not batches:
         return list(batches)
+    from scipy.stats import ortho_group
+
     dim = batches[0][0].features.shape[-1]
     rng = np.random.default_rng(seed)
     out = list(batches)

@@ -1,9 +1,18 @@
 """Independent oracles and fixture generators shared by the tests."""
 
+import heapq
+import os
+import subprocess
+import sys
+from collections import deque
+from pathlib import Path
+
 import numpy as np
 
+import cdgcn
 from cdgcn.gcn import PROB_EPSILON, GcnWeights
 from cdgcn.graphs import SpeakerGraph, SubGraph
+from cdgcn.leiden import GAIN_TOLERANCE, Partition, singleton_partition
 
 
 def random_gcn_weights(rng, feature_dim, num_layers=2, hidden_dim=None, scale=0.5):
@@ -130,6 +139,16 @@ def random_fixture_graphs(fixture_seed: int, count: int):
     return [random_weight_matrix(rng, planted=(t % 2 == 0)) for t in range(count)]
 
 
+def modules_after(code: str) -> set:
+    """Names in sys.modules after running `code` in a fresh interpreter
+    that imports cdgcn from the same source tree as the tests."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cdgcn.__file__).resolve().parents[1]))
+    probe = code + "\nimport sys\nprint(' '.join(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    return set(out.split())
+
+
 # ------------------------------------------------- per-item reference paths
 
 def reference_top_neighbors(aff: np.ndarray, node: int, k: int) -> np.ndarray:
@@ -149,6 +168,197 @@ def reference_second_community(belonging: np.ndarray, primary) -> list:
         best = int(np.argmax(column))
         out.append(best if column[best] > 0.0 else None)
     return out
+
+
+def _neighbor_lists(graph: SpeakerGraph):
+    """Per row, (neighbour ids, weights) as Python lists."""
+    ptr = graph.indptr.tolist()
+    return [(graph.indices[s:e].tolist(), graph.weights[s:e].tolist())
+            for s, e in zip(ptr[:-1], ptr[1:])]
+
+
+def _reference_best_move(w_to, a, k_i, comm_degree, comm_size, gamma, m):
+    """(community, gain) of the best move of a node in community a with
+    degree k_i and weights w_to into the neighbouring communities; the
+    community is -1 for a fresh singleton and None when no gain is positive."""
+    # Gain of staying relative to sitting alone in an empty community.
+    stay = w_to.get(a, 0.0) - gamma * k_i * (comm_degree[a] - k_i) / (2.0 * m)
+    best_gain = 0.0
+    best_comm = None
+    for cand in sorted(w_to):
+        if cand == a:
+            continue
+        gain = w_to[cand] - gamma * k_i * comm_degree[cand] / (2.0 * m) - stay
+        if gain > best_gain:
+            best_gain = gain
+            best_comm = cand
+    if -stay > best_gain and comm_size[a] > 1:
+        best_gain = -stay
+        best_comm = -1  # fresh singleton
+    return best_comm, best_gain
+
+
+def reference_movers(graph: SpeakerGraph, partition: Partition, gamma: float) -> np.ndarray:
+    """Per node, whether the reference local move would move it if it were
+    popped first, scored one node at a time."""
+    labels = partition.labels.tolist()
+    k = graph.weighted_degrees.tolist()
+    comm_degree = partition.community_degree.tolist()
+    comm_size = np.bincount(partition.labels).tolist()
+    out = []
+    for i, (neighbors, weights) in enumerate(_neighbor_lists(graph)):
+        w_to: dict[int, float] = {}
+        for j, w in zip(neighbors, weights):
+            w_to[labels[j]] = w_to.get(labels[j], 0.0) + w
+        comm, gain = _reference_best_move(w_to, labels[i], k[i], comm_degree, comm_size,
+                                          gamma, graph.total_weight)
+        out.append(comm is not None and gain > GAIN_TOLERANCE)
+    return np.array(out, dtype=bool)
+
+
+def reference_local_move(graph: SpeakerGraph, partition: Partition, gamma: float,
+                         seed: int = 0) -> Partition:
+    """local_move as a per-node dict loop over Python neighbour lists, with
+    a sorted candidate scan: the bit-for-bit oracle of the array sweep."""
+    n = graph.node_count
+    if n == 0:
+        return partition
+    m = graph.total_weight
+    if m == 0.0:
+        return Partition.from_labels(graph, partition.labels)
+
+    rows = _neighbor_lists(graph)
+    labels = partition.labels.tolist()
+    k = graph.weighted_degrees.tolist()
+    # Community slots: at most n communities can be live at any point.
+    c = partition.community_count
+    comm_degree = partition.community_degree.tolist() + [0.0] * (n - c)
+    comm_size = np.bincount(partition.labels, minlength=n).tolist()
+    free_ids: list[int] = []
+    next_fresh = c
+
+    rng = np.random.default_rng(seed)
+    queue = deque(rng.permutation(n).tolist())
+    in_queue = [True] * n
+
+    while queue:
+        i = queue.popleft()
+        in_queue[i] = False
+        a = labels[i]
+        neighbors, weights = rows[i]
+        w_to: dict[int, float] = {}
+        for j, w in zip(neighbors, weights):
+            lbl = labels[j]
+            w_to[lbl] = w_to.get(lbl, 0.0) + w
+        k_i = k[i]
+        best_comm, best_gain = _reference_best_move(w_to, a, k_i, comm_degree, comm_size,
+                                                    gamma, m)
+        if best_comm is None or best_gain <= GAIN_TOLERANCE:
+            continue
+        if best_comm == -1:
+            if free_ids:
+                best_comm = heapq.heappop(free_ids)
+            else:
+                best_comm = next_fresh
+                next_fresh += 1
+        comm_degree[a] -= k_i
+        comm_size[a] -= 1
+        if comm_size[a] == 0:
+            comm_degree[a] = 0.0
+            heapq.heappush(free_ids, a)
+        comm_degree[best_comm] += k_i
+        comm_size[best_comm] += 1
+        labels[i] = best_comm
+        for j in neighbors:
+            if labels[j] != best_comm and not in_queue[j]:
+                queue.append(j)
+                in_queue[j] = True
+
+    return Partition.from_labels(graph, labels)
+
+
+def reference_refine_partition(graph: SpeakerGraph, partition: Partition, gamma: float,
+                               seed: int = 0, theta: float = 0.0) -> Partition:
+    """refine_partition as a per-node dict loop that tests every neighbour's
+    parent and the well-connectedness of every candidate: the bit-for-bit
+    oracle of the array sweep."""
+    n = graph.node_count
+    m = graph.total_weight
+    if n == 0 or m == 0.0:
+        return singleton_partition(graph)
+
+    rows = _neighbor_lists(graph)
+    parent = partition.labels
+    parent_of = parent.tolist()
+    k = graph.weighted_degrees.tolist()
+    ref_labels = list(range(n))
+    ref_degree = list(k)
+    ref_size = [1] * n
+    # Edge weight from each refined community to the rest of its parent,
+    # starting from each node's weight into its own parent community.
+    row_of = np.repeat(np.arange(n), np.diff(graph.indptr))
+    inside = parent[row_of] == parent[graph.indices]
+    cross = np.bincount(row_of[inside], weights=graph.weights[inside], minlength=n).tolist()
+
+    rng = np.random.default_rng(seed)
+    two_m = 2.0 * m
+
+    by_parent = np.argsort(parent, kind="stable")
+    bounds = np.searchsorted(parent[by_parent], np.arange(partition.community_count + 1))
+    for comm in range(partition.community_count):
+        members = by_parent[bounds[comm]:bounds[comm + 1]]
+        if members.size < 2:
+            continue
+        k_total = float(partition.community_degree[comm])   # Python float: fast scalar math
+        for v in rng.permutation(members).tolist():
+            own = ref_labels[v]
+            if ref_size[own] > 1:
+                continue
+            if cross[v] < gamma * k[v] * (k_total - k[v]) / two_m:
+                continue
+            w_to: dict[int, float] = {}
+            for j, w in zip(*rows[v]):
+                if parent_of[j] == comm:
+                    lbl = ref_labels[j]
+                    if lbl != own:
+                        w_to[lbl] = w_to.get(lbl, 0.0) + w
+            candidates = []
+            for cand in sorted(w_to):
+                if cross[cand] < gamma * ref_degree[cand] * (k_total - ref_degree[cand]) / two_m:
+                    continue
+                gain = w_to[cand] - gamma * k[v] * ref_degree[cand] / two_m
+                candidates.append((cand, gain))
+            target = None
+            if theta == 0.0:
+                best_gain = GAIN_TOLERANCE
+                for cand, gain in candidates:
+                    if gain > best_gain:
+                        best_gain = gain
+                        target = cand
+            else:
+                keep = [(cand, gain) for cand, gain in candidates if gain >= 0.0]
+                if keep:
+                    gains = np.array([g for _, g in keep])
+                    weights = np.exp((gains - gains.max()) / theta)
+                    # Staying put competes with gain zero.
+                    stay_weight = np.exp((0.0 - gains.max()) / theta)
+                    total = weights.sum() + stay_weight
+                    pick = rng.uniform(0.0, total)
+                    acc = 0.0
+                    for (cand, _), wgt in zip(keep, weights):
+                        acc += wgt
+                        if pick < acc:
+                            target = cand
+                            break
+            if target is None:
+                continue
+            ref_degree[target] += k[v]
+            cross[target] += cross[v] - 2.0 * w_to[target]
+            ref_size[target] += 1
+            ref_size[own] = 0
+            ref_labels[v] = target
+
+    return Partition.from_labels(graph, ref_labels)
 
 
 def unstack(batches):

@@ -5,7 +5,7 @@ import pytest
 
 from cdgcn.cli import main
 from cdgcn.gcn import GcnWeights, load_weights, save_weights, train
-from cdgcn.graphs import EMBEDDING_MAGIC, read_embeddings, write_embeddings
+from cdgcn.graphs import EMBEDDING_MAGIC, EmbeddingSet, read_embeddings, write_embeddings
 from cdgcn.osd import write_overlap_mask
 from cdgcn.pipeline import write_vad_regions
 from cdgcn.scoring import der
@@ -72,6 +72,20 @@ class TestClusterCommand:
                      "--out", str(tmp_path / "x.rttm")])
         assert code == 1
         assert capsys.readouterr().err == "cdgcn: segment 2 has a non-finite embedding\n"
+        assert not (tmp_path / "x.rttm").exists()
+
+    def test_negative_total_weight_is_one_line_error(self, tmp_path, four_speaker_session,
+                                                     capsys):
+        # Mean-centred embeddings: the complete cosine graph has m < 0.
+        emb = four_speaker_session.embeddings
+        centred = EmbeddingSet(emb.vectors - emb.vectors.mean(axis=0), emb.segments)
+        write_embeddings(tmp_path / "centred.emb", centred)
+        code = main(["cluster", "--embeddings", str(tmp_path / "centred.emb"),
+                     "--mode", "raw_leiden", "--out", str(tmp_path / "x.rttm")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cdgcn: graph has negative total weight m = -")
+        assert err.count("\n") == 1
         assert not (tmp_path / "x.rttm").exists()
 
     def test_non_finite_weights_are_one_line_error(self, session_dir, capsys):

@@ -205,6 +205,19 @@ class TestLeiden:
         with pytest.raises(ValueError):
             leiden(SpeakerGraph(0), LeidenConfig(seed=0))
 
+    def test_negative_total_weight_rejected(self):
+        g = SpeakerGraph.from_edges(3, [(0, 1, -1.0), (1, 2, 0.5)])
+        with pytest.raises(ValueError, match=r"^graph has negative total weight m = -0\.5$"):
+            leiden(g, LeidenConfig(seed=0))
+
+    def test_negative_degrees_allowed(self):
+        # m = 2.5 > 0 while node 3 has weighted degree -0.5.
+        g = SpeakerGraph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (2, 3, -0.5)])
+        assert g.weighted_degrees[3] < 0.0 < g.total_weight
+        p = leiden(g, LeidenConfig(gamma=1.0, seed=0))
+        qstar, _ = best_partition(matrix_from_graph(g), 1.0)
+        assert quality(g, p, 1.0) == pytest.approx(qstar, abs=1e-9)
+
     def test_edgeless_graph_returns_singletons(self):
         p = leiden(SpeakerGraph(5), LeidenConfig(seed=0))
         assert p.labels.tolist() == [0, 1, 2, 3, 4]

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from cdgcn.scoring import der, rttm_speaker_counts, speaker_count_mse
 from cdgcn.timeline import RttmRecord
+from helpers import modules_after
 
 
 def rec(onset, duration, speaker, file_id="f"):
@@ -136,3 +137,7 @@ class TestSpeakerCountMse:
         records = [rec(0.0, 1.0, "a", "f1"), rec(1.0, 1.0, "b", "f1"),
                    rec(0.0, 1.0, "a", "f2")]
         assert rttm_speaker_counts(records) == {"f1": 2, "f2": 1}
+
+
+def test_import_cdgcn_leaves_scipy_unloaded():
+    assert not any(name.split(".")[0] == "scipy" for name in modules_after("import cdgcn"))

@@ -8,6 +8,7 @@ from cdgcn.synthetic import (
     make_session,
     rotate_batches,
 )
+from helpers import modules_after
 
 
 class TestMakeSession:
@@ -81,6 +82,13 @@ class TestLinkageLabels:
 
 
 class TestRotateBatches:
+    def test_no_rotation_leaves_scipy_stats_unloaded(self):
+        loaded = modules_after(
+            "from cdgcn.synthetic import linkage_training_batches, make_session\n"
+            "session = make_session(num_speakers=2, segments_per_speaker=5, dim=8, seed=7)\n"
+            "assert len(linkage_training_batches(session, k=4, rotations=0)) == 1")
+        assert "cdgcn.synthetic" in loaded and "scipy.stats" not in loaded
+
     def test_counts_and_invariants(self):
         session = make_session(num_speakers=2, segments_per_speaker=5, dim=8, seed=7)
         base = linkage_training_batches(session, k=4)
