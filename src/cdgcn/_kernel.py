@@ -1,0 +1,83 @@
+"""Builds and loads the compiled Leiden sweeps of `_sweeps.c`.
+
+On first use the library is compiled into $XDG_CACHE_HOME/cdgcn (default
+~/.cache/cdgcn; delete it to force a rebuild), named by a hash of source,
+flags and platform, via a temporary file renamed into place so concurrent
+processes never load a partial one. The compiler is the one Python was built
+with or, if that cannot run or fails (conda and standalone builds record
+their build machine's), `cc`.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import shlex
+import subprocess
+import sysconfig
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+SOURCE = Path(__file__).with_name("_sweeps.c")
+# -ffp-contract=off: no fused multiply-add, so every float op rounds as in Python.
+FLAGS = ("-std=c99", "-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+#: The refinement's theta > 0 callback: candidate count -> chosen position.
+PICK = ctypes.CFUNCTYPE(ctypes.c_int64, ctypes.c_int64)
+
+
+def library_path(source: bytes) -> Path:
+    """Cache file of the library built from `source` on this platform."""
+    key = hashlib.sha256(b"\0".join([source, " ".join(FLAGS).encode(),
+                                     sysconfig.get_platform().encode()])).hexdigest()
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "cdgcn"
+    return cache / f"sweeps-{key}.so"
+
+
+def _build(target: Path) -> None:
+    target.parent.mkdir(parents=True, exist_ok=True)
+    fd, partial = tempfile.mkstemp(suffix=".tmp", dir=target.parent)
+    os.close(fd)
+    failures = []
+    try:
+        for compiler in dict.fromkeys(filter(None, [sysconfig.get_config_var("CC"), "cc"])):
+            try:
+                done = subprocess.run([*shlex.split(compiler), *FLAGS, "-o", partial,
+                                       str(SOURCE)], capture_output=True, text=True)
+            except OSError as exc:   # the compiler cannot be started
+                failures.append(f"C compiler {compiler!r}: {exc.strerror or exc}")
+                continue
+            if done.returncode == 0:
+                os.replace(partial, target)
+                return
+            failures.append(f"C compiler {compiler!r}: "
+                            f"{(done.stderr.strip().splitlines() or ['no output'])[0]}")
+        raise OSError("cannot build the Leiden sweeps: " + "; ".join(failures))
+    finally:
+        if os.path.exists(partial):
+            os.unlink(partial)
+
+
+@functools.cache
+def load() -> ctypes.CDLL:
+    """The compiled sweeps, built into the cache first if missing."""
+    target = library_path(SOURCE.read_bytes())
+    if not target.exists():
+        _build(target)
+    lib = ctypes.CDLL(str(target))
+    idx, real = ctypes.c_int64, ctypes.c_double
+    ints, reals, flags = (np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
+                          for dtype in (np.int64, np.float64, np.uint8))
+    graph = [ints, ints, reals, reals]    # indptr, indices, weights, degrees
+    lib.local_move.restype = None
+    lib.local_move.argtypes = [idx, *graph, real, real, real, idx,
+                               ints, reals, ints, ints, flags, reals, flags, ints]
+    lib.refine_community.restype = None
+    lib.refine_community.argtypes = [*graph, ints, idx, real, real, real, real, real, ints, idx,
+                                     ints, ints, reals, reals, flags, reals, flags, ints, reals,
+                                     PICK]
+    return lib

@@ -15,12 +15,18 @@ weighted degree of its nodes, m the total edge weight of the graph and
 gamma the resolution. Degrees, m and m_c are all weighted; self-loops
 (from aggregation) count once in m_c and twice in a node's degree. An
 edgeless graph has Q defined as 0.
+
+Local moving and the refinement of each parent community run as C loops
+(`_sweeps.c`, built on first use by `_kernel.py`); Python keeps the random
+draws, the theta > 0 sampling (called back from C) and the bookkeeping.
+They are bit-exact with the per-node loops the tests keep as oracles: the
+same visit order, sums from 0.0 in CSR row order, every gain in the same
+operand order, the smallest label among equal best gains (what an ascending
+scan picks), and -ffp-contract=off, so no multiply-add is fused.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,6 +102,7 @@ def quality(graph: SpeakerGraph, partition: Partition, gamma: float) -> float:
     labels = partition.labels
     if labels.shape != (graph.node_count,):
         raise ValueError("partition does not cover the graph")
+    _check_total_weight(graph)
     m = graph.total_weight
     if m == 0.0:
         return 0.0
@@ -110,28 +117,27 @@ def singleton_partition(graph: SpeakerGraph) -> Partition:
                      graph.weighted_degrees.copy())
 
 
-def _well_connected(cross, degree, k_total, gamma, two_m):
-    """Refinement's well-connectedness test of parts, for scalars or arrays."""
-    return cross >= gamma * degree * (k_total - degree) / two_m
+def _check_total_weight(graph: SpeakerGraph) -> None:
+    if graph.total_weight < 0.0:
+        raise ValueError(f"graph has negative total weight m = {graph.total_weight:.6g}")
 
 
-def _movers(graph: SpeakerGraph, partition: Partition, gamma: float) -> np.ndarray:
-    """Which nodes local_move would move if popped before any other move, all
-    scored at once with its sums and gain expressions; O(n * c) memory."""
-    n, c = graph.node_count, partition.community_count
-    labels, k = partition.labels, graph.weighted_degrees
-    two_m = 2.0 * graph.total_weight
-    bins = np.repeat(np.arange(n) * c, np.diff(graph.indptr)) + labels[graph.indices]
-    w_to = np.bincount(bins, weights=graph.weights, minlength=n * c).reshape(n, c)
-    present = np.bincount(bins, minlength=n * c).reshape(n, c) > 0
-    g_k = gamma * k
-    own = (np.arange(n), labels)
-    stay = w_to[own] - g_k * (partition.community_degree[labels] - k) / two_m
-    gains = w_to - g_k[:, None] * partition.community_degree / two_m - stay[:, None]
-    present[own] = False
-    best = np.where(present, gains, -np.inf).max(axis=1)
-    fresh = np.where(np.bincount(labels, minlength=c)[labels] > 1, -stay, -np.inf)
-    return np.maximum(best, fresh) > GAIN_TOLERANCE
+def _checked_labels(graph: SpeakerGraph, partition: Partition) -> np.ndarray:
+    """The labels as a fresh int64 array, once m >= 0 and what the compiled sweeps
+    index by are checked: n integer labels in 0..C-1, none unused, caches of length C."""
+    _check_total_weight(graph)
+    labels, c = partition.labels, partition.community_count
+    if labels.shape != (graph.node_count,) or labels.dtype.kind not in "iu":
+        raise ValueError(f"partition needs {graph.node_count} integer labels, "
+                         f"got {labels.dtype} labels of shape {labels.shape}")
+    if partition.internal_weight.shape != (c,) or partition.community_degree.shape != (c,):
+        raise ValueError(f"partition caches must both have length {c}")
+    if labels.size and (labels.min() < 0 or labels.max() >= c):
+        raise ValueError(f"partition labels must lie in 0..{c - 1}")
+    labels = labels.astype(np.int64)
+    if np.bincount(labels, minlength=c).min(initial=1) == 0:
+        raise ValueError("partition has an empty community")
+    return labels
 
 
 def local_move(graph: SpeakerGraph, partition: Partition, gamma: float, seed: int = 0) -> Partition:
@@ -143,90 +149,38 @@ def local_move(graph: SpeakerGraph, partition: Partition, gamma: float, seed: in
     exceed GAIN_TOLERANCE, so the quality is non-decreasing and the queue
     drains in finite time. Ties go to the smallest community label, with a
     fresh singleton considered last. Labels are compacted on return.
-
-    A node's weights into its neighboring communities are one np.bincount
-    over its CSR row, which sums in row order from 0.0 exactly as a running
-    per-neighbor sum does; candidates are scanned in ascending label order.
-    From a start that is not all singletons, _movers scores every node
-    against it first: nothing changes before the first move, so the queue's
-    leading non-movers are dropped, and if none would move the call returns.
     """
-    n = graph.node_count
-    if n == 0:
-        return partition
-    m = graph.total_weight
-    if m == 0.0:
-        return Partition.from_labels(graph, partition.labels)
+    labels = _checked_labels(graph, partition)
+    n, m = graph.node_count, graph.total_weight
+    if n == 0 or m == 0.0:
+        return Partition.from_labels(graph, labels)
 
-    ptr = graph.indptr.tolist()
-    labels = partition.labels.copy()
-    k = graph.weighted_degrees.tolist()
+    from ._kernel import load
+
     # Community slots: at most n communities can be live at any point.
     c = partition.community_count
-    comm_degree = partition.community_degree.tolist() + [0.0] * (n - c)
-    comm_size = np.bincount(labels, minlength=n).tolist()
-    free_ids: list[int] = []
-    next_fresh = c
-    two_m = 2.0 * m
-
-    order = np.random.default_rng(seed).permutation(n)
-    in_queue = np.ones(n, dtype=bool)
-    # The n x c scores of the pre-pass are kept within O(edges).
-    if c < n and n * c <= graph.indices.size:
-        lead = _movers(graph, partition, gamma)[order].nonzero()[0]
-        if lead.size == 0:
-            return Partition.from_labels(graph, labels)
-        in_queue[order[:lead[0]]] = False
-        order = order[lead[0]:]
-    queue = deque(order.tolist())
-
-    while queue:
-        i = queue.popleft()
-        in_queue[i] = False
-        a = labels.item(i)
-        s, e = ptr[i], ptr[i + 1]
-        row = graph.indices[s:e]
-        row_labels = labels[row]
-        w_to = np.bincount(row_labels, weights=graph.weights[s:e])
-        present = np.bincount(row_labels).nonzero()[0]
-        k_i = k[i]
-        g_k = gamma * k_i
-        # Gain of staying relative to sitting alone in an empty community.
-        stay = (w_to.item(a) if a < w_to.size else 0.0) - g_k * (comm_degree[a] - k_i) / two_m
-        best_gain = 0.0
-        best_comm = None
-        for cand, w in zip(present.tolist(), w_to[present].tolist()):
-            if cand == a:
-                continue
-            gain = w - g_k * comm_degree[cand] / two_m - stay
-            if gain > best_gain:
-                best_gain = gain
-                best_comm = cand
-        if -stay > best_gain and comm_size[a] > 1:
-            best_gain = -stay
-            best_comm = -1  # fresh singleton
-        if best_comm is None or best_gain <= GAIN_TOLERANCE:
-            continue
-        if best_comm == -1:
-            if free_ids:
-                best_comm = heapq.heappop(free_ids)
-            else:
-                best_comm = next_fresh
-                next_fresh += 1
-        comm_degree[a] -= k_i
-        comm_size[a] -= 1
-        if comm_size[a] == 0:
-            comm_degree[a] = 0.0
-            heapq.heappush(free_ids, a)
-        comm_degree[best_comm] += k_i
-        comm_size[best_comm] += 1
-        labels[i] = best_comm
-        # A row holds distinct neighbors other than i: one mask keeps row order.
-        requeue = row[(row_labels != best_comm) & ~in_queue[row]]
-        in_queue[requeue] = True
-        queue.extend(requeue.tolist())
-
+    comm_degree = np.pad(partition.community_degree.astype(float), (0, n - c))
+    queue = np.random.default_rng(seed).permutation(n)
+    load().local_move(n, graph.indptr, graph.indices, graph.weights, graph.weighted_degrees,
+                      gamma, 2.0 * m, GAIN_TOLERANCE, c, labels, comm_degree,
+                      np.bincount(labels, minlength=n), queue, np.ones(n, dtype=np.uint8),
+                      np.zeros(n), np.zeros(n, dtype=np.uint8), np.empty(n, dtype=np.int64))
     return Partition.from_labels(graph, labels)
+
+
+def _sample_target(rng, gains: np.ndarray, theta: float) -> int:
+    """Position of the part a theta > 0 refinement merges into, drawn with
+    probability proportional to exp(gain / theta) among non-negative gains,
+    or -1 to stay alone: staying put competes with gain zero."""
+    keep = np.flatnonzero(gains >= 0.0)
+    if keep.size == 0:
+        return -1
+    top = gains[keep].max()
+    odds = np.exp((gains[keep] - top) / theta)
+    pick = rng.uniform(0.0, odds.sum() + np.exp((0.0 - top) / theta))
+    # cumsum adds in order from the first odd, as a running sum does.
+    hit = np.flatnonzero(pick < np.cumsum(odds))
+    return int(keep[hit[0]]) if hit.size else -1
 
 
 def refine_partition(graph: SpeakerGraph, partition: Partition, gamma: float,
@@ -237,79 +191,46 @@ def refine_partition(graph: SpeakerGraph, partition: Partition, gamma: float,
     their own original community, so the result always refines the input.
     A node is only merged while still alone, and only when both it and the
     target are well connected inside the original community. theta = 0
-    merges greedily into the best-gain target; theta > 0 samples targets
-    with probability proportional to exp(gain / theta) among non-negative
-    gains.
-
-    CSR rows are masked to same-parent neighbors once per call, and a node's
-    weights into each part are one np.bincount over its masked row, in row
-    order. Every part's well-connectedness is computed once and again only
-    when the part grows; targets are scanned in ascending label order.
+    merges greedily into the best-gain target, ties going to the smallest
+    label; theta > 0 samples targets with probability proportional to
+    exp(gain / theta) among non-negative gains.
     """
-    n = graph.node_count
-    m = graph.total_weight
+    parent = _checked_labels(graph, partition)
+    n, m = graph.node_count, graph.total_weight
     if n == 0 or m == 0.0:
         return singleton_partition(graph)
 
-    parent = partition.labels
-    k = graph.weighted_degrees
-    row_of = np.repeat(np.arange(n), np.diff(graph.indptr))
-    inside = parent[row_of] == parent[graph.indices]
-    row_of, indices, weights = row_of[inside], graph.indices[inside], graph.weights[inside]
-    ptr = np.concatenate(([0], np.cumsum(np.bincount(row_of, minlength=n)))).tolist()
-    ref_labels, ref_degree, ref_size = np.arange(n), k.copy(), [1] * n
-    # Edge weight from each refined community to the rest of its parent,
-    # starting from each node's weight into its own parent community.
-    cross = np.bincount(row_of, weights=weights, minlength=n)
-    two_m = 2.0 * m
-    connected = _well_connected(cross, k, partition.community_degree[parent], gamma, two_m)
+    from ._kernel import PICK, load
 
+    # Per-part state, indexed by the part's founding node, and scratch.
+    ref_labels, ref_size, connected = np.arange(n), np.ones(n, np.int64), np.zeros(n, np.uint8)
+    ref_degree, cross, w_to = graph.weighted_degrees.copy(), np.zeros(n), np.zeros(n)
+    seen, cands, gains = np.zeros(n, np.uint8), np.empty(n, np.int64), np.empty(n)
     rng = np.random.default_rng(seed)
+    errors = []
+
+    def pick(count):
+        try:
+            return _sample_target(rng, gains[:count], theta)
+        except BaseException as exc:   # ctypes would print and drop it
+            errors.append(exc)
+            return -1
+
+    callback = PICK(pick)
+    refine = load().refine_community
     by_parent = np.argsort(parent, kind="stable")
     bounds = np.searchsorted(parent[by_parent], np.arange(partition.community_count + 1))
     for comm in range(partition.community_count):
         members = by_parent[bounds[comm]:bounds[comm + 1]]
         if members.size < 2:
             continue
-        k_total = float(partition.community_degree[comm])   # Python float: fast scalar math
-        for v in rng.permutation(members).tolist():
-            # A node is alone exactly while its own part has size 1.
-            if ref_size[v] != 1 or not connected[v]:
-                continue
-            s, e = ptr[v], ptr[v + 1]
-            row_labels = ref_labels[indices[s:e]]
-            w_to = np.bincount(row_labels, weights=weights[s:e])
-            cands = np.bincount(row_labels).nonzero()[0]
-            cands = cands[connected[cands]]
-            gains = w_to[cands] - gamma * k[v] * ref_degree[cands] / two_m
-            target = None
-            if theta == 0.0:
-                if gains.size and gains.max() > GAIN_TOLERANCE:
-                    target = cands.item(gains.argmax())   # the first, smallest label
-            else:
-                keep = gains >= 0.0
-                if keep.any():
-                    gains = gains[keep]
-                    odds = np.exp((gains - gains.max()) / theta)
-                    # Staying put competes with gain zero.
-                    stay_weight = np.exp((0.0 - gains.max()) / theta)
-                    total = odds.sum() + stay_weight
-                    pick = rng.uniform(0.0, total)
-                    acc = 0.0
-                    for cand, wgt in zip(cands[keep].tolist(), odds.tolist()):
-                        acc += wgt
-                        if pick < acc:
-                            target = cand
-                            break
-            if target is None:
-                continue
-            ref_degree[target] += k[v]
-            cross[target] += cross[v] - 2.0 * w_to[target]
-            connected[target] = _well_connected(cross[target], ref_degree[target], k_total,
-                                                gamma, two_m)
-            ref_size[target] += 1
-            ref_size[v] = 0
-            ref_labels[v] = target
+        order = rng.permutation(members)
+        refine(graph.indptr, graph.indices, graph.weights, graph.weighted_degrees, parent, comm,
+               float(partition.community_degree[comm]), gamma, 2.0 * m, theta, GAIN_TOLERANCE,
+               order, order.size, ref_labels, ref_size, ref_degree, cross, connected,
+               w_to, seen, cands, gains, callback)
+        if errors:
+            raise errors[0]
 
     return Partition.from_labels(graph, ref_labels)
 
@@ -361,7 +282,10 @@ def _hierarchy_pass(graph: SpeakerGraph, flat_labels: np.ndarray, gamma: float,
         # its members held before refinement.
         first_member = np.unique(refined.labels, return_index=True)[1]
         lifted = level_partition.labels[first_member]
-        level_graph = aggregate_graph(level_graph, refined)
+        aggregate = aggregate_graph(level_graph, refined)
+        if aggregate.total_weight < 0.0:   # a near-zero m, summed anew, rounded below 0
+            break
+        level_graph = aggregate
         node_map = refined.labels[node_map]
         level_partition = Partition.from_labels(level_graph, lifted)
     return level_partition.labels[node_map]
@@ -384,8 +308,7 @@ def leiden(graph: SpeakerGraph, config: LeidenConfig | None = None) -> Partition
         config = LeidenConfig()
     if graph.node_count == 0:
         raise ValueError("graph needs at least one node")
-    if graph.total_weight < 0.0:
-        raise ValueError(f"graph has negative total weight m = {graph.total_weight:.6g}")
+    _check_total_weight(graph)
 
     rng = np.random.default_rng(config.seed)
     best_labels = None

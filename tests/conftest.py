@@ -1,7 +1,10 @@
+import sysconfig
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from cdgcn import _kernel
 from cdgcn.gcn import GcnWeights, train
 from cdgcn.synthetic import linkage_training_batches, make_overlap_session, make_session
 
@@ -47,3 +50,28 @@ def overlap_session():
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def empty_cache(monkeypatch, tmp_path):
+    """An empty library cache; the compiled Leiden sweeps are unloaded
+    before and after."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    _kernel.load.cache_clear()
+    yield tmp_path / "cache"
+    _kernel.load.cache_clear()
+
+
+@pytest.fixture
+def no_configured_cc(monkeypatch):
+    """Python's recorded C compiler is one that does not exist."""
+    config_var = sysconfig.get_config_var
+    monkeypatch.setattr(sysconfig, "get_config_var",
+                        lambda name: "no-such-cc" if name == "CC" else config_var(name))
+
+
+@pytest.fixture
+def missing_compiler(monkeypatch, tmp_path, empty_cache, no_configured_cc):
+    """An empty library cache, no recorded C compiler and no `cc` either."""
+    monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
+    return empty_cache

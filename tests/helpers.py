@@ -198,28 +198,10 @@ def _reference_best_move(w_to, a, k_i, comm_degree, comm_size, gamma, m):
     return best_comm, best_gain
 
 
-def reference_movers(graph: SpeakerGraph, partition: Partition, gamma: float) -> np.ndarray:
-    """Per node, whether the reference local move would move it if it were
-    popped first, scored one node at a time."""
-    labels = partition.labels.tolist()
-    k = graph.weighted_degrees.tolist()
-    comm_degree = partition.community_degree.tolist()
-    comm_size = np.bincount(partition.labels).tolist()
-    out = []
-    for i, (neighbors, weights) in enumerate(_neighbor_lists(graph)):
-        w_to: dict[int, float] = {}
-        for j, w in zip(neighbors, weights):
-            w_to[labels[j]] = w_to.get(labels[j], 0.0) + w
-        comm, gain = _reference_best_move(w_to, labels[i], k[i], comm_degree, comm_size,
-                                          gamma, graph.total_weight)
-        out.append(comm is not None and gain > GAIN_TOLERANCE)
-    return np.array(out, dtype=bool)
-
-
 def reference_local_move(graph: SpeakerGraph, partition: Partition, gamma: float,
                          seed: int = 0) -> Partition:
     """local_move as a per-node dict loop over Python neighbour lists, with
-    a sorted candidate scan: the bit-for-bit oracle of the array sweep."""
+    a sorted candidate scan: the bit-for-bit oracle of the compiled sweep."""
     n = graph.node_count
     if n == 0:
         return partition
@@ -281,7 +263,7 @@ def reference_refine_partition(graph: SpeakerGraph, partition: Partition, gamma:
                                seed: int = 0, theta: float = 0.0) -> Partition:
     """refine_partition as a per-node dict loop that tests every neighbour's
     parent and the well-connectedness of every candidate: the bit-for-bit
-    oracle of the array sweep."""
+    oracle of the compiled sweep."""
     n = graph.node_count
     m = graph.total_weight
     if n == 0 or m == 0.0:

@@ -88,6 +88,15 @@ class TestClusterCommand:
         assert err.count("\n") == 1
         assert not (tmp_path / "x.rttm").exists()
 
+    def test_missing_compiler_is_one_line_error(self, session_dir, missing_compiler, capsys):
+        code = main(["cluster", "--embeddings", str(session_dir / "e2e.emb"),
+                     "--mode", "knn_leiden", "--out", str(session_dir / "x.rttm")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cdgcn: cannot build the Leiden sweeps") and "'no-such-cc'" in err
+        assert err.count("\n") == 1
+        assert not (session_dir / "x.rttm").exists()
+
     def test_non_finite_weights_are_one_line_error(self, session_dir, capsys):
         weights = GcnWeights.glorot(16, seed=0)
         weights.layer_weights[1][2, 3] = np.nan

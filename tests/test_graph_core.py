@@ -77,6 +77,10 @@ def test_from_labels_caches_match_dense(case):
 def test_quality_matches_block_oracle(case, gamma):
     graph, labels = case
     p = Partition.from_labels(graph, labels)
+    if graph.total_weight < 0.0:   # Q is undefined there
+        with pytest.raises(ValueError, match="negative total weight"):
+            quality(graph, p, gamma)
+        return
     blocks = [np.flatnonzero(p.labels == c) for c in range(p.community_count)]
     expected = quality_of_blocks(matrix_from_graph(graph), blocks, gamma)
     assert quality(graph, p, gamma) == pytest.approx(expected, rel=1e-9, abs=1e-9)

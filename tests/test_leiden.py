@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -23,6 +25,10 @@ from helpers import (
     quality_of_blocks,
     random_weight_matrix,
 )
+
+
+# The attribute cdgcn.leiden is the re-exported function, not the module.
+leiden_module = importlib.import_module("cdgcn.leiden")
 
 
 def triangle():
@@ -209,6 +215,29 @@ class TestLeiden:
         g = SpeakerGraph.from_edges(3, [(0, 1, -1.0), (1, 2, 0.5)])
         with pytest.raises(ValueError, match=r"^graph has negative total weight m = -0\.5$"):
             leiden(g, LeidenConfig(seed=0))
+
+    @pytest.mark.parametrize("phase", [quality, local_move, refine_partition])
+    def test_negative_total_weight_rejected_by_every_phase(self, phase):
+        g = SpeakerGraph.from_edges(3, [(0, 1, -1.0), (1, 2, 0.5)])
+        with pytest.raises(ValueError, match=r"^graph has negative total weight m = -0\.5$"):
+            phase(g, singleton_partition(g), 1.0)
+
+    def test_aggregate_whose_m_rounds_below_zero_ends_the_climb(self, monkeypatch):
+        # m = 1 summed in stream order; an aggregate sums the same weights to -1.
+        g = SpeakerGraph.from_edges(4, [(1, 3, 1e16), (0, 1, -1.0), (0, 2, -1e16), (1, 2, 1.0)])
+        assert g.total_weight == 1.0
+        aggregated_m = []
+
+        def recording_aggregate(graph, refined):
+            aggregate = aggregate_graph(graph, refined)
+            aggregated_m.append(aggregate.total_weight)
+            return aggregate
+
+        monkeypatch.setattr(leiden_module, "aggregate_graph", recording_aggregate)
+        for seed in range(4):
+            p = leiden(g, LeidenConfig(gamma=1.0, seed=seed))
+            assert quality(g, p, 1.0) == 1.0
+        assert min(aggregated_m) < 0.0
 
     def test_negative_degrees_allowed(self):
         # m = 2.5 > 0 while node 3 has weighted degree -0.5.

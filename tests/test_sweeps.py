@@ -1,8 +1,10 @@
-"""Bit-for-bit checks of the array-backed Leiden sweeps against the former
-per-node dict loops (tests/helpers.py), on signed, real, wide-range,
-tie-heavy and aggregated graphs from singleton, mid-way, converged and
-nearly-singleton start partitions."""
+"""Bit-for-bit checks of the compiled Leiden sweeps against the per-node
+dict loops of tests/helpers.py, on signed, real, wide-range, tie-heavy,
+aggregated and degenerate graphs from singleton, mid-way, converged and
+nearly-singleton start partitions; and the checks that keep malformed
+partitions away from the compiled code."""
 
+import ctypes
 import importlib
 
 import numpy as np
@@ -10,11 +12,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cdgcn.graphs import SpeakerGraph, cosine_affinity, knn_graph
+from cdgcn.graphs import EmbeddingSet, SpeakerGraph, cosine_affinity, knn_graph
 from cdgcn.leiden import (
     LeidenConfig,
     Partition,
-    _movers,
     aggregate_graph,
     leiden,
     local_move,
@@ -23,10 +24,8 @@ from cdgcn.leiden import (
 )
 from cdgcn.synthetic import make_session
 from helpers import (
-    graph_from_matrix,
-    random_weight_matrix,
+    clique_pair_graph,
     reference_local_move,
-    reference_movers,
     reference_refine_partition,
 )
 
@@ -46,7 +45,10 @@ def sweep_graph(rng, kind: str) -> SpeakerGraph:
     """A random graph with zero-weight edges allowed: signed multiples of
     1/8, signed reals, signed reals over twelve decades (sums depend on
     their order), unit weights on a circulant graph (every degree equal, so
-    gains tie), or an aggregation of a signed graph, which has self-loops."""
+    gains tie), or an aggregation of a signed graph, which has self-loops.
+    The sweeps refuse a negative total weight m, so a graph whose m comes
+    out negative has its weights negated: the same magnitudes in the same
+    order, summing to exactly -m."""
     n = int(rng.integers(2, 36))
     heads, tails = np.nonzero(np.triu(rng.random((n, n)) < rng.uniform(0.2, 1.0), 1))
     weights = rng.integers(-8, 17, heads.size) / 8.0
@@ -60,15 +62,16 @@ def sweep_graph(rng, kind: str) -> SpeakerGraph:
         tails = (heads + np.tile(offsets, n)) % n
         weights = np.ones(heads.size)
     graph = SpeakerGraph(n, heads, tails, weights)
+    if graph.total_weight < 0.0:
+        graph = SpeakerGraph(n, heads, tails, -weights)
     if kind == "aggregated":
         graph = aggregate_graph(graph, Partition.from_labels(graph, rng.integers(0, n, n)))
     return graph
 
 
 def start_partition(rng, graph: SpeakerGraph, start: str, gamma: float) -> Partition:
-    """Singletons; a few random communities (the non-mover pre-pass runs);
-    a local-move optimum (the pre-pass finds no mover); or nearly as many
-    communities as nodes (the pre-pass is skipped for memory)."""
+    """Singletons; a few random communities; a local-move optimum (no node
+    moves); or nearly as many communities as nodes."""
     n = graph.node_count
     if start == "singletons":
         return singleton_partition(graph)
@@ -100,32 +103,13 @@ def test_refine_partition_matches_reference(seed, kind, start, gamma, theta):
                           reference_refine_partition(graph, partition, gamma, seed, theta))
 
 
-@given(seed=st.integers(0, 10**6), kind=st.sampled_from(KINDS),
-       start=st.sampled_from(STARTS), gamma=st.sampled_from([0.3, 1.0, 2.5]))
-def test_movers_prepass_matches_reference_scan(seed, kind, start, gamma):
-    rng = np.random.default_rng(seed)
-    graph = sweep_graph(rng, kind)
-    if graph.total_weight == 0.0:
-        return
-    partition = start_partition(rng, graph, start, gamma)
-    assert (_movers(graph, partition, gamma) == reference_movers(graph, partition, gamma)).all()
-
-
-def test_prepass_returns_early_from_a_converged_start(monkeypatch):
-    rng = np.random.default_rng(5)
-    graph = graph_from_matrix(random_weight_matrix(rng, planted=True, n=12))
-    converged = reference_local_move(graph, singleton_partition(graph), 1.0, 3)
-    midway = Partition.from_labels(graph, rng.integers(0, 3, graph.node_count))
-    assert not _movers(graph, converged, 1.0).any() and _movers(graph, midway, 1.0).any()
-
-    def no_queue(*args):
-        raise AssertionError("the node queue was built")
-
-    # The queue is built only after the pre-pass found a node that moves.
-    monkeypatch.setattr(leiden_module, "deque", no_queue)
-    assert same_partition(local_move(graph, converged, 1.0, 7), converged)
-    with pytest.raises(AssertionError, match="queue"):
-        local_move(graph, midway, 1.0, 7)
+def leiden_with_reference_sweeps(monkeypatch, graph, config) -> Partition:
+    monkeypatch.setattr(leiden_module, "local_move", reference_local_move)
+    monkeypatch.setattr(leiden_module, "refine_partition", reference_refine_partition)
+    try:
+        return leiden(graph, config)
+    finally:
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.05])
@@ -134,12 +118,103 @@ def test_leiden_on_bench_like_graph_matches_reference_sweeps(monkeypatch, theta)
     aff = cosine_affinity(sess.embeddings)
     for graph in (knn_graph(aff, 30), knn_graph(aff, aff.shape[0] - 1)):
         config = LeidenConfig(gamma=0.6, seed=11, theta=theta)
-        fast = leiden(graph, config)
-        monkeypatch.setattr(leiden_module, "local_move", reference_local_move)
-        monkeypatch.setattr(leiden_module, "refine_partition", reference_refine_partition)
-        slow = leiden(graph, config)
-        monkeypatch.undo()
-        assert same_partition(fast, slow)
+        assert same_partition(leiden(graph, config),
+                              leiden_with_reference_sweeps(monkeypatch, graph, config))
+
+
+def embedding_graph(vectors, k: int) -> SpeakerGraph:
+    vectors = np.asarray(vectors, dtype=float)
+    segments = np.column_stack([np.arange(len(vectors), dtype=float), np.ones(len(vectors))])
+    return knn_graph(cosine_affinity(EmbeddingSet(vectors, segments)), k)
+
+
+def degenerate_graph(name: str) -> SpeakerGraph:
+    rng = np.random.default_rng(17)
+    # Embeddings around a shared direction, so cosine graphs have m > 0.
+    around = lambda rows: 1.0 + 0.5 * rng.normal(size=(rows, 4))
+    if name == "one node":
+        return SpeakerGraph(1)
+    if name == "two nodes":
+        return embedding_graph(around(2), 1)
+    if name == "edgeless":
+        return SpeakerGraph(5)
+    if name == "k at least N":
+        return embedding_graph(around(7), 9)
+    if name == "identical embeddings":
+        return embedding_graph(np.ones((10, 4)), 4)
+    if name == "duplicate embeddings":
+        return embedding_graph(np.repeat(around(4), 3, axis=0), 5)
+    # Two triangles and two isolated nodes; each triangle becomes one node,
+    # so all weight lands on the self-loops.
+    triangles = SpeakerGraph(8, [0, 1, 0, 3, 4, 3], [1, 2, 2, 4, 5, 5], [1.0, 0.5, 0.25] * 2)
+    return aggregate_graph(triangles, Partition.from_labels(triangles, [0, 0, 0, 1, 1, 1, 2, 3]))
+
+
+DEGENERATE = ("one node", "two nodes", "edgeless", "k at least N", "identical embeddings",
+              "duplicate embeddings", "self-loops only")
+
+
+@pytest.mark.parametrize("name", DEGENERATE)
+def test_degenerate_graphs_match_reference_sweeps(monkeypatch, name):
+    """The starts give refinement parent communities of one member each, of
+    all nodes, and of both kinds at once."""
+    graph = degenerate_graph(name)
+    n = graph.node_count
+    starts = [singleton_partition(graph), Partition.from_labels(graph, np.zeros(n, dtype=int)),
+              Partition.from_labels(graph, np.minimum(np.arange(n), 2))]
+    for seed, partition in enumerate(starts):
+        for gamma in (0.3, 1.0):
+            assert same_partition(local_move(graph, partition, gamma, seed),
+                                  reference_local_move(graph, partition, gamma, seed))
+            for theta in (0.0, 0.05):
+                assert same_partition(
+                    refine_partition(graph, partition, gamma, seed, theta),
+                    reference_refine_partition(graph, partition, gamma, seed, theta))
+    for theta in (0.0, 0.05):
+        config = LeidenConfig(gamma=0.6, seed=3, theta=theta)
+        assert same_partition(leiden(graph, config),
+                              leiden_with_reference_sweeps(monkeypatch, graph, config))
+
+
+def malformed_partition(name: str) -> Partition:
+    """A partition of a four-node graph that breaks one rule the sweeps
+    index by."""
+    labels = {"label past the last community": [0, 1, 2, 3], "negative label": [-1, 0, 1, 2],
+              "float labels": [0.0, 1.0, 1.0, 2.0], "too few labels": [0, 1, 2],
+              "empty community": [0, 0, 2, 2]}.get(name, [0, 1, 1, 2])
+    degree = np.zeros(2 if name == "caches too short" else 3)
+    return Partition(np.array(labels), np.zeros(3), degree)
+
+
+@pytest.mark.parametrize("sweep", [local_move, refine_partition])
+@pytest.mark.parametrize("name", ["label past the last community", "negative label",
+                                  "float labels", "too few labels", "empty community",
+                                  "caches too short"])
+def test_malformed_partition_is_one_line_error(sweep, name):
+    graph = SpeakerGraph(4, [0, 1, 2, 0], [1, 2, 3, 3], [1.0, 0.5, 1.0, 0.25])
+    with pytest.raises(ValueError) as caught:
+        sweep(graph, malformed_partition(name), 1.0)
+    assert "\n" not in str(caught.value)
+
+
+def test_kernel_arguments_reject_wrong_dtype_and_strides():
+    from cdgcn._kernel import load
+
+    graph = SpeakerGraph(4, [0, 1, 2, 0], [1, 2, 3, 3], [1.0, 0.5, 1.0, 0.25])
+    # The first bad argument stops the call before any later one is read.
+    for indptr in (graph.indptr.astype(float), np.repeat(graph.indptr, 2)[::2]):
+        with pytest.raises(ctypes.ArgumentError, match="argument 2"):
+            load().local_move(4, indptr, *[None] * 15)
+
+
+def test_sampling_error_is_raised_after_the_kernel_returns(monkeypatch):
+    def fail(*args):
+        raise RuntimeError("sampling failed")
+
+    graph = clique_pair_graph(4)
+    monkeypatch.setattr(leiden_module, "_sample_target", fail)
+    with pytest.raises(RuntimeError, match="sampling failed"):
+        refine_partition(graph, Partition.from_labels(graph, [0] * 8), 1.0, 0, theta=0.5)
 
 
 def test_frozen_corpus_matches_reference():
@@ -152,9 +227,6 @@ def test_frozen_corpus_matches_reference():
                 graph = sweep_graph(rng, kind)
                 gamma = (0.3, 1.0, 2.5)[seed % 3]
                 partition = start_partition(rng, graph, start, gamma)
-                if graph.total_weight != 0.0:
-                    assert (_movers(graph, partition, gamma)
-                            == reference_movers(graph, partition, gamma)).all()
                 assert same_partition(local_move(graph, partition, gamma, seed),
                                       reference_local_move(graph, partition, gamma, seed))
                 theta = (0.0, 0.05)[seed % 2]
@@ -177,3 +249,18 @@ def test_sums_run_in_row_order():
                                   reference_local_move(graph, partition, gamma, seed))
             assert same_partition(refine_partition(graph, partition, gamma, seed),
                                   reference_refine_partition(graph, partition, gamma, seed))
+
+
+def test_merged_part_weight_rounds_as_in_python():
+    """At seed 0 node 4 joins node 3. Their part's weight to the rest of the
+    parent is then 4.2 + (2.1 - 2 * 2.1) = 2.1, just under the well-connectedness
+    bound (2.1000000000000005 at this gamma), so node 0 stays alone. Summed
+    as (4.2 + 2.1) - 2 * 2.1 it would be 2.1000000000000005, and node 0
+    would join that part."""
+    graph = SpeakerGraph.from_edges(5, [(1, 2, 5.9), (2, 3, 0.8), (0, 3, 1.3), (0, 2, 0.7),
+                                        (3, 4, 2.1)])
+    partition = Partition.from_labels(graph, [0] * 5)
+    gamma = 0.4705882352941177
+    expected = reference_refine_partition(graph, partition, gamma, seed=0)
+    assert expected.labels.tolist() == [0, 1, 1, 2, 2]
+    assert same_partition(refine_partition(graph, partition, gamma, seed=0), expected)
