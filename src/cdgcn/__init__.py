@@ -7,12 +7,9 @@ belonging coefficients add second speakers on overlapped frames.
 
 from .gcn import (
     GcnWeights,
-    bce_loss,
     gcn_forward,
-    gcn_layer_forward,
     load_weights,
     loss_and_gradients,
-    normalize_adjacency,
     save_weights,
     train,
 )
@@ -35,7 +32,6 @@ from .leiden import (
     local_move,
     quality,
     refine_partition,
-    singleton_partition,
 )
 from .osd import (
     OverlapMask,

@@ -26,9 +26,6 @@ SOURCE = Path(__file__).with_name("_sweeps.c")
 # -ffp-contract=off: no fused multiply-add, so every float op rounds as in Python.
 FLAGS = ("-std=c99", "-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
-#: The refinement's theta > 0 callback: candidate count -> chosen position.
-PICK = ctypes.CFUNCTYPE(ctypes.c_int64, ctypes.c_int64)
-
 
 def library_path(source: bytes) -> Path:
     """Cache file of the library built from `source` on this platform."""
@@ -76,8 +73,7 @@ def load() -> ctypes.CDLL:
     lib.local_move.restype = None
     lib.local_move.argtypes = [idx, *graph, real, real, real, idx,
                                ints, reals, ints, ints, flags, reals, flags, ints]
-    lib.refine_community.restype = None
-    lib.refine_community.argtypes = [*graph, ints, idx, real, real, real, real, real, ints, idx,
-                                     ints, ints, reals, reals, flags, reals, flags, ints, reals,
-                                     PICK]
+    lib.refine_partition.restype = None
+    lib.refine_partition.argtypes = [*graph, ints, reals, real, real, real, ints, ints, idx,
+                                     ints, ints, reals, reals, flags, reals, flags, ints]
     return lib

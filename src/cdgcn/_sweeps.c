@@ -1,14 +1,15 @@
-/* Leiden's two sequential sweeps (cdgcn/leiden.py), bit-exact with the
- * per-node loops the tests keep as oracles: nodes are visited in the given
- * order, a node's weight into each neighbouring community is summed from
- * 0.0 in CSR row order, every gain keeps the Python operand order, and the
- * choice is the smallest label among the maximal gains, as a strict scan
- * in ascending label order picks. Built with -ffp-contract=off and no
- * fast-math, so nothing is contracted or reassociated. The graph is
- * symmetric CSR (ptr, nbr, w) without diagonal, k its weighted degrees;
- * ids are below n; scratch w_to and seen are zero on entry and on return. */
+/* Leiden's two sequential sweeps (cdgcn/leiden.py), one call each per
+ * level, bit-exact with the per-node loops the tests keep as oracles:
+ * nodes are visited in the given order, a node's weight into each
+ * neighbouring community is summed from 0.0 in CSR row order, every gain
+ * keeps the Python operand order, and the choice is the smallest label
+ * among the maximal gains, as a strict scan in ascending label order
+ * picks. Built with -ffp-contract=off and no fast-math, so nothing is
+ * contracted or reassociated. The graph is symmetric CSR (ptr, nbr, w)
+ * without diagonal, k its weighted degrees; ids are below n; scratch w_to
+ * and seen are zero on entry and on return. */
+#include <stddef.h>
 #include <stdint.h>
-#include <stdlib.h>
 
 typedef int64_t idx;
 
@@ -94,72 +95,56 @@ static int well_connected(double cross, double degree, double k_total, double ga
     return cross >= gamma * degree * (k_total - degree) / two_m;
 }
 
-static int ascending(const void *x, const void *y) {
-    idx a = *(const idx *)x, b = *(const idx *)y;
-    return (a > b) - (a < b);
-}
-
-/* Position of the chosen part among the first count cands/gains, or -1. */
-typedef idx (*pick_fn)(idx count);
-
-/* Refines parent community comm (total degree k_total): each member in
- * order, if still alone and well connected, joins the well-connected part
- * of the same parent with largest gain above tol, or with theta > 0 the
- * one pick() draws from cands/gains in ascending label order. Per-part
- * state (ref_labels, ref_size, ref_degree, cross: weight to the rest of
- * the parent, connected) is updated in place; members' cross and
- * connected are set first. */
-void refine_community(const idx *ptr, const idx *nbr, const double *w, const double *k,
-                      const idx *parent, idx comm, double k_total, double gamma,
-                      double two_m, double theta, double tol, const idx *order, idx count,
+/* Refines each parent community in turn: group g visits the members
+ * order[starts[g]..starts[g + 1]), all of one parent community c (total
+ * degree comm_degree[c]). The members' cross (weight to the rest of c) and
+ * connected are set first; then each member in order, if still alone and
+ * well connected, joins the well-connected part of c with largest gain
+ * above tol. Per-part state (ref_labels, ref_size, ref_degree, cross,
+ * connected) is indexed by the part's founding node and updated in place. */
+void refine_partition(const idx *ptr, const idx *nbr, const double *w, const double *k,
+                      const idx *parent, const double *comm_degree, double gamma, double two_m,
+                      double tol, const idx *order, const idx *starts, idx groups,
                       idx *ref_labels, idx *ref_size, double *ref_degree, double *cross,
-                      uint8_t *connected, double *w_to, uint8_t *seen, idx *cands,
-                      double *gains, pick_fn pick) {
-    for (idx t = 0; t < count; t++) {
-        idx v = order[t];
-        cross[v] = 0.0;
-        for (idx e = ptr[v]; e < ptr[v + 1]; e++)
-            if (parent[nbr[e]] == comm)
-                cross[v] += w[e];
-        connected[v] = well_connected(cross[v], k[v], k_total, gamma, two_m);
-    }
-    for (idx t = 0; t < count; t++) {
-        idx v = order[t], kept = 0, target = -1;
-        if (ref_size[v] != 1 || !connected[v])
-            continue;
-        idx found = gather(ptr, nbr, w, ref_labels, parent, comm, v, w_to, seen, cands);
-        if (theta > 0.0)
-            qsort(cands, (size_t)found, sizeof *cands, ascending);
-        double best_gain = tol;
-        for (idx f = 0; f < found; f++) {
-            idx c = cands[f];
-            seen[c] = 0;
-            if (!connected[c]) {
-                w_to[c] = 0.0;
+                      uint8_t *connected, double *w_to, uint8_t *seen, idx *cands) {
+    for (idx g = 0; g < groups; g++) {
+        idx comm = parent[order[starts[g]]];
+        double k_total = comm_degree[comm];
+        for (idx t = starts[g]; t < starts[g + 1]; t++) {
+            idx v = order[t];
+            cross[v] = 0.0;
+            for (idx e = ptr[v]; e < ptr[v + 1]; e++)
+                if (parent[nbr[e]] == comm)
+                    cross[v] += w[e];
+            connected[v] = well_connected(cross[v], k[v], k_total, gamma, two_m);
+        }
+        for (idx t = starts[g]; t < starts[g + 1]; t++) {
+            idx v = order[t], target = -1;
+            if (ref_size[v] != 1 || !connected[v])
                 continue;
+            idx found = gather(ptr, nbr, w, ref_labels, parent, comm, v, w_to, seen, cands);
+            double best_gain = tol, w_target = 0.0;
+            for (idx f = 0; f < found; f++) {
+                idx c = cands[f];
+                double gain = w_to[c] - gamma * k[v] * ref_degree[c] / two_m;
+                if (connected[c] &&
+                    (gain > best_gain || (gain == best_gain && target >= 0 && c < target))) {
+                    best_gain = gain;
+                    target = c;
+                    w_target = w_to[c];
+                }
+                w_to[c] = 0.0;
+                seen[c] = 0;
             }
-            double gain = w_to[c] - gamma * k[v] * ref_degree[c] / two_m;
-            if (gain > best_gain || (gain == best_gain && target >= 0 && c < target)) {
-                best_gain = gain;
-                target = c;
+            if (target >= 0) {
+                ref_degree[target] += k[v];
+                cross[target] += cross[v] - 2.0 * w_target;
+                connected[target] = well_connected(cross[target], ref_degree[target], k_total,
+                                                   gamma, two_m);
+                ref_size[target]++;
+                ref_size[v] = 0;
+                ref_labels[v] = target;
             }
-            cands[kept] = c;
-            gains[kept++] = gain;
         }
-        if (theta > 0.0 && kept > 0) {
-            idx chosen = pick(kept);
-            target = chosen >= 0 && chosen < kept ? cands[chosen] : -1;
-        }
-        if (target >= 0) {
-            ref_degree[target] += k[v];
-            cross[target] += cross[v] - 2.0 * w_to[target];
-            connected[target] = well_connected(cross[target], ref_degree[target], k_total,
-                                               gamma, two_m);
-            ref_size[target]++;
-            ref_size[v] = 0;
-            ref_labels[v] = target;
-        }
-        for (idx f = 0; f < kept; f++)
-            w_to[cands[f]] = 0.0;
     }
 }

@@ -46,6 +46,9 @@ class EmbeddingSet:
                 f"{self.segments.shape[0]} segments do not match "
                 f"{self.vectors.shape[0]} embedding rows"
             )
+        bad = np.flatnonzero(~np.isfinite(self.segments).all(axis=1))
+        if bad.size:
+            raise ValueError(f"segment {bad[0]} has a non-finite time")
         starts = self.segments[:, 0]
         durations = self.segments[:, 1]
         if starts.size:
@@ -178,15 +181,6 @@ class SpeakerGraph:
         """Build from a sequence of (i, j, weight) triples, in insertion order."""
         heads, tails, weights = zip(*edges) if edges else ((), (), ())
         return cls(node_count, heads, tails, weights, self_loops)
-
-    def neighbors(self, i: int) -> list[tuple[int, float]]:
-        """(neighbor, weight) pairs in insertion order."""
-        s, e = self.indptr[i], self.indptr[i + 1]
-        return list(zip(self.indices[s:e].tolist(), self.weights[s:e].tolist()))
-
-    def edge_dict(self) -> dict[tuple[int, int], float]:
-        heads, tails, weights = (a.tolist() for a in self.edges)
-        return dict(zip(zip(heads, tails), weights))
 
 
 def top_neighbors(aff: np.ndarray, k: int, rows: np.ndarray) -> np.ndarray:

@@ -16,13 +16,14 @@ gamma the resolution. Degrees, m and m_c are all weighted; self-loops
 (from aggregation) count once in m_c and twice in a node's degree. An
 edgeless graph has Q defined as 0.
 
-Local moving and the refinement of each parent community run as C loops
-(`_sweeps.c`, built on first use by `_kernel.py`); Python keeps the random
-draws, the theta > 0 sampling (called back from C) and the bookkeeping.
-They are bit-exact with the per-node loops the tests keep as oracles: the
-same visit order, sums from 0.0 in CSR row order, every gain in the same
-operand order, the smallest label among equal best gains (what an ascending
-scan picks), and -ffp-contract=off, so no multiply-add is fused.
+Local moving and refinement each run as one C call per level (`_sweeps.c`,
+built on first use by `_kernel.py`); Python keeps the random draws and the
+bookkeeping. Refinement is greedy: a node joins the part of largest gain,
+the zero-temperature limit of Traag et al.'s randomized merge. The sweeps are
+bit-exact with the per-node loops the tests keep as oracles: the same visit
+order, sums from 0.0 in CSR row order, every gain in the same operand
+order, the smallest label among equal best gains (what an ascending scan
+picks), and -ffp-contract=off, so no multiply-add is fused.
 """
 
 from __future__ import annotations
@@ -42,14 +43,11 @@ class LeidenConfig:
     gamma: float = 0.6
     seed: int = 0
     max_iterations: int = 100
-    theta: float = 0.0
     restarts: int = 4
 
     def __post_init__(self):
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
-        if self.theta < 0:
-            raise ValueError("theta must be non-negative")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if self.restarts < 1:
@@ -58,24 +56,20 @@ class LeidenConfig:
 
 @dataclass
 class Partition:
-    """Node-to-community assignment with per-community bookkeeping.
-
-    labels are contiguous in 0..C-1 with no empty community.
-    internal_weight[c] caches m_c, community_degree[c] caches K_c.
-    """
+    """Node-to-community assignment: labels are contiguous in 0..C-1 with
+    no empty community, and community_degree[c] caches K_c."""
 
     labels: np.ndarray
-    internal_weight: np.ndarray
     community_degree: np.ndarray
 
     @property
     def community_count(self) -> int:
-        return len(self.internal_weight)
+        return len(self.community_degree)
 
     @classmethod
     def from_labels(cls, graph: SpeakerGraph, labels) -> "Partition":
         """Build a partition from arbitrary labels, compacting them to
-        0..C-1 by first appearance and recomputing the caches from scratch."""
+        0..C-1 by first appearance and recomputing K_c from scratch."""
         labels = np.asarray(labels, dtype=np.int64)
         if labels.shape != (graph.node_count,):
             raise ValueError(
@@ -83,7 +77,8 @@ class Partition:
             )
         _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
         compact = np.argsort(np.argsort(first))[inverse]
-        return cls(compact, *_community_sums(graph, compact, first.size))
+        return cls(compact, np.bincount(compact, weights=graph.weighted_degrees,
+                                        minlength=first.size))
 
 
 def _community_sums(graph: SpeakerGraph, labels: np.ndarray, c: int):
@@ -98,7 +93,7 @@ def _community_sums(graph: SpeakerGraph, labels: np.ndarray, c: int):
 
 
 def quality(graph: SpeakerGraph, partition: Partition, gamma: float) -> float:
-    """Evaluate Q from scratch (independent of the partition's caches)."""
+    """Evaluate Q from scratch (independent of the partition's K_c cache)."""
     labels = partition.labels
     if labels.shape != (graph.node_count,):
         raise ValueError("partition does not cover the graph")
@@ -111,12 +106,6 @@ def quality(graph: SpeakerGraph, partition: Partition, gamma: float) -> float:
     return float(internal.sum() - gamma * np.sum(degree**2) / (4.0 * m))
 
 
-def singleton_partition(graph: SpeakerGraph) -> Partition:
-    """One community per node; m_c is the node's self-loop (zero on plain graphs)."""
-    return Partition(np.arange(graph.node_count, dtype=np.int64), graph.self_loops.copy(),
-                     graph.weighted_degrees.copy())
-
-
 def _check_total_weight(graph: SpeakerGraph) -> None:
     if graph.total_weight < 0.0:
         raise ValueError(f"graph has negative total weight m = {graph.total_weight:.6g}")
@@ -124,14 +113,14 @@ def _check_total_weight(graph: SpeakerGraph) -> None:
 
 def _checked_labels(graph: SpeakerGraph, partition: Partition) -> np.ndarray:
     """The labels as a fresh int64 array, once m >= 0 and what the compiled sweeps
-    index by are checked: n integer labels in 0..C-1, none unused, caches of length C."""
+    index by are checked: n integer labels in 0..C-1, none unused, one K_c each."""
     _check_total_weight(graph)
     labels, c = partition.labels, partition.community_count
     if labels.shape != (graph.node_count,) or labels.dtype.kind not in "iu":
         raise ValueError(f"partition needs {graph.node_count} integer labels, "
                          f"got {labels.dtype} labels of shape {labels.shape}")
-    if partition.internal_weight.shape != (c,) or partition.community_degree.shape != (c,):
-        raise ValueError(f"partition caches must both have length {c}")
+    if partition.community_degree.shape != (c,):
+        raise ValueError("partition needs one K_c per community")
     if labels.size and (labels.min() < 0 or labels.max() >= c):
         raise ValueError(f"partition labels must lie in 0..{c - 1}")
     labels = labels.astype(np.int64)
@@ -168,70 +157,42 @@ def local_move(graph: SpeakerGraph, partition: Partition, gamma: float, seed: in
     return Partition.from_labels(graph, labels)
 
 
-def _sample_target(rng, gains: np.ndarray, theta: float) -> int:
-    """Position of the part a theta > 0 refinement merges into, drawn with
-    probability proportional to exp(gain / theta) among non-negative gains,
-    or -1 to stay alone: staying put competes with gain zero."""
-    keep = np.flatnonzero(gains >= 0.0)
-    if keep.size == 0:
-        return -1
-    top = gains[keep].max()
-    odds = np.exp((gains[keep] - top) / theta)
-    pick = rng.uniform(0.0, odds.sum() + np.exp((0.0 - top) / theta))
-    # cumsum adds in order from the first odd, as a running sum does.
-    hit = np.flatnonzero(pick < np.cumsum(odds))
-    return int(keep[hit[0]]) if hit.size else -1
-
-
 def refine_partition(graph: SpeakerGraph, partition: Partition, gamma: float,
-                     seed: int = 0, theta: float = 0.0) -> Partition:
+                     seed: int = 0) -> Partition:
     """Split each community into well-connected sub-communities.
 
     Starts from singletons and only merges nodes into sub-communities of
     their own original community, so the result always refines the input.
     A node is only merged while still alone, and only when both it and the
-    target are well connected inside the original community. theta = 0
-    merges greedily into the best-gain target, ties going to the smallest
-    label; theta > 0 samples targets with probability proportional to
-    exp(gain / theta) among non-negative gains.
+    target are well connected inside the original community; it merges
+    greedily into the best-gain target, ties going to the smallest label.
     """
     parent = _checked_labels(graph, partition)
     n, m = graph.node_count, graph.total_weight
     if n == 0 or m == 0.0:
-        return singleton_partition(graph)
+        return Partition.from_labels(graph, np.arange(n))
 
-    from ._kernel import PICK, load
+    from ._kernel import load
 
-    # Per-part state, indexed by the part's founding node, and scratch.
-    ref_labels, ref_size, connected = np.arange(n), np.ones(n, np.int64), np.zeros(n, np.uint8)
-    ref_degree, cross, w_to = graph.weighted_degrees.copy(), np.zeros(n), np.zeros(n)
-    seen, cands, gains = np.zeros(n, np.uint8), np.empty(n, np.int64), np.empty(n)
+    # Each community of two or more members is visited in its own random
+    # order, the orders drawn in label order and handed over back to back.
     rng = np.random.default_rng(seed)
-    errors = []
-
-    def pick(count):
-        try:
-            return _sample_target(rng, gains[:count], theta)
-        except BaseException as exc:   # ctypes would print and drop it
-            errors.append(exc)
-            return -1
-
-    callback = PICK(pick)
-    refine = load().refine_community
     by_parent = np.argsort(parent, kind="stable")
     bounds = np.searchsorted(parent[by_parent], np.arange(partition.community_count + 1))
-    for comm in range(partition.community_count):
-        members = by_parent[bounds[comm]:bounds[comm + 1]]
-        if members.size < 2:
-            continue
-        order = rng.permutation(members)
-        refine(graph.indptr, graph.indices, graph.weights, graph.weighted_degrees, parent, comm,
-               float(partition.community_degree[comm]), gamma, 2.0 * m, theta, GAIN_TOLERANCE,
-               order, order.size, ref_labels, ref_size, ref_degree, cross, connected,
-               w_to, seen, cands, gains, callback)
-        if errors:
-            raise errors[0]
-
+    sizes = np.diff(bounds)
+    groups = np.flatnonzero(sizes > 1)
+    order = np.concatenate([np.empty(0, np.int64)] + [
+        rng.permutation(by_parent[bounds[c]:bounds[c + 1]]) for c in groups])
+    starts = np.concatenate(([0], np.cumsum(sizes[groups])))
+    # Per-part labels, sizes, K, weight to the rest of the parent and
+    # well-connectedness, indexed by the part's founding node; then scratch.
+    ref_labels = np.arange(n)
+    load().refine_partition(graph.indptr, graph.indices, graph.weights, graph.weighted_degrees,
+                            parent, partition.community_degree.astype(float), gamma, 2.0 * m,
+                            GAIN_TOLERANCE, order, starts, groups.size, ref_labels,
+                            np.ones(n, np.int64), graph.weighted_degrees.copy(), np.zeros(n),
+                            np.zeros(n, np.uint8), np.zeros(n), np.zeros(n, np.uint8),
+                            np.empty(n, np.int64))
     return Partition.from_labels(graph, ref_labels)
 
 
@@ -259,7 +220,7 @@ def aggregate_graph(graph: SpeakerGraph, refined: Partition) -> SpeakerGraph:
 
 
 def _hierarchy_pass(graph: SpeakerGraph, flat_labels: np.ndarray, gamma: float,
-                    rng, theta: float) -> np.ndarray:
+                    rng) -> np.ndarray:
     """One local-move / refine / aggregate cascade, starting from the given
     flat partition and climbing levels until aggregation stops shrinking.
 
@@ -274,7 +235,7 @@ def _hierarchy_pass(graph: SpeakerGraph, flat_labels: np.ndarray, gamma: float,
         move_seed = int(rng.integers(2**32))
         refine_seed = int(rng.integers(2**32))
         level_partition = local_move(level_graph, level_partition, gamma, move_seed)
-        refined = refine_partition(level_graph, level_partition, gamma, refine_seed, theta)
+        refined = refine_partition(level_graph, level_partition, gamma, refine_seed)
         if refined.community_count == level_graph.node_count:
             # Aggregation would be the identity; this level has converged.
             break
@@ -317,7 +278,7 @@ def leiden(graph: SpeakerGraph, config: LeidenConfig | None = None) -> Partition
         flat = np.arange(graph.node_count, dtype=np.int64)
         prev_q = -np.inf
         for _ in range(config.max_iterations):
-            flat = _hierarchy_pass(graph, flat, config.gamma, rng, config.theta)
+            flat = _hierarchy_pass(graph, flat, config.gamma, rng)
             q = quality(graph, Partition.from_labels(graph, flat), config.gamma)
             if q - prev_q < GAIN_TOLERANCE:
                 break

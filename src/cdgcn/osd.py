@@ -26,8 +26,8 @@ class OverlapMask:
     frame_duration: float = 0.01
 
     def __post_init__(self):
-        if self.frame_duration <= 0:
-            raise ValueError("frame_duration must be positive")
+        if not 0 < self.frame_duration < np.inf:
+            raise ValueError(f"frame_duration {self.frame_duration} must be finite and positive")
         self.frames = np.asarray(self.frames).astype(bool)
 
     def __len__(self) -> int:
@@ -112,7 +112,7 @@ def apply_overlap(primary: np.ndarray, frame_segment: np.ndarray, second,
     """
     primary = np.asarray(primary, dtype=np.int64)
     frame_segment = np.asarray(frame_segment, dtype=np.int64)
-    if abs(mask.frame_duration - frame_duration) > 1e-9:
+    if not abs(mask.frame_duration - frame_duration) <= 1e-9:   # NaN fails too
         raise ValueError(
             f"mask frame duration {mask.frame_duration} does not match {frame_duration}"
         )

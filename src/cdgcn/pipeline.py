@@ -42,7 +42,6 @@ class PipelineConfig:
     seed: int = 0
     frame_duration: float = 0.01
     max_iterations: int = 100
-    theta: float = 0.0
 
 
 def segment_speech(vad_regions, config: SegmentationConfig | None = None):
@@ -183,7 +182,7 @@ def run_pipeline(emb: EmbeddingSet, mode: str, weights: GcnWeights | None = None
         graph = refine_graph(emb, aff, weights, min(cfg.knn_k, max(1, n - 1)))
 
     partition = leiden(graph, LeidenConfig(gamma=cfg.gamma, seed=cfg.seed,
-                                           max_iterations=cfg.max_iterations, theta=cfg.theta))
+                                           max_iterations=cfg.max_iterations))
     primary, frame_segment = _frame_attribution(emb.segments, partition.labels,
                                                 cfg.frame_duration, vad_regions)
     if mode == "cdgcn":

@@ -74,8 +74,8 @@ class DiarizationTimeline:
     secondary: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        if self.frame_duration <= 0:
-            raise ValueError("frame_duration must be positive")
+        if not 0 < self.frame_duration < np.inf:
+            raise ValueError(f"frame_duration {self.frame_duration} must be finite and positive")
         self.primary = np.asarray(self.primary, dtype=np.int64)
         if self.secondary is None:
             self.secondary = np.full(self.primary.shape, -1, dtype=np.int64)

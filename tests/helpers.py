@@ -4,15 +4,17 @@ import heapq
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import deque
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import cdgcn
 from cdgcn.gcn import PROB_EPSILON, GcnWeights
 from cdgcn.graphs import SpeakerGraph, SubGraph
-from cdgcn.leiden import GAIN_TOLERANCE, Partition, singleton_partition
+from cdgcn.leiden import GAIN_TOLERANCE, Partition
 
 
 def random_gcn_weights(rng, feature_dim, num_layers=2, hidden_dim=None, scale=0.5):
@@ -28,6 +30,23 @@ def random_gcn_weights(rng, feature_dim, num_layers=2, hidden_dim=None, scale=0.
     return GcnWeights(layers, (w1, w2), (b1, b2))
 
 
+def neighbors(g: SpeakerGraph, i: int) -> list[tuple[int, float]]:
+    """(neighbor, weight) pairs of node i in insertion order."""
+    s, e = g.indptr[i], g.indptr[i + 1]
+    return list(zip(g.indices[s:e].tolist(), g.weights[s:e].tolist()))
+
+
+def edge_dict(g: SpeakerGraph) -> dict[tuple[int, int], float]:
+    """{(head, tail): weight} over the head < tail edge stream, in stream order."""
+    heads, tails, weights = (a.tolist() for a in g.edges)
+    return dict(zip(zip(heads, tails), weights))
+
+
+def singletons(g: SpeakerGraph) -> Partition:
+    """One community per node."""
+    return Partition.from_labels(g, np.arange(g.node_count))
+
+
 def graph_from_matrix(weight: np.ndarray) -> SpeakerGraph:
     """Non-zero upper-triangle entries as pair edges, in row-major order."""
     heads, tails = np.nonzero(np.triu(weight, 1))
@@ -39,7 +58,7 @@ def matrix_from_graph(g: SpeakerGraph) -> np.ndarray:
     so row sums are weighted degrees and the matrix sum is 2m."""
     a = np.diag(2.0 * g.self_loops)
     for i in range(g.node_count):
-        for j, w in g.neighbors(i):
+        for j, w in neighbors(g, i):
             a[i, j] = w
     return a
 
@@ -147,6 +166,21 @@ def modules_after(code: str) -> set:
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     return set(out.split())
+
+
+def one_line_error_in_small_memory(call, *args) -> str:
+    """The message of the ValueError that call(*args) raises, checked to be
+    one line and to come before anything near a megabyte is allocated."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as caught:
+            call(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "\n" not in str(caught.value)
+    assert peak < 2**20
+    return str(caught.value)
 
 
 # ------------------------------------------------- per-item reference paths
@@ -260,14 +294,14 @@ def reference_local_move(graph: SpeakerGraph, partition: Partition, gamma: float
 
 
 def reference_refine_partition(graph: SpeakerGraph, partition: Partition, gamma: float,
-                               seed: int = 0, theta: float = 0.0) -> Partition:
+                               seed: int = 0) -> Partition:
     """refine_partition as a per-node dict loop that tests every neighbour's
     parent and the well-connectedness of every candidate: the bit-for-bit
     oracle of the compiled sweep."""
     n = graph.node_count
     m = graph.total_weight
     if n == 0 or m == 0.0:
-        return singleton_partition(graph)
+        return singletons(graph)
 
     rows = _neighbor_lists(graph)
     parent = partition.labels
@@ -311,27 +345,11 @@ def reference_refine_partition(graph: SpeakerGraph, partition: Partition, gamma:
                 gain = w_to[cand] - gamma * k[v] * ref_degree[cand] / two_m
                 candidates.append((cand, gain))
             target = None
-            if theta == 0.0:
-                best_gain = GAIN_TOLERANCE
-                for cand, gain in candidates:
-                    if gain > best_gain:
-                        best_gain = gain
-                        target = cand
-            else:
-                keep = [(cand, gain) for cand, gain in candidates if gain >= 0.0]
-                if keep:
-                    gains = np.array([g for _, g in keep])
-                    weights = np.exp((gains - gains.max()) / theta)
-                    # Staying put competes with gain zero.
-                    stay_weight = np.exp((0.0 - gains.max()) / theta)
-                    total = weights.sum() + stay_weight
-                    pick = rng.uniform(0.0, total)
-                    acc = 0.0
-                    for (cand, _), wgt in zip(keep, weights):
-                        acc += wgt
-                        if pick < acc:
-                            target = cand
-                            break
+            best_gain = GAIN_TOLERANCE
+            for cand, gain in candidates:
+                if gain > best_gain:
+                    best_gain = gain
+                    target = cand
             if target is None:
                 continue
             ref_degree[target] += k[v]

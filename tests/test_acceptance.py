@@ -32,6 +32,7 @@ from helpers import (
     clique_pair_graph,
     graph_from_matrix,
     matrix_from_graph,
+    neighbors,
     random_fixture_graphs,
     random_gcn_weights,
     random_weight_matrix,
@@ -227,7 +228,7 @@ def _brute_force_second_labels(graph, partition):
     out = []
     for node in range(graph.node_count):
         strength = [0.0] * c
-        for other, weight in graph.neighbors(node):
+        for other, weight in neighbors(graph, node):
             strength[labels[other]] += weight
         best_label, best_value = None, 0.0
         for cand in range(c):

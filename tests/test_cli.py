@@ -23,6 +23,13 @@ def session_dir(tmp_path, four_speaker_session):
     return tmp_path
 
 
+def write_raw_embeddings(path, vectors, segments) -> None:
+    """An EMB1 file written by hand, for sets that write_embeddings refuses."""
+    vectors, segments = np.asarray(vectors, "<f4"), np.asarray(segments, "<f8")
+    path.write_bytes(struct.pack("<4sII", EMBEDDING_MAGIC, *vectors.shape)
+                     + vectors.tobytes() + segments.tobytes())
+
+
 @pytest.fixture
 def train_dir(tmp_path):
     for seed in (31, 32):
@@ -61,18 +68,38 @@ class TestClusterCommand:
         assert err.startswith("cdgcn:") and err.count("\n") == 1
 
     def test_non_finite_embedding_is_one_line_error(self, tmp_path, capsys):
-        # write_embeddings refuses such a set, so the file is written by hand.
-        vectors = np.ones((3, 2), dtype="<f4")
+        vectors = np.ones((3, 2))
         vectors[2, 1] = np.nan
-        segments = np.array([[0.0, 1.5], [0.75, 1.5], [1.5, 1.5]], dtype="<f8")
         path = tmp_path / "nan.emb"
-        path.write_bytes(struct.pack("<4sII", EMBEDDING_MAGIC, 3, 2)
-                         + vectors.tobytes() + segments.tobytes())
+        write_raw_embeddings(path, vectors, [[0.0, 1.5], [0.75, 1.5], [1.5, 1.5]])
         code = main(["cluster", "--embeddings", str(path), "--mode", "raw_leiden",
                      "--out", str(tmp_path / "x.rttm")])
         assert code == 1
         assert capsys.readouterr().err == "cdgcn: segment 2 has a non-finite embedding\n"
         assert not (tmp_path / "x.rttm").exists()
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_segment_time_is_one_line_error(self, tmp_path, capsys, bad):
+        path = tmp_path / "bad.emb"
+        write_raw_embeddings(path, np.eye(3), [[0.0, 1.5], [0.75, 1.5], [1.5, bad]])
+        code = main(["cluster", "--embeddings", str(path), "--mode", "knn_leiden",
+                     "--out", str(tmp_path / "x.rttm")])
+        assert code == 1
+        assert capsys.readouterr().err == "cdgcn: segment 2 has a non-finite time\n"
+        assert not (tmp_path / "x.rttm").exists()
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_mask_frame_duration_is_one_line_error(self, session_dir, capsys, bad):
+        frames = (session_dir / "e2e.mask").read_text().split("\n", 1)[1]
+        (session_dir / "bad.mask").write_text(f"frame_duration={bad}\n{frames}")
+        (session_dir / "w.gcnw").write_bytes(save_weights(GcnWeights.glorot(16, seed=0)))
+        code = main(["cluster", "--embeddings", str(session_dir / "e2e.emb"), "--mode", "cdgcn",
+                     "--weights", str(session_dir / "w.gcnw"), "--mask",
+                     str(session_dir / "bad.mask"), "--out", str(session_dir / "x.rttm")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"cdgcn: frame_duration {bad} must be finite and positive\n"
+        assert not (session_dir / "x.rttm").exists()
 
     def test_negative_total_weight_is_one_line_error(self, tmp_path, four_speaker_session,
                                                      capsys):

@@ -1,9 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from cdgcn.gcn import (
+    WEIGHTS_MAGIC,
     GcnWeights,
     bce_loss,
     gcn_forward,
@@ -15,6 +18,7 @@ from cdgcn.gcn import (
     train,
 )
 from cdgcn.graphs import SubGraph
+from helpers import one_line_error_in_small_memory
 
 
 def random_subgraph(rng, nodes=4, dim=3):
@@ -274,9 +278,21 @@ class TestSerialization:
         with pytest.raises(ValueError, match="GCNW"):
             load_weights(data)
 
-    def test_dim_chain_violation(self):
-        import struct
+    @pytest.mark.parametrize("name, message", [
+        ("huge layer count", "truncated"), ("huge layer", "truncated"),
+        ("no layers", "at least one aggregation layer"), ("trailing bytes", "trailing"),
+        ("seven bytes", "truncated")])
+    def test_bad_header_is_one_line_error(self, name, message):
+        data = save_weights(GcnWeights.glorot(3, num_layers=1, seed=0))
+        layer_end = 8 + 8 + 6 * 3 * 4
+        data = {"huge layer count": struct.pack("<4sI", WEIGHTS_MAGIC, 2**32 - 1) + data[8:],
+                "huge layer": data[:8] + struct.pack("<II", 2**32 - 1, 2**32 - 1) + data[16:],
+                "no layers": struct.pack("<4sI", WEIGHTS_MAGIC, 0) + data[layer_end:],
+                "trailing bytes": data + b"\0",
+                "seven bytes": data[:7]}[name]
+        assert message in one_line_error_in_small_memory(load_weights, data)
 
+    def test_dim_chain_violation(self):
         weights = GcnWeights.glorot(3, num_layers=2, seed=0)
         data = bytearray(save_weights(weights))
         # corrupt layer 1's row count: header (8) + layer-0 dims (8) + layer-0 data

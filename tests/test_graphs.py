@@ -1,9 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from cdgcn.graphs import (
+    EMBEDDING_MAGIC,
     EmbeddingSet,
     SpeakerGraph,
     build_subgraph,
@@ -13,6 +16,7 @@ from cdgcn.graphs import (
     read_embeddings,
     write_embeddings,
 )
+from helpers import edge_dict, one_line_error_in_small_memory
 
 
 def embedding_set(vectors):
@@ -47,6 +51,14 @@ class TestEmbeddingSet:
         with pytest.raises(ValueError, match="segment 1 has a non-finite embedding"):
             embedding_set(vectors)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_non_finite_time_rejected(self, column, bad):
+        segments = np.array([[0.0, 1.5], [0.75, 1.5], [1.5, 1.5]])
+        segments[2, column] = bad
+        with pytest.raises(ValueError, match="^segment 2 has a non-finite time$"):
+            EmbeddingSet(np.ones((3, 2)), segments)
+
     def test_file_round_trip(self, tmp_path, rng):
         emb = random_embeddings(rng, 7, d=4)
         path = tmp_path / "x.emb"
@@ -60,6 +72,15 @@ class TestEmbeddingSet:
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ValueError, match="EMB1"):
             read_embeddings(path)
+
+    @pytest.mark.parametrize("rows, dims, body", [(2**32 - 1, 2**32 - 1, 64), (2**32 - 1, 1, 64),
+                                                  (1, 2**32 - 1, 64), (3, 2, 0)],
+                             ids=["huge rows and dims", "huge rows", "huge dims", "header only"])
+    def test_bad_header_is_one_line_error(self, tmp_path, rows, dims, body):
+        path = tmp_path / "x.emb"
+        path.write_bytes(struct.pack("<4sII", EMBEDDING_MAGIC, rows, dims) + bytes(body))
+        message = one_line_error_in_small_memory(read_embeddings, path)
+        assert message.startswith(f"{path}: expected ")
 
     def test_truncated_file(self, tmp_path, rng):
         emb = random_embeddings(rng, 4)
@@ -125,8 +146,8 @@ class TestKnnGraph:
             for i in range(8):
                 for j in brute_force_top_k(aff, i, k):
                     expected.add((min(i, j), max(i, j)))
-            assert set(g.edge_dict()) == expected
-            for (i, j), w in g.edge_dict().items():
+            assert set(edge_dict(g)) == expected
+            for (i, j), w in edge_dict(g).items():
                 assert w == aff[i, j]
 
     @given(n=st.integers(2, 12), k=st.integers(11, 40), seed=st.integers(0, 1000))
@@ -192,11 +213,11 @@ class TestBuildSubgraph:
 class TestMergeSubgraphs:
     def test_max_rule(self):
         g = merge_subgraphs([(2, [5], [0.7]), (5, [2], [0.4])], node_count=6)
-        assert g.edge_dict() == {(2, 5): 0.7}
+        assert edge_dict(g) == {(2, 5): 0.7}
 
     def test_single_occurrence_identity(self):
         g = merge_subgraphs([(0, [3], [0.3])], node_count=4)
-        assert g.edge_dict() == {(0, 3): 0.3}
+        assert edge_dict(g) == {(0, 3): 0.3}
         assert g.edge_count == 1
 
     def test_empty_input(self):
@@ -221,8 +242,8 @@ class TestMergeSubgraphs:
             entries.append((pivot, neighbors, rng.random(len(neighbors))))
         once = merge_subgraphs(entries, n)
         again = merge_subgraphs(
-            [(i, [j], [w]) for (i, j), w in once.edge_dict().items()], n)
-        assert once.edge_dict() == again.edge_dict()
+            [(i, [j], [w]) for (i, j), w in edge_dict(once).items()], n)
+        assert edge_dict(once) == edge_dict(again)
 
 
 class TestSpeakerGraph:

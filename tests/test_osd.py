@@ -13,6 +13,7 @@ from cdgcn.osd import (
     second_community,
     write_overlap_mask,
 )
+from cdgcn.timeline import DiarizationTimeline
 from helpers import graph_from_matrix, random_weight_matrix
 
 
@@ -108,6 +109,17 @@ class TestApplyOverlap:
         mask = OverlapMask(np.ones(6, dtype=bool), frame_duration=0.02)
         with pytest.raises(ValueError, match="frame duration"):
             apply_overlap(self.primary, self.frame_segment, self.second, mask)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -0.01])
+    def test_frame_duration_must_be_finite_and_positive(self, bad):
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            OverlapMask(np.ones(6, dtype=bool), frame_duration=bad)
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            DiarizationTimeline(bad, self.primary)
+        # The match check fails on NaN too, before any timeline is built.
+        with pytest.raises(ValueError, match="frame duration"):
+            apply_overlap(self.primary, self.frame_segment, self.second,
+                          OverlapMask(np.ones(6, dtype=bool)), frame_duration=bad)
 
     def test_speakers_per_frame_bounded(self):
         mask = OverlapMask(np.ones(6, dtype=bool))
