@@ -1,4 +1,4 @@
-"""Builds and loads the compiled Leiden sweeps of `_sweeps.c`.
+"""Builds and loads the compiled Leiden kernels of `_sweeps.c`.
 
 On first use the library is compiled into $XDG_CACHE_HOME/cdgcn (default
 ~/.cache/cdgcn; delete it to force a rebuild), named by a hash of source,
@@ -61,19 +61,22 @@ def _build(target: Path) -> None:
 
 @functools.cache
 def load() -> ctypes.CDLL:
-    """The compiled sweeps, built into the cache first if missing."""
+    """The compiled kernels, built into the cache first if missing."""
     target = library_path(SOURCE.read_bytes())
     if not target.exists():
         _build(target)
     lib = ctypes.CDLL(str(target))
     idx, real = ctypes.c_int64, ctypes.c_double
-    ints, reals, flags = (np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
-                          for dtype in (np.int64, np.float64, np.uint8))
+    ints, reals = (np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
+                   for dtype in (np.int64, np.float64))
     graph = [ints, ints, reals, reals]    # indptr, indices, weights, degrees
-    lib.local_move.restype = None
-    lib.local_move.argtypes = [idx, *graph, real, real, real, idx,
-                               ints, reals, ints, ints, flags, reals, flags, ints]
-    lib.refine_partition.restype = None
-    lib.refine_partition.argtypes = [*graph, ints, reals, real, real, real, ints, ints, idx,
-                                     ints, ints, reals, reals, flags, reals, flags, ints]
+    # Each kernel returns a count, or -1 when it cannot allocate its scratch.
+    lib.local_move.restype = idx
+    lib.local_move.argtypes = [idx, *graph, real, real, real, idx, ints, ints, reals]
+    lib.refine_partition.restype = idx
+    lib.refine_partition.argtypes = [idx, *graph, ints, reals, real, real, real, ints, idx,
+                                     ints, reals]
+    lib.aggregate_graph.restype = idx
+    lib.aggregate_graph.argtypes = [idx, idx, idx, ints, reals, ints, ints, reals,
+                                    reals, ints, ints, ints, reals, ints, reals, reals]
     return lib

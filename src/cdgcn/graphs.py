@@ -168,13 +168,31 @@ class SpeakerGraph:
         # A pair's head < tail entry sits in the row of its low end.
         by_row = np.argsort(lo, kind="stable")
         self.edges = (lo[by_row], hi[by_row], weights[by_row])
-        self.edge_count = len(by_row)
+        self._seal()
+
+    def _seal(self) -> None:
+        """Sets edge_count and m, and makes every array read-only."""
+        self.edge_count = len(self.edges[0])
         # cumsum adds in stream order, as the per-edge sums elsewhere do.
         pair = np.cumsum(self.edges[2])[-1] if self.edge_count else 0.0
         self.total_weight = float(pair + self.self_loops.sum())
         for array in (self.self_loops, self.indices, self.weights, self.indptr,
                       self.weighted_degrees, *self.edges):
             array.flags.writeable = False
+
+    @classmethod
+    def _adopt(cls, indptr, indices, weights, weighted_degrees, self_loops,
+               edges) -> "SpeakerGraph":
+        """A graph over float64 and int64 arrays already laid out as the
+        constructor lays them out (rows in pair order, edges sorted by row),
+        taken as they are; aggregate_graph's kernel builds them."""
+        graph = cls.__new__(cls)
+        graph.node_count = len(self_loops)
+        graph.indptr, graph.indices, graph.weights = indptr, indices, weights
+        graph.weighted_degrees, graph.self_loops, graph.edges = (weighted_degrees, self_loops,
+                                                                 edges)
+        graph._seal()
+        return graph
 
     @classmethod
     def from_edges(cls, node_count: int, edges, self_loops=None) -> "SpeakerGraph":

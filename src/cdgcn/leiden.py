@@ -16,14 +16,19 @@ gamma the resolution. Degrees, m and m_c are all weighted; self-loops
 (from aggregation) count once in m_c and twice in a node's degree. An
 edgeless graph has Q defined as 0.
 
-Local moving and refinement each run as one C call per level (`_sweeps.c`,
-built on first use by `_kernel.py`); Python keeps the random draws and the
-bookkeeping. Refinement is greedy: a node joins the part of largest gain,
-the zero-temperature limit of Traag et al.'s randomized merge. The sweeps are
-bit-exact with the per-node loops the tests keep as oracles: the same visit
-order, sums from 0.0 in CSR row order, every gain in the same operand
-order, the smallest label among equal best gains (what an ascending scan
-picks), and -ffp-contract=off, so no multiply-add is fused.
+Local moving, refinement and aggregation each run as one C call per level
+(`_sweeps.c`, built on first use by `_kernel.py`); Python keeps the random
+draws and the input checks, and the kernels own their scratch. Each sweep
+ends by compacting its labels by first appearance and summing K_c in node
+order, so its result needs no `Partition.from_labels`; aggregation emits
+the finished CSR of the aggregate graph. Refinement is greedy: a node joins
+the part of largest gain, the zero-temperature limit of Traag et al.'s
+randomized merge. The sweeps are bit-exact with the per-node loops the
+tests keep as oracles, and aggregation with the numpy code they keep: the
+same visit order, sums from 0.0 in CSR row or edge-stream order, every
+gain in the same operand order, the smallest label among equal best gains
+(what an ascending scan picks), and -ffp-contract=off, so no multiply-add
+is fused.
 """
 
 from __future__ import annotations
@@ -46,8 +51,8 @@ class LeidenConfig:
     restarts: int = 4
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < self.gamma < np.inf:
+            raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if self.restarts < 1:
@@ -111,10 +116,9 @@ def _check_total_weight(graph: SpeakerGraph) -> None:
         raise ValueError(f"graph has negative total weight m = {graph.total_weight:.6g}")
 
 
-def _checked_labels(graph: SpeakerGraph, partition: Partition) -> np.ndarray:
-    """The labels as a fresh int64 array, once m >= 0 and what the compiled sweeps
-    index by are checked: n integer labels in 0..C-1, none unused, one K_c each."""
-    _check_total_weight(graph)
+def _valid_labels(graph: SpeakerGraph, partition: Partition) -> np.ndarray:
+    """The labels as a fresh int64 array, once what the compiled kernels index
+    by is checked: n integer labels in 0..C-1, none unused, one K_c each."""
     labels, c = partition.labels, partition.community_count
     if labels.shape != (graph.node_count,) or labels.dtype.kind not in "iu":
         raise ValueError(f"partition needs {graph.node_count} integer labels, "
@@ -127,6 +131,20 @@ def _checked_labels(graph: SpeakerGraph, partition: Partition) -> np.ndarray:
     if np.bincount(labels, minlength=c).min(initial=1) == 0:
         raise ValueError("partition has an empty community")
     return labels
+
+
+def _checked_labels(graph: SpeakerGraph, partition: Partition) -> np.ndarray:
+    """_valid_labels, once m >= 0 is checked: the sweeps divide by 2m."""
+    _check_total_weight(graph)
+    return _valid_labels(graph, partition)
+
+
+def _counted(count: int, kernel: str, graph: SpeakerGraph) -> int:
+    """A kernel's returned count; -1 means it could not allocate its scratch."""
+    if count < 0:
+        raise MemoryError(f"{kernel}: cannot allocate scratch for a graph of "
+                          f"{graph.node_count} nodes and {graph.edge_count} edges")
+    return count
 
 
 def local_move(graph: SpeakerGraph, partition: Partition, gamma: float, seed: int = 0) -> Partition:
@@ -146,15 +164,15 @@ def local_move(graph: SpeakerGraph, partition: Partition, gamma: float, seed: in
 
     from ._kernel import load
 
-    # Community slots: at most n communities can be live at any point.
-    c = partition.community_count
-    comm_degree = np.pad(partition.community_degree.astype(float), (0, n - c))
     queue = np.random.default_rng(seed).permutation(n)
-    load().local_move(n, graph.indptr, graph.indices, graph.weights, graph.weighted_degrees,
-                      gamma, 2.0 * m, GAIN_TOLERANCE, c, labels, comm_degree,
-                      np.bincount(labels, minlength=n), queue, np.ones(n, dtype=np.uint8),
-                      np.zeros(n), np.zeros(n, dtype=np.uint8), np.empty(n, dtype=np.int64))
-    return Partition.from_labels(graph, labels)
+    # K_c in, compacted K_c out: room for n communities, as many as can be live at once.
+    c = partition.community_count
+    degree = np.empty(n)
+    degree[:c] = partition.community_degree
+    count = load().local_move(n, graph.indptr, graph.indices, graph.weights,
+                              graph.weighted_degrees, gamma, 2.0 * m, GAIN_TOLERANCE, c, labels,
+                              queue, degree)
+    return Partition(labels, degree[:_counted(count, "local_move", graph)])
 
 
 def refine_partition(graph: SpeakerGraph, partition: Partition, gamma: float,
@@ -179,21 +197,16 @@ def refine_partition(graph: SpeakerGraph, partition: Partition, gamma: float,
     rng = np.random.default_rng(seed)
     by_parent = np.argsort(parent, kind="stable")
     bounds = np.searchsorted(parent[by_parent], np.arange(partition.community_count + 1))
-    sizes = np.diff(bounds)
-    groups = np.flatnonzero(sizes > 1)
     order = np.concatenate([np.empty(0, np.int64)] + [
-        rng.permutation(by_parent[bounds[c]:bounds[c + 1]]) for c in groups])
-    starts = np.concatenate(([0], np.cumsum(sizes[groups])))
-    # Per-part labels, sizes, K, weight to the rest of the parent and
-    # well-connectedness, indexed by the part's founding node; then scratch.
-    ref_labels = np.arange(n)
-    load().refine_partition(graph.indptr, graph.indices, graph.weights, graph.weighted_degrees,
-                            parent, partition.community_degree.astype(float), gamma, 2.0 * m,
-                            GAIN_TOLERANCE, order, starts, groups.size, ref_labels,
-                            np.ones(n, np.int64), graph.weighted_degrees.copy(), np.zeros(n),
-                            np.zeros(n, np.uint8), np.zeros(n), np.zeros(n, np.uint8),
-                            np.empty(n, np.int64))
-    return Partition.from_labels(graph, ref_labels)
+        rng.permutation(by_parent[bounds[c]:bounds[c + 1]])
+        for c in np.flatnonzero(np.diff(bounds) > 1)])
+    ref_labels, degree = np.empty(n, np.int64), np.empty(n)
+    count = load().refine_partition(n, graph.indptr, graph.indices, graph.weights,
+                                    graph.weighted_degrees, parent,
+                                    np.ascontiguousarray(partition.community_degree, dtype=float),
+                                    gamma, 2.0 * m, GAIN_TOLERANCE, order, order.size,
+                                    ref_labels, degree)
+    return Partition(ref_labels, degree[:_counted(count, "refine_partition", graph)])
 
 
 def aggregate_graph(graph: SpeakerGraph, refined: Partition) -> SpeakerGraph:
@@ -202,21 +215,26 @@ def aggregate_graph(graph: SpeakerGraph, refined: Partition) -> SpeakerGraph:
     Cross-community weights accumulate into single edges, listed in sorted
     (a, b) order; intra-community weights (plus pre-existing self-loops)
     accumulate on the new node's self-loop, so the total weighted degree is
-    conserved exactly.
+    conserved exactly. Each self-loop sums the old self-loops first, then the
+    inside edges in stream order; each edge sums its pair's weights from 0.0
+    in stream order. Graphs of any total weight are accepted.
     """
-    labels = refined.labels
-    c = refined.community_count
-    heads, tails, weights = graph.edges
-    a, b = labels[heads], labels[tails]
-    inside = a == b
-    # Each self-loop sums the old self-loops first, then the inside edges in stream order.
-    loops = np.bincount(np.concatenate((labels, a[inside])),
-                        weights=np.concatenate((graph.self_loops, weights[inside])),
-                        minlength=c)
-    lo, hi = np.minimum(a, b)[~inside], np.maximum(a, b)[~inside]
-    pairs, slot = np.unique(lo * c + hi, return_inverse=True)
-    summed = np.bincount(slot, weights=weights[~inside], minlength=pairs.size)
-    return SpeakerGraph(c, pairs // c, pairs % c, summed, self_loops=loops)
+    labels = _valid_labels(graph, refined)
+    c, edges = refined.community_count, graph.edge_count
+
+    from ._kernel import load
+
+    loops, degrees, indptr = np.empty(c), np.empty(c), np.empty(c + 1, np.int64)
+    lo, hi, summed = np.empty(edges, np.int64), np.empty(edges, np.int64), np.empty(edges)
+    indices, weights = np.empty(2 * edges, np.int64), np.empty(2 * edges)
+    pairs = _counted(load().aggregate_graph(graph.node_count, c, edges, labels, graph.self_loops,
+                                            *graph.edges, loops, indptr, lo, hi, summed,
+                                            indices, weights, degrees),
+                     "aggregate_graph", graph)
+    # Copies trimmed to the pairs, so the aggregate pins no parent-sized buffer.
+    return SpeakerGraph._adopt(indptr, indices[:2 * pairs].copy(), weights[:2 * pairs].copy(),
+                               degrees, loops, (lo[:pairs].copy(), hi[:pairs].copy(),
+                                                summed[:pairs].copy()))
 
 
 def _hierarchy_pass(graph: SpeakerGraph, flat_labels: np.ndarray, gamma: float,
@@ -240,9 +258,9 @@ def _hierarchy_pass(graph: SpeakerGraph, flat_labels: np.ndarray, gamma: float,
             # Aggregation would be the identity; this level has converged.
             break
         # Each refined community becomes a node that inherits the community
-        # its members held before refinement.
-        first_member = np.unique(refined.labels, return_index=True)[1]
-        lifted = level_partition.labels[first_member]
+        # its members held before refinement (all of them held the same one).
+        lifted = np.empty(refined.community_count, np.int64)
+        lifted[refined.labels] = level_partition.labels
         aggregate = aggregate_graph(level_graph, refined)
         if aggregate.total_weight < 0.0:   # a near-zero m, summed anew, rounded below 0
             break

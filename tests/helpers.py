@@ -361,6 +361,24 @@ def reference_refine_partition(graph: SpeakerGraph, partition: Partition, gamma:
     return Partition.from_labels(graph, ref_labels)
 
 
+def reference_aggregate_graph(graph: SpeakerGraph, refined: Partition) -> SpeakerGraph:
+    """aggregate_graph as numpy bincounts over the edge stream, built through
+    the public constructor: the bit-for-bit oracle of the compiled kernel."""
+    labels = refined.labels
+    c = refined.community_count
+    heads, tails, weights = graph.edges
+    a, b = labels[heads], labels[tails]
+    inside = a == b
+    # Each self-loop sums the old self-loops first, then the inside edges in stream order.
+    loops = np.bincount(np.concatenate((labels, a[inside])),
+                        weights=np.concatenate((graph.self_loops, weights[inside])),
+                        minlength=c)
+    lo, hi = np.minimum(a, b)[~inside], np.maximum(a, b)[~inside]
+    pairs, slot = np.unique(lo * c + hi, return_inverse=True)
+    summed = np.bincount(slot, weights=weights[~inside], minlength=pairs.size)
+    return SpeakerGraph(c, pairs // c, pairs % c, summed, self_loops=loops)
+
+
 def unstack(batches):
     """(SubGraph, labels) batches split into one pair per sub-graph."""
     out = []

@@ -101,6 +101,16 @@ class TestClusterCommand:
         assert err == f"cdgcn: frame_duration {bad} must be finite and positive\n"
         assert not (session_dir / "x.rttm").exists()
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_gamma_is_one_line_error(self, tmp_path, capsys, bad):
+        session = make_session(num_speakers=2, segments_per_speaker=10, dim=8, seed=5)
+        write_embeddings(tmp_path / "s.emb", session.embeddings)
+        code = main(["cluster", "--embeddings", str(tmp_path / "s.emb"), "--mode", "knn_leiden",
+                     "--gamma", bad, "--out", str(tmp_path / "x.rttm")])
+        assert code == 1
+        assert capsys.readouterr().err == f"cdgcn: gamma must be finite and positive, got {bad}\n"
+        assert not (tmp_path / "x.rttm").exists()
+
     def test_negative_total_weight_is_one_line_error(self, tmp_path, four_speaker_session,
                                                      capsys):
         # Mean-centred embeddings: the complete cosine graph has m < 0.

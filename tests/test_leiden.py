@@ -271,3 +271,8 @@ class TestLeiden:
     def test_gamma_validation(self):
         with pytest.raises(ValueError):
             LeidenConfig(gamma=0.0)
+
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -1.0])
+    def test_gamma_must_be_finite_and_positive(self, gamma):
+        with pytest.raises(ValueError, match=f"^gamma must be finite and positive, got {gamma}$"):
+            LeidenConfig(gamma=gamma)

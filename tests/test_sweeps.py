@@ -1,8 +1,10 @@
 """Bit-for-bit checks of the compiled Leiden sweeps against the per-node
 dict loops of tests/helpers.py, on signed, real, wide-range, tie-heavy,
 aggregated and degenerate graphs from singleton, mid-way, converged and
-nearly-singleton start partitions; and the checks that keep malformed
-partitions away from the compiled code."""
+nearly-singleton start partitions; of the compiled aggregation against the
+numpy oracle there, on the same graphs and on graphs of negative total
+weight; and the checks that keep malformed partitions away from the
+compiled code."""
 
 import ctypes
 import importlib
@@ -22,7 +24,12 @@ from cdgcn.leiden import (
     refine_partition,
 )
 from cdgcn.synthetic import make_session
-from helpers import reference_local_move, reference_refine_partition, singletons
+from helpers import (
+    reference_aggregate_graph,
+    reference_local_move,
+    reference_refine_partition,
+    singletons,
+)
 
 # The attribute cdgcn.leiden is the re-exported function, not the module.
 leiden_module = importlib.import_module("cdgcn.leiden")
@@ -33,6 +40,28 @@ STARTS = ("singletons", "midway", "converged", "fine")
 def same_partition(got: Partition, expected: Partition) -> bool:
     return (got.labels.tobytes() == expected.labels.tobytes()
             and got.community_degree.tobytes() == expected.community_degree.tobytes())
+
+
+def same_graph(got: SpeakerGraph, expected: SpeakerGraph) -> bool:
+    """Equal node and edge counts, m to the bit, and every array of the
+    same dtype and bytes."""
+    arrays = lambda g: (g.indptr, g.indices, g.weights, g.weighted_degrees, g.self_loops,
+                        *g.edges)
+    return (got.node_count == expected.node_count and got.edge_count == expected.edge_count
+            and np.float64(got.total_weight).tobytes()
+            == np.float64(expected.total_weight).tobytes()
+            and all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                    for a, b in zip(arrays(got), arrays(expected), strict=True)))
+
+
+def assert_aggregates_like_reference(graph: SpeakerGraph, partition: Partition) -> None:
+    """The kernel's aggregate equals the numpy oracle's and the same arrays
+    passed through the public constructor."""
+    aggregate = aggregate_graph(graph, partition)
+    assert same_graph(aggregate, reference_aggregate_graph(graph, partition))
+    rebuilt = SpeakerGraph(aggregate.node_count, *aggregate.edges,
+                           self_loops=aggregate.self_loops)
+    assert same_graph(aggregate, rebuilt)
 
 
 def sweep_graph(rng, kind: str) -> SpeakerGraph:
@@ -96,6 +125,39 @@ def test_refine_partition_matches_reference(seed, kind, start, gamma):
                           reference_refine_partition(graph, partition, gamma, seed))
 
 
+def negated(graph: SpeakerGraph) -> SpeakerGraph:
+    """Every weight and self-loop negated: m < 0 wherever it was > 0."""
+    heads, tails, weights = graph.edges
+    return SpeakerGraph(graph.node_count, heads, tails, -weights, self_loops=-graph.self_loops)
+
+
+AGGREGATIONS = ("singletons", "one community", "few", "refined")
+
+
+def aggregation_partition(rng, graph: SpeakerGraph, how: str) -> Partition:
+    """Singletons (every edge crosses); one community (no edge crosses); a
+    few random communities; or a level's refinement, as the climb makes."""
+    n = graph.node_count
+    if how == "singletons":
+        return singletons(graph)
+    if how == "one community":
+        return Partition.from_labels(graph, np.zeros(n, dtype=int))
+    if how == "few" or graph.total_weight < 0.0:   # the sweeps refuse m < 0
+        return Partition.from_labels(graph, rng.integers(0, max(1, n // 4), n))
+    moved = local_move(graph, singletons(graph), 1.0, int(rng.integers(99)))
+    return refine_partition(graph, moved, 1.0, int(rng.integers(99)))
+
+
+@given(seed=st.integers(0, 10**6), kind=st.sampled_from(KINDS),
+       how=st.sampled_from(AGGREGATIONS), negate=st.booleans())
+def test_aggregate_graph_matches_reference(seed, kind, how, negate):
+    rng = np.random.default_rng(seed)
+    graph = sweep_graph(rng, kind)
+    if negate:
+        graph = negated(graph)
+    assert_aggregates_like_reference(graph, aggregation_partition(rng, graph, how))
+
+
 def leiden_with_reference_sweeps(monkeypatch, graph, config) -> Partition:
     monkeypatch.setattr(leiden_module, "local_move", reference_local_move)
     monkeypatch.setattr(leiden_module, "refine_partition", reference_refine_partition)
@@ -149,7 +211,7 @@ DEGENERATE = ("one node", "two nodes", "edgeless", "k at least N", "identical em
 @pytest.mark.parametrize("name", DEGENERATE)
 def test_degenerate_graphs_match_reference_sweeps(monkeypatch, name):
     """The starts give refinement parent communities of one member each, of
-    all nodes, and of both kinds at once."""
+    all nodes, and of both kinds at once; each start is aggregated too."""
     graph = degenerate_graph(name)
     n = graph.node_count
     starts = [singletons(graph), Partition.from_labels(graph, np.zeros(n, dtype=int)),
@@ -160,6 +222,7 @@ def test_degenerate_graphs_match_reference_sweeps(monkeypatch, name):
                                   reference_local_move(graph, partition, gamma, seed))
             assert same_partition(refine_partition(graph, partition, gamma, seed),
                                   reference_refine_partition(graph, partition, gamma, seed))
+        assert_aggregates_like_reference(graph, partition)
     config = LeidenConfig(gamma=0.6, seed=3)
     assert same_partition(leiden(graph, config),
                           leiden_with_reference_sweeps(monkeypatch, graph, config))
@@ -175,14 +238,15 @@ def malformed_partition(name: str) -> Partition:
     return Partition(np.array(labels), degree)
 
 
-@pytest.mark.parametrize("sweep", [local_move, refine_partition])
+@pytest.mark.parametrize("phase", [local_move, refine_partition, aggregate_graph])
 @pytest.mark.parametrize("name", ["label past the last community", "negative label",
                                   "float labels", "too few labels", "empty community",
                                   "caches too short", "K_c of two columns"])
-def test_malformed_partition_is_one_line_error(sweep, name):
+def test_malformed_partition_is_one_line_error(phase, name):
     graph = SpeakerGraph(4, [0, 1, 2, 0], [1, 2, 3, 3], [1.0, 0.5, 1.0, 0.25])
+    gamma = () if phase is aggregate_graph else (1.0,)
     with pytest.raises(ValueError) as caught:
-        sweep(graph, malformed_partition(name), 1.0)
+        phase(graph, malformed_partition(name), *gamma)
     assert "\n" not in str(caught.value)
 
 
@@ -196,9 +260,41 @@ def test_kernel_arguments_reject_wrong_dtype_and_strides():
             load().local_move(4, indptr, *[None] * 15)
 
 
+def test_kernels_return_minus_one_when_scratch_cannot_be_had():
+    """Scratch for 2**62 nodes (or edges) overflows; each kernel gives up
+    before it reads an argument array."""
+    from cdgcn._kernel import load
+
+    ids, reals, huge = np.zeros(1, np.int64), np.zeros(1), 2**62
+    assert load().local_move(huge, ids, ids, reals, reals, 1.0, 2.0, 0.0, 1, ids, ids,
+                             reals) == -1
+    assert load().refine_partition(huge, ids, ids, reals, reals, ids, reals, 1.0, 2.0, 0.0, ids,
+                                   1, ids, reals) == -1
+    assert load().aggregate_graph(1, 1, huge, ids, reals, ids, ids, reals, reals, ids, ids, ids,
+                                  reals, ids, reals, reals) == -1
+
+
+@pytest.mark.parametrize("phase", [local_move, refine_partition, aggregate_graph])
+def test_failed_allocation_is_one_line_memory_error(monkeypatch, phase):
+    from cdgcn import _kernel
+
+    class OutOfMemory:
+        def __getattr__(self, kernel):
+            return lambda *args: -1
+
+    monkeypatch.setattr(_kernel, "load", OutOfMemory)
+    graph = SpeakerGraph(4, [0, 1, 2, 0], [1, 2, 3, 3], [1.0, 0.5, 1.0, 0.25])
+    gamma = () if phase is aggregate_graph else (1.0,)
+    with pytest.raises(MemoryError, match=f"^{phase.__name__}: cannot allocate") as caught:
+        phase(graph, singletons(graph), *gamma)
+    assert "\n" not in str(caught.value)
+
+
 def test_frozen_corpus_matches_reference():
     """A fixed sweep over every graph kind and start, so that rare events
-    (exact gain ties, order-dependent sums) are met on every run."""
+    (exact gain ties, order-dependent sums) are met on every run. Each
+    start, its local move and its refinement are aggregated too, on the
+    graph and on its negation (m < 0)."""
     for seed in range(24):
         for kind in KINDS:
             for start in STARTS:
@@ -206,10 +302,15 @@ def test_frozen_corpus_matches_reference():
                 graph = sweep_graph(rng, kind)
                 gamma = (0.3, 1.0, 2.5)[seed % 3]
                 partition = start_partition(rng, graph, start, gamma)
-                assert same_partition(local_move(graph, partition, gamma, seed),
+                moved = local_move(graph, partition, gamma, seed)
+                refined = refine_partition(graph, partition, gamma, seed)
+                assert same_partition(moved,
                                       reference_local_move(graph, partition, gamma, seed))
-                assert same_partition(refine_partition(graph, partition, gamma, seed),
+                assert same_partition(refined,
                                       reference_refine_partition(graph, partition, gamma, seed))
+                for level in (partition, moved, refined):
+                    assert_aggregates_like_reference(graph, level)
+                    assert_aggregates_like_reference(negated(graph), level)
 
 
 def test_sums_run_in_row_order():
