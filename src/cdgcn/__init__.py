@@ -44,7 +44,6 @@ from .osd import (
 from .pipeline import (
     MODES,
     PipelineConfig,
-    SegmentationConfig,
     read_vad_regions,
     run_pipeline,
     segment_speech,

@@ -76,8 +76,8 @@ def cmd_train_gcn(args) -> int:
                     on_epoch=lambda _, loss: losses.append(loss))
     Path(args.out).write_bytes(save_weights(weights))
     count = sum(sub.members.shape[0] for sub, _ in batches)
-    print(f"trained on {count} sub-graphs from {len(emb_files)} sessions: "
-          f"loss {losses[0]:.4f} -> {losses[-1]:.4f} -> {args.out}")
+    loss = f"loss {losses[0]:.4f} -> {losses[-1]:.4f}" if losses else "initial weights"
+    print(f"trained on {count} sub-graphs from {len(emb_files)} sessions: {loss} -> {args.out}")
     return 0
 
 

@@ -93,9 +93,10 @@ class GcnWeights:
                    (tensors[-3], tensors[-1]))
 
     @classmethod
-    def glorot(cls, feature_dim: int, num_layers: int = 4, hidden_dim: int | None = None,
-               seed: int = 0, dtype=np.float32) -> "GcnWeights":
-        """Seeded uniform init in +-sqrt(6 / (fan_in + fan_out)), zero biases."""
+    def glorot(cls, feature_dim: int, num_layers: int = 4, seed: int = 0,
+               dtype=np.float32) -> "GcnWeights":
+        """Seeded uniform init in +-sqrt(6 / (fan_in + fan_out)), zero biases;
+        the head's hidden layer is feature_dim wide."""
         rng = np.random.default_rng(seed)
 
         def draw(rows, cols):
@@ -103,11 +104,10 @@ class GcnWeights:
             return rng.uniform(-bound, bound, size=(rows, cols)).astype(dtype)
 
         layers = [draw(2 * feature_dim, feature_dim) for _ in range(num_layers)]
-        hidden = feature_dim if hidden_dim is None else hidden_dim
-        w1 = draw(feature_dim, hidden)
-        w2 = draw(hidden, 2)
+        w1 = draw(feature_dim, feature_dim)
+        w2 = draw(feature_dim, 2)
         return cls(layers, (w1, w2),
-                   (np.zeros(hidden, dtype=dtype), np.zeros(2, dtype=dtype)))
+                   (np.zeros(feature_dim, dtype=dtype), np.zeros(2, dtype=dtype)))
 
 
 def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
@@ -279,8 +279,10 @@ def train(batches, init: GcnWeights | None = None, lr: float = 1e-2, epochs: int
     unchanged. on_epoch, when given, receives (epoch, loss) before each
     update. A non-finite loss aborts with the offending epoch index.
     """
-    if lr <= 0:
-        raise ValueError("learning rate must be positive")
+    if not 0 < lr < np.inf:
+        raise ValueError(f"learning rate must be finite and positive, got {lr}")
+    if epochs < 0:
+        raise ValueError(f"epochs must be non-negative, got {epochs}")
     if not batches:
         raise ValueError("no training batches")
     if init is None:

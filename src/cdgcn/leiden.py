@@ -41,22 +41,20 @@ from .graphs import SpeakerGraph
 
 #: Quality gains at or below this threshold are treated as noise.
 GAIN_TOLERANCE = 1e-12
+#: Climbs from singletons per run; the best partition wins.
+RESTARTS = 4
+#: Cap on the cascades one climb runs before it stops improving.
+MAX_ITERATIONS = 100
 
 
 @dataclass
 class LeidenConfig:
     gamma: float = 0.6
     seed: int = 0
-    max_iterations: int = 100
-    restarts: int = 4
 
     def __post_init__(self):
         if not 0 < self.gamma < np.inf:
             raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
 
 
 @dataclass
@@ -277,9 +275,9 @@ def leiden(graph: SpeakerGraph, config: LeidenConfig | None = None) -> Partition
     then restarts it from the resulting flat partition, so individual
     nodes get fresh chances to move after coarse-level rearrangements;
     iterating stops when an iteration improves Q by less than
-    GAIN_TOLERANCE or after max_iterations. Because greedy moving can
+    GAIN_TOLERANCE or after MAX_ITERATIONS. Because greedy moving can
     settle in a local optimum, the whole climb is repeated from
-    singletons `restarts` times with fresh seeded orders and the best
+    singletons RESTARTS times with fresh seeded orders and the best
     partition wins. Deterministic given the seed. Graphs with negative total
     weight m are refused: Q is undefined there. Node degrees may be negative.
     """
@@ -292,10 +290,10 @@ def leiden(graph: SpeakerGraph, config: LeidenConfig | None = None) -> Partition
     rng = np.random.default_rng(config.seed)
     best_labels = None
     best_q = -np.inf
-    for _ in range(config.restarts):
+    for _ in range(RESTARTS):
         flat = np.arange(graph.node_count, dtype=np.int64)
         prev_q = -np.inf
-        for _ in range(config.max_iterations):
+        for _ in range(MAX_ITERATIONS):
             flat = _hierarchy_pass(graph, flat, config.gamma, rng)
             q = quality(graph, Partition.from_labels(graph, flat), config.gamma)
             if q - prev_q < GAIN_TOLERANCE:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .graphs import SpeakerGraph
 from .leiden import Partition
-from .timeline import DiarizationTimeline
+from .timeline import FRAME_DURATION, DiarizationTimeline
 
 
 @dataclass
@@ -23,7 +23,7 @@ class OverlapMask:
     """Frame-level overlapped-speech flags from an external detector."""
 
     frames: np.ndarray
-    frame_duration: float = 0.01
+    frame_duration: float = FRAME_DURATION
 
     def __post_init__(self):
         if not 0 < self.frame_duration < np.inf:
@@ -100,21 +100,22 @@ def second_community(belonging: np.ndarray, primary) -> list[int | None]:
 
 
 def apply_overlap(primary: np.ndarray, frame_segment: np.ndarray, second,
-                  mask: OverlapMask, frame_duration: float = 0.01) -> DiarizationTimeline:
+                  mask: OverlapMask) -> DiarizationTimeline:
     """Attach second-speaker labels on frames flagged as overlapped.
 
     primary: per-frame community label (-1 = non-speech).
     frame_segment: per-frame covering segment index (-1 where none).
     second: per-segment runner-up community, None where absent.
-    The mask must cover the timeline; excess mask frames are ignored. A
-    frame gets a second label only when it is flagged, is speech, and its
-    covering segment has a runner-up, so no frame ever exceeds 2 speakers.
+    The mask must cover the timeline at FRAME_DURATION; excess mask frames
+    are ignored. A frame gets a second label only when it is flagged, is
+    speech, and its covering segment has a runner-up, so no frame ever
+    exceeds 2 speakers.
     """
     primary = np.asarray(primary, dtype=np.int64)
     frame_segment = np.asarray(frame_segment, dtype=np.int64)
-    if not abs(mask.frame_duration - frame_duration) <= 1e-9:   # NaN fails too
+    if not abs(mask.frame_duration - FRAME_DURATION) <= 1e-9:   # NaN fails too
         raise ValueError(
-            f"mask frame duration {mask.frame_duration} does not match {frame_duration}"
+            f"mask frame duration {mask.frame_duration} does not match {FRAME_DURATION}"
         )
     if len(mask) < len(primary):
         raise ValueError(f"overlap mask has {len(mask)} frames, timeline has {len(primary)}")
@@ -126,4 +127,4 @@ def apply_overlap(primary: np.ndarray, frame_segment: np.ndarray, second,
         cand = second_arr[frame_segment[idx]]
         keep = cand >= 0
         secondary[idx[keep]] = cand[keep]
-    return DiarizationTimeline(frame_duration, primary.copy(), secondary)
+    return DiarizationTimeline(FRAME_DURATION, primary.copy(), secondary)

@@ -18,21 +18,14 @@ from .graphs import (BLOCK, EmbeddingSet, build_subgraph, cosine_affinity, knn_g
                      merge_subgraphs)
 from .leiden import LeidenConfig, leiden
 from .osd import OverlapMask, apply_overlap, belonging_coefficients, second_community
-from .timeline import DiarizationTimeline
+from .timeline import FRAME_DURATION, DiarizationTimeline
 
 MODES = ("raw_leiden", "knn_leiden", "cdgcn_no_osd", "cdgcn")
 
 _EPS = 1e-9
-
-
-@dataclass
-class SegmentationConfig:
-    window_seconds: float = 1.5
-    shift_seconds: float = 0.75
-
-    def __post_init__(self):
-        if not 0 < self.shift_seconds <= self.window_seconds:
-            raise ValueError("need 0 < shift <= window")
+#: Segment windows: WINDOW seconds long, one starting every SHIFT seconds.
+WINDOW = 1.5
+SHIFT = 0.75
 
 
 @dataclass
@@ -40,42 +33,33 @@ class PipelineConfig:
     knn_k: int = 300
     gamma: float = 0.6
     seed: int = 0
-    frame_duration: float = 0.01
-    max_iterations: int = 100
 
 
-def segment_speech(vad_regions, config: SegmentationConfig | None = None):
+def segment_speech(vad_regions):
     """Slide fixed windows over each speech region.
 
-    Full windows start every shift; when the audio left uncovered at the
-    region end is at least half a window, one short segment covers that
-    tail. Regions too short for a full window yield a single segment
-    spanning the whole region. Returns a list of (start, duration) pairs.
+    Full WINDOW-long windows start every SHIFT until the next one would
+    pass the region end, so less than SHIFT at the end stays uncovered.
+    Regions too short for a full window yield a single segment spanning
+    the whole region. Returns a list of (start, duration) pairs.
     """
-    cfg = config or SegmentationConfig()
-    window, shift = cfg.window_seconds, cfg.shift_seconds
     segments = []
     prev_end = -math.inf
     for start, end in vad_regions:
+        if not (math.isfinite(start) and math.isfinite(end)):
+            raise ValueError(f"region ({start}, {end}) is not finite")
         if end <= start:
             raise ValueError(f"inverted region ({start}, {end})")
         if start < prev_end - _EPS:
             raise ValueError(f"region ({start}, {end}) overlaps the previous one")
         prev_end = end
         t = start
-        placed = 0
-        while t + window <= end + _EPS:
-            segments.append((t, window))
-            t += shift
-            placed += 1
-        if placed == 0:
+        while t + WINDOW <= end + _EPS:
+            segments.append((t, WINDOW))
+            t += SHIFT
+        if t == start:
             # Region shorter than a window: one segment spanning it.
             segments.append((start, end - start))
-            continue
-        covered_end = (t - shift) + window
-        tail = end - covered_end
-        if tail >= 0.5 * window - _EPS and tail > _EPS:
-            segments.append((covered_end, tail))
     return segments
 
 
@@ -93,6 +77,8 @@ def read_vad_regions(path):
             start, end = float(parts[0]), float(parts[1])
         except ValueError:
             raise ValueError(f"{path} line {lineno}: values are not numbers") from None
+        if not (math.isfinite(start) and math.isfinite(end)):
+            raise ValueError(f"{path} line {lineno}: bounds must be finite")
         regions.append((start, end))
     return regions
 
@@ -108,23 +94,23 @@ def _covered_frames(start: float, end: float, frame_duration: float, total: int)
     return f0, f1
 
 
-def _frame_attribution(segments: np.ndarray, labels: np.ndarray, frame_duration: float,
-                       vad_regions=None):
+def _frame_attribution(segments: np.ndarray, labels: np.ndarray, vad_regions=None):
     """Assign each frame the label of the covering segment with the nearest
     center; frames outside every segment (or outside the VAD) stay -1.
+    Frames are FRAME_DURATION long.
 
     Returns (per-frame label, per-frame segment index).
     """
     ends = segments[:, 0] + segments[:, 1]
-    total = max(1, math.ceil(ends.max() / frame_duration - _EPS))
+    total = max(1, math.ceil(ends.max() / FRAME_DURATION - _EPS))
     frame_segment = np.full(total, -1, dtype=np.int64)
     best = np.full(total, np.inf)
     for idx in range(len(segments)):
         start, duration = segments[idx]
-        f0, f1 = _covered_frames(start, start + duration, frame_duration, total)
+        f0, f1 = _covered_frames(start, start + duration, FRAME_DURATION, total)
         if f1 <= f0:
             continue
-        centers = (np.arange(f0, f1) + 0.5) * frame_duration
+        centers = (np.arange(f0, f1) + 0.5) * FRAME_DURATION
         dist = np.abs(centers - (start + duration / 2.0))
         better = dist < best[f0:f1]
         frame_segment[f0:f1][better] = idx
@@ -132,7 +118,7 @@ def _frame_attribution(segments: np.ndarray, labels: np.ndarray, frame_duration:
     if vad_regions is not None:
         speech = np.zeros(total, dtype=bool)
         for start, end in vad_regions:
-            f0, f1 = _covered_frames(start, end, frame_duration, total)
+            f0, f1 = _covered_frames(start, end, FRAME_DURATION, total)
             speech[f0:f1] = True
         frame_segment[~speech] = -1
     primary = np.full(total, -1, dtype=np.int64)
@@ -181,14 +167,12 @@ def run_pipeline(emb: EmbeddingSet, mode: str, weights: GcnWeights | None = None
     else:
         graph = refine_graph(emb, aff, weights, min(cfg.knn_k, max(1, n - 1)))
 
-    partition = leiden(graph, LeidenConfig(gamma=cfg.gamma, seed=cfg.seed,
-                                           max_iterations=cfg.max_iterations))
-    primary, frame_segment = _frame_attribution(emb.segments, partition.labels,
-                                                cfg.frame_duration, vad_regions)
+    partition = leiden(graph, LeidenConfig(gamma=cfg.gamma, seed=cfg.seed))
+    primary, frame_segment = _frame_attribution(emb.segments, partition.labels, vad_regions)
     if mode == "cdgcn":
         belonging = belonging_coefficients(graph, partition)
         second = second_community(belonging, partition.labels)
-        timeline = apply_overlap(primary, frame_segment, second, mask, cfg.frame_duration)
+        timeline = apply_overlap(primary, frame_segment, second, mask)
     else:
-        timeline = DiarizationTimeline(cfg.frame_duration, primary)
+        timeline = DiarizationTimeline(FRAME_DURATION, primary)
     return timeline, timeline.to_records(file_id)

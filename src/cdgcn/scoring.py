@@ -88,8 +88,8 @@ def der(ref, hyp, collar: float = 0.0) -> DerBreakdown:
     mapping is per file); components accumulate across files. ±collar
     seconds around every reference turn boundary are excluded from scoring.
     """
-    if collar < 0.0:
-        raise ValueError("collar must be non-negative")
+    if not 0.0 <= collar < math.inf:
+        raise ValueError(f"collar must be finite and non-negative, got {collar}")
     ref_by_file = defaultdict(list)
     hyp_by_file = defaultdict(list)
     for r in ref:

@@ -16,8 +16,8 @@ import numpy as np
 
 from .graphs import EmbeddingSet, SubGraph, build_subgraph, cosine_affinity
 from .osd import OverlapMask
-from .pipeline import SegmentationConfig, segment_speech
-from .timeline import RttmRecord
+from .pipeline import SHIFT, WINDOW, _covered_frames, segment_speech
+from .timeline import FRAME_DURATION, RttmRecord
 
 
 @dataclass
@@ -53,8 +53,7 @@ def _mask_from_regions(regions, end: float, frame_duration: float) -> OverlapMas
     total = max(1, math.ceil(end / frame_duration - 1e-9))
     frames = np.zeros(total, dtype=bool)
     for start, stop in regions:
-        f0 = max(0, math.ceil(start / frame_duration - 0.5 - 1e-9))
-        f1 = min(total, math.ceil(stop / frame_duration - 0.5 - 1e-9))
+        f0, f1 = _covered_frames(start, stop, frame_duration, total)
         frames[f0:f1] = True
     return OverlapMask(frames=frames, frame_duration=frame_duration)
 
@@ -65,14 +64,13 @@ def make_session(num_speakers: int = 4, segments_per_speaker: int = 50, dim: int
                  file_id: str = "synthetic") -> SyntheticSession:
     """One solo speech region per speaker, speakers on orthogonal directions.
 
-    Every region is tiled by the standard 1.5 s / 0.75 s windows, so each
+    Every region is tiled by the fixed WINDOW / SHIFT windows, so each
     speaker contributes exactly segments_per_speaker segments. For two
     speakers, mean_cosine places their mean directions at that cosine
     instead of orthogonally (useful to teach the linkage predictor that
     adjacent clusters are still different speakers).
     """
     rng = np.random.default_rng(seed)
-    seg_cfg = SegmentationConfig()
     means = _orthonormal_directions(num_speakers, dim, rng)
     if mean_cosine is not None:
         if num_speakers != 2:
@@ -81,7 +79,7 @@ def make_session(num_speakers: int = 4, segments_per_speaker: int = 50, dim: int
             means[0],
             mean_cosine * means[0] + math.sqrt(1.0 - mean_cosine**2) * means[1],
         ])
-    region_len = (segments_per_speaker - 1) * seg_cfg.shift_seconds + seg_cfg.window_seconds
+    region_len = (segments_per_speaker - 1) * SHIFT + WINDOW
 
     vad_regions = []
     reference = []
@@ -93,7 +91,7 @@ def make_session(num_speakers: int = 4, segments_per_speaker: int = 50, dim: int
         region = (t, t + region_len)
         vad_regions.append(region)
         reference.append(RttmRecord(file_id, round(region[0], 3), round(region_len, 3), f"ref{spk}"))
-        spans = segment_speech([region], seg_cfg)
+        spans = segment_speech([region])
         assert len(spans) == segments_per_speaker
         segments.extend(spans)
         vectors.append(_draw_cluster(means[spk], len(spans), noise, rng))
@@ -108,7 +106,7 @@ def make_session(num_speakers: int = 4, segments_per_speaker: int = 50, dim: int
         second_speaker=np.full(len(segments), -1, dtype=np.int64),
         vad_regions=vad_regions,
         reference=reference,
-        overlap_mask=_mask_from_regions([], end, 0.01),
+        overlap_mask=_mask_from_regions([], end, FRAME_DURATION),
         file_id=file_id,
     )
 
@@ -125,7 +123,6 @@ def make_overlap_session(solo_seconds: float = 24.0, overlap_seconds: float = 12
     exactly those frames.
     """
     rng = np.random.default_rng(seed)
-    seg_cfg = SegmentationConfig()
     base = _orthonormal_directions(2, dim, rng)
     mean_a = base[0]
     mean_b = mean_cosine * base[0] + math.sqrt(1.0 - mean_cosine**2) * base[1]
@@ -140,7 +137,7 @@ def make_overlap_session(solo_seconds: float = 24.0, overlap_seconds: float = 12
     speaker = []
     second = []
     for region_idx, region in enumerate(vad_regions):
-        spans = segment_speech([region], seg_cfg)
+        spans = segment_speech([region])
         segments.extend(spans)
         if region_idx == 0:
             vectors.append(_draw_cluster(mean_a, len(spans), noise, rng))
@@ -171,7 +168,7 @@ def make_overlap_session(solo_seconds: float = 24.0, overlap_seconds: float = 12
         second_speaker=np.array(second, dtype=np.int64),
         vad_regions=vad_regions,
         reference=reference,
-        overlap_mask=_mask_from_regions([vad_regions[1]], end, 0.01),
+        overlap_mask=_mask_from_regions([vad_regions[1]], end, FRAME_DURATION),
         file_id=file_id,
     )
 

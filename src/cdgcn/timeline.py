@@ -6,6 +6,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+#: Seconds per timeline frame: 10 ms, the rate of every timeline and mask.
+FRAME_DURATION = 0.01
+
 
 @dataclass
 class RttmRecord:
@@ -17,10 +20,10 @@ class RttmRecord:
     speaker: str
 
     def __post_init__(self):
-        if self.onset < 0:
-            raise ValueError(f"onset {self.onset} must be non-negative")
-        if self.duration <= 0:
-            raise ValueError(f"duration {self.duration} must be positive")
+        if not 0 <= self.onset < np.inf:
+            raise ValueError(f"onset {self.onset} must be finite and non-negative")
+        if not 0 < self.duration < np.inf:
+            raise ValueError(f"duration {self.duration} must be finite and positive")
 
     @property
     def end(self) -> float:
@@ -85,20 +88,8 @@ class DiarizationTimeline:
         if ((self.secondary >= 0) & (self.primary < 0)).any():
             raise ValueError("secondary label on a non-speech frame")
 
-    @property
-    def num_frames(self) -> int:
-        return len(self.primary)
-
-    def speakers_at(self, frame: int) -> set[int]:
-        out = set()
-        if self.primary[frame] >= 0:
-            out.add(int(self.primary[frame]))
-        if self.secondary[frame] >= 0:
-            out.add(int(self.secondary[frame]))
-        return out
-
-    def to_records(self, file_id: str, prefix: str = "spk") -> list[RttmRecord]:
-        """Merge contiguous same-speaker frames into RTTM records.
+    def to_records(self, file_id: str) -> list[RttmRecord]:
+        """Merge contiguous same-speaker frames into RTTM records "spk<label>".
 
         Onsets and durations land on the millisecond grid; records come out
         sorted by onset, then speaker label.
@@ -114,7 +105,7 @@ class DiarizationTimeline:
                     file_id=file_id,
                     onset=round(start * self.frame_duration, 3),
                     duration=round((stop - start) * self.frame_duration, 3),
-                    speaker=f"{prefix}{label}",
+                    speaker=f"spk{label}",
                 ))
         records.sort(key=lambda r: (r.onset, r.speaker))
         return records

@@ -10,7 +10,7 @@ from cdgcn.osd import write_overlap_mask
 from cdgcn.pipeline import write_vad_regions
 from cdgcn.scoring import der
 from cdgcn.synthetic import linkage_training_batches, make_overlap_session, make_session
-from cdgcn.timeline import read_rttm, write_rttm
+from cdgcn.timeline import RttmRecord, read_rttm, write_rttm
 
 
 @pytest.fixture
@@ -101,6 +101,16 @@ class TestClusterCommand:
         assert err == f"cdgcn: frame_duration {bad} must be finite and positive\n"
         assert not (session_dir / "x.rttm").exists()
 
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_non_finite_vad_bound_is_one_line_error(self, session_dir, capsys, bad):
+        vad = session_dir / "bad.vad"
+        vad.write_text(f"0 {bad}\n")
+        code = main(["cluster", "--embeddings", str(session_dir / "e2e.emb"), "--mode",
+                     "knn_leiden", "--vad", str(vad), "--out", str(session_dir / "x.rttm")])
+        assert code == 1
+        assert capsys.readouterr().err == f"cdgcn: {vad} line 1: bounds must be finite\n"
+        assert not (session_dir / "x.rttm").exists()
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_gamma_is_one_line_error(self, tmp_path, capsys, bad):
         session = make_session(num_speakers=2, segments_per_speaker=10, dim=8, seed=5)
@@ -183,6 +193,27 @@ class TestTrainCommand:
                         epochs=3)
         assert out.read_bytes() == save_weights(weights)
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--lr", "nan", "learning rate must be finite and positive, got nan"),
+        ("--lr", "inf", "learning rate must be finite and positive, got inf"),
+        ("--epochs", "-1", "epochs must be non-negative, got -1"),
+    ], ids=["lr-nan", "lr-inf", "epochs-negative"])
+    def test_bad_lr_or_epochs_is_one_line_error(self, train_dir, capsys, flag, value, message):
+        out = train_dir / "w.gcnw"
+        code = main(["train-gcn", "--data", str(train_dir), "--out", str(out), flag, value])
+        assert code == 1
+        assert capsys.readouterr().err == f"cdgcn: {message}\n"
+        assert not out.exists()
+
+    def test_zero_epochs_saves_the_initial_weights(self, train_dir, capsys):
+        out = train_dir / "w.gcnw"
+        code = main(["train-gcn", "--data", str(train_dir), "--out", str(out),
+                     "--epochs", "0", "--seed", "3"])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            f"trained on 48 sub-graphs from 2 sessions: initial weights -> {out}\n")
+        assert out.read_bytes() == save_weights(GcnWeights.glorot(16, seed=3))
+
     def test_empty_data_dir_is_error(self, tmp_path, capsys):
         code = main(["train-gcn", "--data", str(tmp_path), "--out",
                      str(tmp_path / "w.gcnw")])
@@ -233,3 +264,25 @@ class TestScoreCommand:
         ref = read_rttm((session_dir / "ref.rttm").read_text())
         records = read_rttm(hyp.read_text())
         assert f"DER={der(ref, records).der_percent:.2f}%" in printed
+
+    @pytest.mark.parametrize("field", [3, 4])
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_non_finite_rttm_time_is_one_line_error(self, session_dir, capsys, field, bad):
+        fields = write_rttm([RttmRecord("f", 0.0, 1.5, "spk0")]).split()
+        fields[field] = bad
+        (session_dir / "bad.rttm").write_text(" ".join(fields) + "\n")
+        code = main(["score", "--ref", str(session_dir / "ref.rttm"),
+                     "--hyp", str(session_dir / "bad.rttm")])
+        assert code == 1
+        name = "onset" if field == 3 else "duration"
+        err = capsys.readouterr().err
+        assert err.startswith(f"cdgcn: line 1: {name} {bad} must be finite")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("bad", ["inf", "nan", "-0.5"])
+    def test_bad_collar_is_one_line_error(self, session_dir, capsys, bad):
+        ref = str(session_dir / "ref.rttm")
+        code = main(["score", "--ref", ref, "--hyp", ref, "--collar", bad])
+        assert code == 1
+        assert (capsys.readouterr().err
+                == f"cdgcn: collar must be finite and non-negative, got {bad}\n")

@@ -245,6 +245,16 @@ class TestTrain:
               on_epoch=lambda _, loss: losses.append(loss))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
+    @pytest.mark.parametrize("lr, epochs, message", [
+        (0.0, 1, "learning rate must be finite and positive, got 0.0"),
+        (np.nan, 1, "learning rate must be finite and positive, got nan"),
+        (np.inf, 1, "learning rate must be finite and positive, got inf"),
+        (0.1, -1, "epochs must be non-negative, got -1"),
+    ], ids=["lr-zero", "lr-nan", "lr-inf", "epochs-negative"])
+    def test_bad_learning_rate_or_epochs_rejected(self, rng, lr, epochs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            train(self.toy_batches(rng), lr=lr, epochs=epochs)
+
     def test_non_finite_loss_aborts_with_epoch(self, rng):
         init = GcnWeights.glorot(3, seed=4, dtype=np.float64)
         init.layer_weights[0][0, 0] = np.nan

@@ -92,13 +92,12 @@ class TestApplyOverlap:
         mask = OverlapMask(np.ones(6, dtype=bool))
         timeline = apply_overlap(self.primary, self.frame_segment, self.second, mask)
         assert timeline.secondary.tolist() == [1, 1, 0, 0, -1, -1]
-        for frame in range(6):
-            assert len(timeline.speakers_at(frame)) <= 2
+        assert (timeline.secondary != timeline.primary)[timeline.secondary >= 0].all()
 
     def test_mask_longer_than_timeline_ok(self):
         mask = OverlapMask(np.ones(10, dtype=bool))
         timeline = apply_overlap(self.primary, self.frame_segment, self.second, mask)
-        assert timeline.num_frames == 6
+        assert timeline.primary.shape == timeline.secondary.shape == (6,)
 
     def test_mask_shorter_than_timeline_rejected(self):
         mask = OverlapMask(np.ones(3, dtype=bool))
@@ -116,16 +115,12 @@ class TestApplyOverlap:
             OverlapMask(np.ones(6, dtype=bool), frame_duration=bad)
         with pytest.raises(ValueError, match="must be finite and positive"):
             DiarizationTimeline(bad, self.primary)
-        # The match check fails on NaN too, before any timeline is built.
-        with pytest.raises(ValueError, match="frame duration"):
-            apply_overlap(self.primary, self.frame_segment, self.second,
-                          OverlapMask(np.ones(6, dtype=bool)), frame_duration=bad)
 
     def test_speakers_per_frame_bounded(self):
         mask = OverlapMask(np.ones(6, dtype=bool))
         timeline = apply_overlap(self.primary, self.frame_segment, self.second, mask)
-        counts = [len(timeline.speakers_at(f)) for f in range(6)]
-        assert set(counts) <= {0, 1, 2}
+        counts = (timeline.primary >= 0).astype(int) + (timeline.secondary >= 0)
+        assert counts.tolist() == [2, 2, 2, 2, 0, 1]
 
 
 class TestMaskFile:

@@ -1,19 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from cdgcn.gcn import GcnWeights
 from cdgcn.graphs import EmbeddingSet
 from cdgcn.osd import OverlapMask
 from cdgcn.pipeline import (
+    _EPS,
+    SHIFT,
+    WINDOW,
     PipelineConfig,
-    SegmentationConfig,
     read_vad_regions,
     run_pipeline,
     segment_speech,
     write_vad_regions,
 )
 from cdgcn.scoring import der
-from cdgcn.synthetic import make_session
-from cdgcn.timeline import DiarizationTimeline, RttmRecord, read_rttm, write_rttm
+from cdgcn.synthetic import make_overlap_session, make_session
+from cdgcn.timeline import FRAME_DURATION, DiarizationTimeline, RttmRecord, read_rttm, write_rttm
 
 
 class TestSegmentSpeech:
@@ -27,20 +32,31 @@ class TestSegmentSpeech:
     def test_short_region_single_segment(self):
         assert segment_speech([(0.0, 0.4)]) == [(0.0, 0.4)]
 
-    def test_tail_segment_when_half_window_uncovered(self):
-        cfg = SegmentationConfig(window_seconds=1.0, shift_seconds=0.8)
-        segments = segment_speech([(0.0, 2.5)], cfg)
-        assert segments[-1] == pytest.approx((1.8, 0.7))
-        assert segments[:-1] == [(0.0, 1.0), (0.8, 1.0)]
-
     def test_small_tail_dropped(self):
-        cfg = SegmentationConfig(window_seconds=1.0, shift_seconds=0.8)
-        segments = segment_speech([(0.0, 2.1)], cfg)
-        assert segments == [(0.0, 1.0), (0.8, 1.0)]
+        assert segment_speech([(0.0, 2.9)]) == [(0.0, 1.5), (0.75, 1.5)]
+
+    @given(start=st.floats(0.0, 1e4), length=st.floats(0.001, 60.0))
+    def test_windows_tile_each_region(self, start, length):
+        end = start + length
+        segments = segment_speech([(start, end)])
+        if end - start < WINDOW - _EPS:
+            assert segments == [(start, end - start)]
+        if end - start < WINDOW:   # within _EPS of a window, either answer is right
+            return
+        starts = np.array([s for s, _ in segments])
+        assert all(duration == WINDOW for _, duration in segments)
+        assert starts[0] == start
+        assert np.diff(starts) == pytest.approx(SHIFT)
+        assert -_EPS <= end - (starts[-1] + WINDOW) < SHIFT + _EPS
 
     def test_inverted_region_rejected(self):
         with pytest.raises(ValueError, match="inverted"):
             segment_speech([(2.0, 1.0)])
+
+    @pytest.mark.parametrize("region", [(0.0, np.nan), (np.nan, 3.0), (0.0, np.inf)])
+    def test_non_finite_region_rejected(self, region):
+        with pytest.raises(ValueError, match="not finite"):
+            segment_speech([region])
 
     def test_overlapping_regions_rejected(self):
         with pytest.raises(ValueError, match="overlaps"):
@@ -49,10 +65,6 @@ class TestSegmentSpeech:
     def test_multiple_regions(self):
         segments = segment_speech([(0.0, 1.5), (10.0, 11.5)])
         assert segments == [(0.0, 1.5), (10.0, 1.5)]
-
-    def test_shift_validation(self):
-        with pytest.raises(ValueError):
-            SegmentationConfig(window_seconds=1.0, shift_seconds=1.5)
 
 
 class TestRttm:
@@ -84,6 +96,14 @@ class TestRttm:
         with pytest.raises(ValueError, match="line 1"):
             read_rttm("SPEAKER f 1 0.000 -1.0 <NA> <NA> spk0 <NA> <NA>\n")
 
+    @pytest.mark.parametrize("onset, duration", [
+        ("inf", "1.5"), ("nan", "1.5"), ("0.0", "inf"), ("0.0", "nan")])
+    def test_non_finite_times_rejected_with_line_number(self, onset, duration):
+        good = write_rttm([RttmRecord("f", 0.0, 1.5, "spk0")])
+        bad = good + f"SPEAKER f 1 {onset} {duration} <NA> <NA> spk0 <NA> <NA>\n"
+        with pytest.raises(ValueError, match="^line 2: .* must be finite"):
+            read_rttm(bad)
+
     def test_blank_lines_skipped(self):
         text = "\nSPEAKER f 1 0.000 1.500 <NA> <NA> spk0 <NA> <NA>\n\n"
         assert len(read_rttm(text)) == 1
@@ -101,6 +121,13 @@ class TestVadFile:
         with pytest.raises(ValueError, match="line 2"):
             read_vad_regions(path)
 
+    @pytest.mark.parametrize("line", ["0 inf", "nan 1.0", "-inf 1.0"])
+    def test_non_finite_bound_rejected(self, tmp_path, line):
+        path = tmp_path / "v.vad"
+        path.write_text(f"0.0 1.0\n{line}\n")
+        with pytest.raises(ValueError, match="line 2: bounds must be finite$"):
+            read_vad_regions(path)
+
 
 class TestTimeline:
     def test_records_match_frames(self):
@@ -114,7 +141,7 @@ class TestTimeline:
             f1 = round(r.end / 0.01)
             rebuilt[r.speaker][f0:f1] = True
         for frame in range(6):
-            expected = {f"spk{s}" for s in timeline.speakers_at(frame)}
+            expected = {f"spk{s}" for s in (primary[frame], secondary[frame]) if s >= 0}
             actual = {s for s, mask in rebuilt.items() if mask[frame]}
             assert actual == expected
 
@@ -204,3 +231,42 @@ class TestRunPipeline:
                                   vad_regions=session.vad_regions,
                                   file_id=session.file_id)
         assert der(session.reference, records).der_percent == pytest.approx(0.0)
+
+
+class TestMaskContract:
+    """cdgcn mode takes a mask at FRAME_DURATION (within 1e-9) that covers the
+    timeline, and refuses any other mask with one line that names it."""
+
+    session = make_overlap_session(solo_seconds=6.0, overlap_seconds=3.0, dim=8, seed=4)
+    weights = GcnWeights.glorot(8, seed=0)
+    # At gamma 1.0 these weights split the session in two and every segment
+    # has a runner-up, so each flagged speech frame gets a second speaker.
+    config = PipelineConfig(knn_k=10, gamma=1.0, seed=0)
+
+    @given(extra=st.one_of(st.integers(-3, 3), st.just(-10**6)),
+           frame_duration=st.sampled_from([FRAME_DURATION, FRAME_DURATION + 1e-10,
+                                           FRAME_DURATION - 1e-10, 0.02, 0.005]),
+           seed=st.integers(0, 2**16))
+    def test_valid_timeline_or_one_line_error(self, extra, frame_duration, seed):
+        emb, vad = self.session.embeddings, self.session.vad_regions
+        base, _ = run_pipeline(emb, "cdgcn_no_osd", weights=self.weights,
+                               config=self.config, vad_regions=vad)
+        frames = len(base.primary)
+        flags = np.random.default_rng(seed).random(max(0, frames + extra)) < 0.5
+        mask = OverlapMask(flags, frame_duration=frame_duration)
+        valid = extra >= 0 and frame_duration not in (0.02, 0.005)
+        try:
+            timeline, records = run_pipeline(emb, "cdgcn", weights=self.weights, mask=mask,
+                                             config=self.config, vad_regions=vad)
+        except ValueError as exc:
+            assert not valid
+            assert "mask" in str(exc) and "\n" not in str(exc)
+            return
+        assert valid
+        assert timeline.frame_duration == FRAME_DURATION
+        assert (timeline.primary == base.primary).all()
+        overlapped = timeline.secondary >= 0
+        assert (overlapped == (flags[:frames] & (base.primary >= 0))).all()
+        assert (timeline.secondary != timeline.primary)[overlapped].all()
+        assert records == timeline.to_records("session")
+        assert read_rttm(write_rttm(records)) == records

@@ -81,6 +81,11 @@ class TestDer:
         with pytest.raises(ValueError):
             der([], [], collar=-1.0)
 
+    @pytest.mark.parametrize("collar", [np.nan, np.inf])
+    def test_non_finite_collar_rejected(self, collar):
+        with pytest.raises(ValueError, match="^collar must be finite and non-negative"):
+            der([], [], collar=collar)
+
     def test_multi_file_aggregation(self):
         ref = [rec(0.0, 10.0, "a", "f1"), rec(0.0, 10.0, "a", "f2")]
         hyp = [rec(0.0, 10.0, "x", "f1")]
