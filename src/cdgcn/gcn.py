@@ -75,11 +75,7 @@ class GcnWeights:
         return self.layer_weights[0].dtype
 
     def astype(self, dtype) -> "GcnWeights":
-        return GcnWeights(
-            [w.astype(dtype) for w in self.layer_weights],
-            tuple(w.astype(dtype) for w in self.head_weights),
-            tuple(b.astype(dtype) for b in self.head_biases),
-        )
+        return GcnWeights.from_tensors([t.astype(dtype) for t in self.tensors()])
 
     def tensors(self):
         """All parameter arrays in a fixed order (layers, W1, b1, W2, b2)."""
@@ -93,21 +89,20 @@ class GcnWeights:
                    (tensors[-3], tensors[-1]))
 
     @classmethod
-    def glorot(cls, feature_dim: int, num_layers: int = 4, seed: int = 0,
-               dtype=np.float32) -> "GcnWeights":
-        """Seeded uniform init in +-sqrt(6 / (fan_in + fan_out)), zero biases;
-        the head's hidden layer is feature_dim wide."""
+    def glorot(cls, feature_dim: int, num_layers: int = 4, seed: int = 0) -> "GcnWeights":
+        """Seeded float32 uniform init in +-sqrt(6 / (fan_in + fan_out)), zero
+        biases; the head's hidden layer is feature_dim wide."""
         rng = np.random.default_rng(seed)
 
         def draw(rows, cols):
             bound = np.sqrt(6.0 / (rows + cols))
-            return rng.uniform(-bound, bound, size=(rows, cols)).astype(dtype)
+            return rng.uniform(-bound, bound, size=(rows, cols)).astype(np.float32)
 
         layers = [draw(2 * feature_dim, feature_dim) for _ in range(num_layers)]
         w1 = draw(feature_dim, feature_dim)
         w2 = draw(feature_dim, 2)
         return cls(layers, (w1, w2),
-                   (np.zeros(feature_dim, dtype=dtype), np.zeros(2, dtype=dtype)))
+                   (np.zeros(feature_dim, dtype=np.float32), np.zeros(2, dtype=np.float32)))
 
 
 def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
@@ -124,21 +119,27 @@ def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
     return a_tilde * inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
 
 
-def gcn_layer_forward(h: np.ndarray, a_hat: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """One aggregation layer: relu(concat(H, A_hat @ H) @ W)."""
-    h = np.asarray(h)
-    if w.shape[0] != 2 * h.shape[-1]:
-        raise ValueError(f"weight rows {w.shape[0]} do not match 2 * feature dim {2 * h.shape[-1]}")
-    if a_hat.shape != h.shape[:-1] + h.shape[-2:-1]:
-        raise ValueError(f"adjacency shape {a_hat.shape} does not match {h.shape[-2]} nodes")
-    m = np.concatenate([h, a_hat @ h], axis=-1)
-    return np.maximum(m @ w, 0)
-
-
 def _softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def _forward(h: np.ndarray, a_hat: np.ndarray, weights: GcnWeights):
+    """Every activation of the forward pass: each layer's [H || A_hat @ H] and
+    pre-activation, the last layer's output, the head's hidden z and softmax."""
+    concats = []
+    pre_acts = []
+    for w in weights.layer_weights:
+        m = np.concatenate([h, a_hat @ h], axis=-1)
+        pre = m @ w
+        h = np.maximum(pre, 0)
+        concats.append(m)
+        pre_acts.append(pre)
+    w1, w2 = weights.head_weights
+    b1, b2 = weights.head_biases
+    z = np.maximum(h @ w1 + b1, 0)
+    return concats, pre_acts, h, z, _softmax(z @ w2 + b2)
 
 
 def gcn_forward(sub: SubGraph, weights: GcnWeights) -> np.ndarray:
@@ -154,15 +155,12 @@ def gcn_forward(sub: SubGraph, weights: GcnWeights) -> np.ndarray:
             f"sub-graph feature dim {sub.features.shape[-1]} does not match "
             f"weights feature dim {weights.feature_dim}"
         )
+    if sub.adjacency.shape != sub.features.shape[:-1] + sub.features.shape[-2:-1]:
+        raise ValueError(f"adjacency shape {sub.adjacency.shape} does not match "
+                         f"{sub.features.shape[-2]} nodes")
     dtype = weights.dtype
     a_hat = normalize_adjacency(sub.adjacency.astype(dtype))
-    h = sub.features.astype(dtype)
-    for w in weights.layer_weights:
-        h = gcn_layer_forward(h, a_hat, w)
-    w1, w2 = weights.head_weights
-    b1, b2 = weights.head_biases
-    z = np.maximum(h @ w1 + b1, 0)
-    return _softmax(z @ w2 + b2)[..., 1:, 1]
+    return _forward(sub.features.astype(dtype), a_hat, weights)[-1][..., 1:, 1]
 
 
 def bce_loss(pred: np.ndarray, labels: np.ndarray):
@@ -203,22 +201,9 @@ def _training_blocks(batches, dtype):
 def _block_loss_and_grads(features, a_hat, labels, weights: GcnWeights):
     """Per-sub-graph losses and stacked parameter gradients (in tensors()
     order) of one block, by backpropagation."""
+    concats, pre_acts, h, z, sm = _forward(features, a_hat, weights)
     lw = weights.layer_weights
     w1, w2 = weights.head_weights
-    b1, b2 = weights.head_biases
-
-    h = features
-    concats = []
-    pre_acts = []
-    for w in lw:
-        m = np.concatenate([h, a_hat @ h], axis=-1)
-        pre = m @ w
-        h = np.maximum(pre, 0)
-        concats.append(m)
-        pre_acts.append(pre)
-
-    z = np.maximum(h @ w1 + b1, 0)
-    sm = _softmax(z @ w2 + b2)
     probs = sm[:, 1:, 1]
     k = probs.shape[1]
     losses = bce_loss(probs, labels)

@@ -76,12 +76,12 @@ def belonging_coefficients(graph: SpeakerGraph, partition: Partition) -> np.ndar
     return b
 
 
-def second_community(belonging: np.ndarray, primary) -> list[int | None]:
+def second_community(belonging: np.ndarray, primary) -> np.ndarray:
     """Runner-up community per node.
 
     Picks the non-primary community with the largest belonging strength;
     ties go to the smaller label. Nodes with no positive strength outside
-    their own community (including the single-community case) get None.
+    their own community (including the single-community case) get -1.
     """
     primary = np.asarray(primary, dtype=np.int64)
     c, n = belonging.shape
@@ -90,13 +90,13 @@ def second_community(belonging: np.ndarray, primary) -> list[int | None]:
     if primary.size and (primary.min() < 0 or primary.max() >= c):
         raise ValueError("primary label outside the belonging matrix communities")
     if n == 0:
-        return []
+        return np.zeros(0, dtype=np.int64)
     nodes = np.arange(n)
     masked = np.array(belonging, dtype=np.float64)
     masked[primary, nodes] = -np.inf
     best = np.argmax(masked, axis=0)   # first maximum: ties go to the smaller label
     strength = masked[best, nodes]
-    return [b if s > 0.0 else None for b, s in zip(best.tolist(), strength.tolist())]
+    return np.where(strength > 0.0, best, -1).astype(np.int64)
 
 
 def apply_overlap(primary: np.ndarray, frame_segment: np.ndarray, second,
@@ -105,7 +105,7 @@ def apply_overlap(primary: np.ndarray, frame_segment: np.ndarray, second,
 
     primary: per-frame community label (-1 = non-speech).
     frame_segment: per-frame covering segment index (-1 where none).
-    second: per-segment runner-up community, None where absent.
+    second: per-segment runner-up community (int array), -1 where absent.
     The mask must cover the timeline at FRAME_DURATION; excess mask frames
     are ignored. A frame gets a second label only when it is flagged, is
     speech, and its covering segment has a runner-up, so no frame ever
@@ -119,12 +119,10 @@ def apply_overlap(primary: np.ndarray, frame_segment: np.ndarray, second,
         )
     if len(mask) < len(primary):
         raise ValueError(f"overlap mask has {len(mask)} frames, timeline has {len(primary)}")
-    second_arr = np.array([-1 if s is None else int(s) for s in second], dtype=np.int64)
     secondary = np.full(primary.shape, -1, dtype=np.int64)
     flagged = mask.frames[: len(primary)] & (frame_segment >= 0) & (primary >= 0)
     idx = np.flatnonzero(flagged)
-    if idx.size:
-        cand = second_arr[frame_segment[idx]]
-        keep = cand >= 0
-        secondary[idx[keep]] = cand[keep]
-    return DiarizationTimeline(FRAME_DURATION, primary.copy(), secondary)
+    cand = second[frame_segment[idx]]
+    keep = cand >= 0
+    secondary[idx[keep]] = cand[keep]
+    return DiarizationTimeline(primary.copy(), secondary)

@@ -87,6 +87,11 @@ def write_vad_regions(path, regions) -> None:
     Path(path).write_text("".join(f"{s:.3f} {e:.3f}\n" for s, e in regions))
 
 
+def _frame_count(end: float, frame_duration: float) -> int:
+    """Number of frames in a timeline that ends at `end` seconds (at least one)."""
+    return max(1, math.ceil(end / frame_duration - _EPS))
+
+
 def _covered_frames(start: float, end: float, frame_duration: float, total: int):
     """Index range of frames whose centers fall in [start, end)."""
     f0 = max(0, math.ceil(start / frame_duration - 0.5 - _EPS))
@@ -102,7 +107,7 @@ def _frame_attribution(segments: np.ndarray, labels: np.ndarray, vad_regions=Non
     Returns (per-frame label, per-frame segment index).
     """
     ends = segments[:, 0] + segments[:, 1]
-    total = max(1, math.ceil(ends.max() / FRAME_DURATION - _EPS))
+    total = _frame_count(ends.max(), FRAME_DURATION)
     frame_segment = np.full(total, -1, dtype=np.int64)
     best = np.full(total, np.inf)
     for idx in range(len(segments)):
@@ -174,5 +179,5 @@ def run_pipeline(emb: EmbeddingSet, mode: str, weights: GcnWeights | None = None
         second = second_community(belonging, partition.labels)
         timeline = apply_overlap(primary, frame_segment, second, mask)
     else:
-        timeline = DiarizationTimeline(FRAME_DURATION, primary)
+        timeline = DiarizationTimeline(primary)
     return timeline, timeline.to_records(file_id)

@@ -16,8 +16,13 @@ import numpy as np
 
 from .graphs import EmbeddingSet, SubGraph, build_subgraph, cosine_affinity
 from .osd import OverlapMask
-from .pipeline import SHIFT, WINDOW, _covered_frames, segment_speech
+from .pipeline import SHIFT, WINDOW, _covered_frames, _frame_count, segment_speech
 from .timeline import FRAME_DURATION, RttmRecord
+
+#: Silence between consecutive speech regions, in seconds.
+GAP_SECONDS = 1.0
+#: Weights of speaker 0's and speaker 1's means in an overlap segment's mean.
+MIX = (0.85, 0.4)
 
 
 @dataclass
@@ -50,7 +55,7 @@ def _draw_cluster(mean: np.ndarray, count: int, noise: float, rng) -> np.ndarray
 
 
 def _mask_from_regions(regions, end: float, frame_duration: float) -> OverlapMask:
-    total = max(1, math.ceil(end / frame_duration - 1e-9))
+    total = _frame_count(end, frame_duration)
     frames = np.zeros(total, dtype=bool)
     for start, stop in regions:
         f0, f1 = _covered_frames(start, stop, frame_duration, total)
@@ -58,11 +63,37 @@ def _mask_from_regions(regions, end: float, frame_duration: float) -> OverlapMas
     return OverlapMask(frames=frames, frame_duration=frame_duration)
 
 
+def _session(vad_regions, means, speakers, seconds, noise, rng, reference, overlapped,
+             file_id) -> SyntheticSession:
+    """Tile each region with windows and draw its embeddings around means[i],
+    region by region; speakers[i] and seconds[i] are its primary and second
+    speaker (-1 = none). The oracle mask flags the overlapped regions."""
+    vectors = []
+    segments = []
+    speaker = []
+    second = []
+    for region, mean, spk, snd in zip(vad_regions, means, speakers, seconds):
+        spans = segment_speech([region])
+        segments.extend(spans)
+        vectors.append(_draw_cluster(mean, len(spans), noise, rng))
+        speaker.extend([spk] * len(spans))
+        second.extend([snd] * len(spans))
+    return SyntheticSession(
+        embeddings=EmbeddingSet(np.vstack(vectors), np.array(segments)),
+        speaker=np.array(speaker, dtype=np.int64),
+        second_speaker=np.array(second, dtype=np.int64),
+        vad_regions=vad_regions,
+        reference=reference,
+        overlap_mask=_mask_from_regions(overlapped, vad_regions[-1][1], FRAME_DURATION),
+        file_id=file_id,
+    )
+
+
 def make_session(num_speakers: int = 4, segments_per_speaker: int = 50, dim: int = 16,
-                 noise: float = 0.12, gap_seconds: float = 1.0, seed: int = 0,
-                 mean_cosine: float | None = None,
+                 noise: float = 0.12, seed: int = 0, mean_cosine: float | None = None,
                  file_id: str = "synthetic") -> SyntheticSession:
-    """One solo speech region per speaker, speakers on orthogonal directions.
+    """One solo speech region per speaker, speakers on orthogonal directions,
+    GAP_SECONDS apart.
 
     Every region is tiled by the fixed WINDOW / SHIFT windows, so each
     speaker contributes exactly segments_per_speaker segments. For two
@@ -70,6 +101,8 @@ def make_session(num_speakers: int = 4, segments_per_speaker: int = 50, dim: int
     instead of orthogonally (useful to teach the linkage predictor that
     adjacent clusters are still different speakers).
     """
+    if segments_per_speaker < 1:
+        raise ValueError(f"segments_per_speaker must be at least 1, got {segments_per_speaker}")
     rng = np.random.default_rng(seed)
     means = _orthonormal_directions(num_speakers, dim, rng)
     if mean_cosine is not None:
@@ -83,42 +116,24 @@ def make_session(num_speakers: int = 4, segments_per_speaker: int = 50, dim: int
 
     vad_regions = []
     reference = []
-    vectors = []
-    segments = []
-    speaker = []
     t = 0.0
     for spk in range(num_speakers):
         region = (t, t + region_len)
         vad_regions.append(region)
         reference.append(RttmRecord(file_id, round(region[0], 3), round(region_len, 3), f"ref{spk}"))
-        spans = segment_speech([region])
-        assert len(spans) == segments_per_speaker
-        segments.extend(spans)
-        vectors.append(_draw_cluster(means[spk], len(spans), noise, rng))
-        speaker.extend([spk] * len(spans))
-        t = region[1] + gap_seconds
-
-    emb = EmbeddingSet(np.vstack(vectors), np.array(segments))
-    end = vad_regions[-1][1]
-    return SyntheticSession(
-        embeddings=emb,
-        speaker=np.array(speaker, dtype=np.int64),
-        second_speaker=np.full(len(segments), -1, dtype=np.int64),
-        vad_regions=vad_regions,
-        reference=reference,
-        overlap_mask=_mask_from_regions([], end, FRAME_DURATION),
-        file_id=file_id,
-    )
+        t = region[1] + GAP_SECONDS
+    return _session(vad_regions, means, range(num_speakers), [-1] * num_speakers, noise, rng,
+                    reference, [], file_id)
 
 
 def make_overlap_session(solo_seconds: float = 24.0, overlap_seconds: float = 12.0,
                          dim: int = 16, noise: float = 0.12, mean_cosine: float = 0.25,
-                         mix: tuple[float, float] = (0.85, 0.4), gap_seconds: float = 1.0,
                          seed: int = 0, file_id: str = "overlap") -> SyntheticSession:
-    """Two adjacent speakers with a both-at-once region in the middle.
+    """Two adjacent speakers with a both-at-once region in the middle, the
+    three regions GAP_SECONDS apart.
 
     Speaker means sit at the given cosine of each other; segments in the
-    overlap region get mixture embeddings weighted toward speaker 0, with
+    overlap region get mixture embeddings weighted MIX toward speaker 0, with
     speaker 1 as ground-truth second speaker, and the oracle mask flags
     exactly those frames.
     """
@@ -126,51 +141,20 @@ def make_overlap_session(solo_seconds: float = 24.0, overlap_seconds: float = 12
     base = _orthonormal_directions(2, dim, rng)
     mean_a = base[0]
     mean_b = mean_cosine * base[0] + math.sqrt(1.0 - mean_cosine**2) * base[1]
+    mixture = MIX[0] * mean_a + MIX[1] * mean_b
 
-    starts = [0.0, solo_seconds + gap_seconds,
-              solo_seconds + 2 * gap_seconds + overlap_seconds]
+    starts = [0.0, solo_seconds + GAP_SECONDS,
+              solo_seconds + 2 * GAP_SECONDS + overlap_seconds]
     lengths = [solo_seconds, overlap_seconds, solo_seconds]
     vad_regions = [(s, s + l) for s, l in zip(starts, lengths)]
-
-    vectors = []
-    segments = []
-    speaker = []
-    second = []
-    for region_idx, region in enumerate(vad_regions):
-        spans = segment_speech([region])
-        segments.extend(spans)
-        if region_idx == 0:
-            vectors.append(_draw_cluster(mean_a, len(spans), noise, rng))
-            speaker.extend([0] * len(spans))
-            second.extend([-1] * len(spans))
-        elif region_idx == 1:
-            mixture = mix[0] * mean_a + mix[1] * mean_b
-            mixture = mixture / np.linalg.norm(mixture)
-            vectors.append(_draw_cluster(mixture, len(spans), noise, rng))
-            speaker.extend([0] * len(spans))
-            second.extend([1] * len(spans))
-        else:
-            vectors.append(_draw_cluster(mean_b, len(spans), noise, rng))
-            speaker.extend([1] * len(spans))
-            second.extend([-1] * len(spans))
-
     reference = [
         RttmRecord(file_id, round(starts[0], 3), round(lengths[0], 3), "ref0"),
         RttmRecord(file_id, round(starts[1], 3), round(lengths[1], 3), "ref0"),
         RttmRecord(file_id, round(starts[1], 3), round(lengths[1], 3), "ref1"),
         RttmRecord(file_id, round(starts[2], 3), round(lengths[2], 3), "ref1"),
     ]
-    emb = EmbeddingSet(np.vstack(vectors), np.array(segments))
-    end = vad_regions[-1][1]
-    return SyntheticSession(
-        embeddings=emb,
-        speaker=np.array(speaker, dtype=np.int64),
-        second_speaker=np.array(second, dtype=np.int64),
-        vad_regions=vad_regions,
-        reference=reference,
-        overlap_mask=_mask_from_regions([vad_regions[1]], end, FRAME_DURATION),
-        file_id=file_id,
-    )
+    return _session(vad_regions, [mean_a, mixture / np.linalg.norm(mixture), mean_b],
+                    [0, 0, 1], [-1, 1, -1], noise, rng, reference, [vad_regions[1]], file_id)
 
 
 def shared_speaker_labels(speakers: np.ndarray, members: np.ndarray) -> np.ndarray:

@@ -69,16 +69,13 @@ class DiarizationTimeline:
 
     primary[i] is the main community label of frame i (-1 = non-speech);
     secondary[i] is the overlap label (-1 = none). A secondary label can
-    only exist on a speech frame.
+    only exist on a speech frame. Frames are FRAME_DURATION long.
     """
 
-    frame_duration: float
     primary: np.ndarray
     secondary: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        if not 0 < self.frame_duration < np.inf:
-            raise ValueError(f"frame_duration {self.frame_duration} must be finite and positive")
         self.primary = np.asarray(self.primary, dtype=np.int64)
         if self.secondary is None:
             self.secondary = np.full(self.primary.shape, -1, dtype=np.int64)
@@ -103,8 +100,8 @@ class DiarizationTimeline:
             for start, stop in flips.reshape(-1, 2):
                 records.append(RttmRecord(
                     file_id=file_id,
-                    onset=round(start * self.frame_duration, 3),
-                    duration=round((stop - start) * self.frame_duration, 3),
+                    onset=round(start * FRAME_DURATION, 3),
+                    duration=round((stop - start) * FRAME_DURATION, 3),
                     speaker=f"spk{label}",
                 ))
         records.sort(key=lambda r: (r.onset, r.speaker))

@@ -230,7 +230,7 @@ def _brute_force_second_labels(graph, partition):
         strength = [0.0] * c
         for other, weight in neighbors(graph, node):
             strength[labels[other]] += weight
-        best_label, best_value = None, 0.0
+        best_label, best_value = -1, 0.0
         for cand in range(c):
             if cand == labels[node]:
                 continue

@@ -1,8 +1,13 @@
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cdgcn
 from cdgcn.cli import main
 from cdgcn.gcn import GcnWeights, load_weights, save_weights, train
 from cdgcn.graphs import EMBEDDING_MAGIC, EmbeddingSet, read_embeddings, write_embeddings
@@ -286,3 +291,32 @@ class TestScoreCommand:
         assert code == 1
         assert (capsys.readouterr().err
                 == f"cdgcn: collar must be finite and non-negative, got {bad}\n")
+
+
+class TestSyntheticScript:
+    """scripts/make_synthetic.py writes every file the CLI reads."""
+
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_synthetic.py"
+
+    def make(self, out_dir, name, *flags):
+        env = dict(os.environ)
+        src = str(Path(cdgcn.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, str(self.script), "--out-dir", str(out_dir),
+                        "--name", name, *flags], env=env, check=True, capture_output=True)
+
+    def test_script_output_feeds_train_cluster_and_score(self, tmp_path, capsys):
+        self.make(tmp_path, "plain", "--speakers", "3", "--segments-per-speaker", "10")
+        self.make(tmp_path, "mixed", "--overlap")
+        weights = tmp_path / "w.gcnw"
+        assert main(["train-gcn", "--data", str(tmp_path), "--epochs", "2",
+                     "--out", str(weights)]) == 0
+        for name in ("plain", "mixed"):
+            hyp = tmp_path / f"{name}_hyp.rttm"
+            assert main(["cluster", "--embeddings", str(tmp_path / f"{name}.emb"),
+                         "--mode", "cdgcn", "--weights", str(weights),
+                         "--mask", str(tmp_path / f"{name}.mask"),
+                         "--vad", str(tmp_path / f"{name}.vad"), "--out", str(hyp)]) == 0
+            assert main(["score", "--ref", str(tmp_path / f"{name}_ref.rttm"),
+                         "--hyp", str(hyp), "--counts"]) == 0
+        assert capsys.readouterr().out.count("MSE=") == 2

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -10,7 +11,6 @@ from cdgcn.gcn import (
     GcnWeights,
     bce_loss,
     gcn_forward,
-    gcn_layer_forward,
     load_weights,
     loss_and_gradients,
     normalize_adjacency,
@@ -77,30 +77,6 @@ class TestNormalizeAdjacency:
 
 
 class TestLayerForward:
-    def test_zero_weights_give_zero(self, rng):
-        h = rng.normal(size=(4, 3))
-        a_hat = normalize_adjacency(np.zeros((4, 4)))
-        assert (gcn_layer_forward(h, a_hat, np.zeros((6, 2))) == 0.0).all()
-
-    def test_single_node_hand_computed(self):
-        # concat(1, 1) . (1, 1) = 2
-        out = gcn_layer_forward(np.array([[1.0]]), np.array([[1.0]]),
-                                np.array([[1.0], [1.0]]))
-        assert out == pytest.approx(np.array([[2.0]]))
-
-    def test_negative_preactivations_clamped(self):
-        h = np.ones((3, 2))
-        a_hat = np.eye(3)
-        w = -np.ones((4, 2))
-        assert (gcn_layer_forward(h, a_hat, w) == 0.0).all()
-
-    def test_dimension_mismatch(self, rng):
-        h = rng.normal(size=(4, 3))
-        with pytest.raises(ValueError, match="weight rows 5"):
-            gcn_layer_forward(h, np.eye(4), rng.normal(size=(5, 2)))
-        with pytest.raises(ValueError, match="adjacency"):
-            gcn_layer_forward(h, np.eye(3), rng.normal(size=(6, 2)))
-
     def test_aggregation_infinity_norm_bound(self, rng):
         for _ in range(10):
             h = rng.normal(size=(6, 4))
@@ -155,7 +131,7 @@ class TestForward:
 
     def test_neighbor_permutation_equivariance(self, rng):
         sub = random_subgraph(rng, nodes=6, dim=4)
-        weights = GcnWeights.glorot(4, num_layers=3, seed=2, dtype=np.float64)
+        weights = GcnWeights.glorot(4, num_layers=3, seed=2).astype(np.float64)
         base = gcn_forward(sub, weights)
         perm = np.concatenate([[0], 1 + rng.permutation(5)])
         permuted = SubGraph(0, sub.members[perm], sub.features[perm],
@@ -167,6 +143,14 @@ class TestForward:
         sub = random_subgraph(rng, nodes=3, dim=3)
         with pytest.raises(ValueError, match="feature dim"):
             gcn_forward(sub, GcnWeights.glorot(5))
+
+    def test_adjacency_shape_mismatch(self, rng):
+        sub = random_subgraph(rng, nodes=4, dim=3)
+        for adjacency in (sub.adjacency[:3, :3], sub.adjacency[:, :3], sub.adjacency[None]):
+            bad = SubGraph(0, sub.members, sub.features, adjacency)
+            message = f"adjacency shape {adjacency.shape} does not match 4 nodes"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                gcn_forward(bad, GcnWeights.glorot(3))
 
     def test_probabilities_in_unit_interval(self, rng):
         sub = random_subgraph(rng, nodes=8, dim=4)
@@ -256,7 +240,7 @@ class TestTrain:
             train(self.toy_batches(rng), lr=lr, epochs=epochs)
 
     def test_non_finite_loss_aborts_with_epoch(self, rng):
-        init = GcnWeights.glorot(3, seed=4, dtype=np.float64)
+        init = GcnWeights.glorot(3, seed=4).astype(np.float64)
         init.layer_weights[0][0, 0] = np.nan
         with pytest.raises(FloatingPointError, match="epoch 0"):
             train(self.toy_batches(rng), init=init, epochs=3)

@@ -13,7 +13,6 @@ from cdgcn.osd import (
     second_community,
     write_overlap_mask,
 )
-from cdgcn.timeline import DiarizationTimeline
 from helpers import graph_from_matrix, random_weight_matrix
 
 
@@ -45,19 +44,19 @@ class TestBelongingCoefficients:
 class TestSecondCommunity:
     def test_single_community_gives_none(self):
         b = np.array([[0.5, 0.2, 0.9]])
-        assert second_community(b, [0, 0, 0]) == [None, None, None]
+        assert second_community(b, [0, 0, 0]).tolist() == [-1, -1, -1]
 
     def test_runner_up_selected(self):
         b = np.array([[0.8], [0.6]])
-        assert second_community(b, [0]) == [1]
+        assert second_community(b, [0]).tolist() == [1]
 
     def test_zero_outside_own_community_gives_none(self):
         b = np.array([[0.9, 0.0], [0.0, 0.7]])
-        assert second_community(b, [0, 1]) == [None, None]
+        assert second_community(b, [0, 1]).tolist() == [-1, -1]
 
     def test_tie_breaks_to_smaller_label(self):
         b = np.array([[0.4], [0.25], [0.25]])
-        assert second_community(b, [0]) == [1]
+        assert second_community(b, [0]).tolist() == [1]
 
     def test_primary_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -70,8 +69,10 @@ class TestSecondCommunity:
         labels = rng.integers(0, 3, g.node_count)
         p = Partition.from_labels(g, labels)
         b = belonging_coefficients(g, p)
-        for node, runner_up in enumerate(second_community(b, p.labels)):
-            if runner_up is not None:
+        second = second_community(b, p.labels)
+        assert second.dtype == np.int64 and (second >= -1).all()
+        for node, runner_up in enumerate(second.tolist()):
+            if runner_up >= 0:
                 assert runner_up != p.labels[node]
                 assert b[runner_up, node] > 0.0
 
@@ -80,7 +81,7 @@ class TestApplyOverlap:
     def setup_method(self):
         self.primary = np.array([0, 0, 1, 1, -1, 1])
         self.frame_segment = np.array([0, 0, 1, 1, -1, 2])
-        self.second = [1, 0, None]
+        self.second = np.array([1, 0, -1])
 
     def test_zero_mask_is_identity(self):
         mask = OverlapMask(np.zeros(6, dtype=bool))
@@ -113,8 +114,6 @@ class TestApplyOverlap:
     def test_frame_duration_must_be_finite_and_positive(self, bad):
         with pytest.raises(ValueError, match="must be finite and positive"):
             OverlapMask(np.ones(6, dtype=bool), frame_duration=bad)
-        with pytest.raises(ValueError, match="must be finite and positive"):
-            DiarizationTimeline(bad, self.primary)
 
     def test_speakers_per_frame_bounded(self):
         mask = OverlapMask(np.ones(6, dtype=bool))

@@ -133,7 +133,7 @@ class TestTimeline:
     def test_records_match_frames(self):
         primary = np.array([0, 0, 1, 1, -1, 1])
         secondary = np.array([1, -1, -1, -1, -1, -1])
-        timeline = DiarizationTimeline(0.01, primary, secondary)
+        timeline = DiarizationTimeline(primary, secondary)
         records = timeline.to_records("f")
         rebuilt = {s: np.zeros(6, dtype=bool) for s in ("spk0", "spk1")}
         for r in records:
@@ -147,7 +147,7 @@ class TestTimeline:
 
     def test_secondary_requires_speech(self):
         with pytest.raises(ValueError, match="non-speech"):
-            DiarizationTimeline(0.01, np.array([-1]), np.array([2]))
+            DiarizationTimeline(np.array([-1]), np.array([2]))
 
 
 class TestRunPipeline:
@@ -263,7 +263,6 @@ class TestMaskContract:
             assert "mask" in str(exc) and "\n" not in str(exc)
             return
         assert valid
-        assert timeline.frame_duration == FRAME_DURATION
         assert (timeline.primary == base.primary).all()
         overlapped = timeline.secondary >= 0
         assert (overlapped == (flags[:frames] & (base.primary >= 0))).all()

@@ -37,6 +37,12 @@ class TestMakeSession:
         with pytest.raises(ValueError, match="two-speaker"):
             make_session(num_speakers=3, mean_cosine=0.2)
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_fewer_than_one_segment_per_speaker_rejected(self, count):
+        message = f"^segments_per_speaker must be at least 1, got {count}$"
+        with pytest.raises(ValueError, match=message):
+            make_session(num_speakers=2, segments_per_speaker=count)
+
     def test_too_many_speakers_for_dim(self):
         with pytest.raises(ValueError, match="orthonormal"):
             make_session(num_speakers=5, dim=3)
