@@ -8,6 +8,7 @@ ids on overlap segments) and <name>_ref.rttm (reference turns), ready for
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 from cdgcn.graphs import write_embeddings
@@ -32,14 +33,17 @@ def main():
                         help="cosine between the two speaker means (2-speaker sessions)")
     args = parser.parse_args()
 
-    if args.overlap:
-        session = make_overlap_session(dim=args.dim, noise=args.noise,
-                                       seed=args.seed, file_id=args.name)
-    else:
-        session = make_session(num_speakers=args.speakers,
-                               segments_per_speaker=args.segments_per_speaker,
-                               dim=args.dim, noise=args.noise, seed=args.seed,
-                               mean_cosine=args.mean_cosine, file_id=args.name)
+    try:
+        if args.overlap:
+            session = make_overlap_session(dim=args.dim, noise=args.noise,
+                                           seed=args.seed, file_id=args.name)
+        else:
+            session = make_session(num_speakers=args.speakers,
+                                   segments_per_speaker=args.segments_per_speaker,
+                                   dim=args.dim, noise=args.noise, seed=args.seed,
+                                   mean_cosine=args.mean_cosine, file_id=args.name)
+    except ValueError as exc:
+        sys.exit(f"make_synthetic.py: {exc}")
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

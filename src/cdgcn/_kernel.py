@@ -72,11 +72,10 @@ def load() -> ctypes.CDLL:
     graph = [ints, ints, reals, reals]    # indptr, indices, weights, degrees
     # Each kernel returns a count, or -1 when it cannot allocate its scratch.
     lib.local_move.restype = idx
-    lib.local_move.argtypes = [idx, *graph, real, real, real, idx, ints, ints, reals]
+    lib.local_move.argtypes = [idx, *graph, real, real, real, idx, ints, ints]
     lib.refine_partition.restype = idx
-    lib.refine_partition.argtypes = [idx, *graph, ints, reals, real, real, real, ints, idx,
-                                     ints, reals]
+    lib.refine_partition.argtypes = [idx, *graph, ints, real, real, real, ints, idx, ints]
     lib.aggregate_graph.restype = idx
     lib.aggregate_graph.argtypes = [idx, idx, idx, ints, reals, ints, ints, reals,
-                                    reals, ints, ints, ints, reals, ints, reals, reals]
+                                    reals, ints, ints, reals]
     return lib

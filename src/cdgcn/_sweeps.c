@@ -8,9 +8,9 @@
  * neighbouring community is summed from 0.0 in CSR row order, every gain
  * keeps the Python operand order, and the choice is the smallest label
  * among the maximal gains, as a strict scan in ascending label order
- * picks. Each sweep ends by compacting its labels by first appearance in
- * node order and summing every K_c from 0.0 in node order, as
- * np.bincount(labels, weights=k) does, and returns the community count.
+ * picks. Each sweep sums the K_c it starts from out of its labels, from
+ * 0.0 in node order as np.bincount(labels, weights=k) does, and ends by
+ * compacting its labels by first appearance, returning the community count.
  * Aggregation is bit-exact with the numpy code the tests keep as its
  * oracle. Built with -ffp-contract=off and no fast-math, so nothing is
  * contracted or reassociated. The graph is symmetric CSR (ptr, nbr, w)
@@ -48,20 +48,16 @@ static void scratch_free(scratch *s) {
     free(s->flag);
 }
 
-/* Relabels labels (all below n) to 0..C-1 by first appearance and sums K_c
- * into comm_degree in node order; first is n ids of scratch. Returns C. */
-static idx compact(idx n, const double *k, idx *labels, double *comm_degree, idx *first) {
+/* Relabels labels (all below n) to 0..C-1 by first appearance; first is n
+ * ids of scratch. Returns C. */
+static idx compact(idx n, idx *labels, idx *first) {
     idx count = 0;
     for (idx i = 0; i < n; i++)
         first[i] = -1;
     for (idx i = 0; i < n; i++) {
-        idx c = labels[i];
-        if (first[c] < 0) {
-            first[c] = count;
-            comm_degree[count++] = 0.0;
-        }
-        labels[i] = first[c];
-        comm_degree[labels[i]] += k[i];
+        if (first[labels[i]] < 0)
+            first[labels[i]] = count++;
+        labels[i] = first[labels[i]];
     }
     return count;
 }
@@ -86,15 +82,13 @@ static idx gather(const idx *ptr, const idx *nbr, const double *w, const idx *la
 
 /* Moves nodes to the neighbouring community, or a fresh singleton (last
  * in ties), of largest gain above tol. Communities 0..fresh-1 start
- * non-empty, with K_c in comm_degree; a fresh singleton takes the smallest
- * id emptied since, else fresh. queue holds all n nodes in visit order and
- * serves as a ring buffer, with a flag barring duplicates. A moved node's
- * neighbours outside its new community are queued in row order. labels
- * are updated in place, then compacted with K_c in comm_degree (room for
- * n communities). */
+ * non-empty; a fresh singleton takes the smallest id emptied since, else
+ * fresh. queue holds all n nodes in visit order and serves as a ring
+ * buffer, with a flag barring duplicates. A moved node's neighbours outside
+ * its new community are queued in row order. labels are updated in place,
+ * then compacted. */
 idx local_move(idx n, const idx *ptr, const idx *nbr, const double *w, const double *k,
-               double gamma, double two_m, double tol, idx fresh, idx *labels, idx *queue,
-               double *comm_degree) {
+               double gamma, double two_m, double tol, idx fresh, idx *labels, idx *queue) {
     scratch s;
     if (!scratch_alloc(&s, n, 2, 3, 2)) {
         scratch_free(&s);
@@ -103,10 +97,9 @@ idx local_move(idx n, const idx *ptr, const idx *nbr, const double *w, const dou
     double *running = s.real, *w_to = s.real + n;   /* K_c as nodes move */
     idx *comm_size = s.id, *touched = s.id + n, *first = s.id + 2 * n;
     uint8_t *in_queue = s.flag, *seen = s.flag + n;
-    for (idx c = 0; c < fresh; c++)
-        running[c] = comm_degree[c];
     for (idx i = 0; i < n; i++) {
         comm_size[labels[i]]++;
+        running[labels[i]] += k[i];
         in_queue[i] = 1;
     }
 
@@ -156,7 +149,7 @@ idx local_move(idx n, const idx *ptr, const idx *nbr, const double *w, const dou
             }
         }
     }
-    idx count = compact(n, k, labels, comm_degree, first);
+    idx count = compact(n, labels, first);
     scratch_free(&s);
     return count;
 }
@@ -166,30 +159,31 @@ static int well_connected(double cross, double degree, double k_total, double ga
     return cross >= gamma * degree * (k_total - degree) / two_m;
 }
 
-/* Refines parent communities in turn, starting from singletons. order
- * lists `members` nodes in runs, one run per parent community c (total
- * degree parent_degree[c]) to refine. In each run the members' cross
- * (weight to the rest of c) and connected are set first; then each member
- * in order, if still alone and well connected, joins the well-connected
- * part of c with largest gain above tol. Per-part state is indexed by the
- * part's founding node. The parts are written to ref_labels, compacted
- * with K_c in comm_degree (n entries each). */
+/* Refines parent communities (labels in parent, all below n) in turn,
+ * starting from singletons. order lists `members` nodes in runs, one run
+ * per parent community c to refine. In each run the members' cross (weight
+ * to the rest of c) and connected are set first; then each member in order,
+ * if still alone and well connected, joins the well-connected part of c
+ * with largest gain above tol. Per-part state is indexed by the part's
+ * founding node. The parts are written to ref_labels (n entries),
+ * compacted. */
 idx refine_partition(idx n, const idx *ptr, const idx *nbr, const double *w, const double *k,
-                     const idx *parent, const double *parent_degree, double gamma,
-                     double two_m, double tol, const idx *order, idx members, idx *ref_labels,
-                     double *comm_degree) {
+                     const idx *parent, double gamma, double two_m, double tol,
+                     const idx *order, idx members, idx *ref_labels) {
     scratch s;
-    if (!scratch_alloc(&s, n, 3, 3, 2)) {
+    if (!scratch_alloc(&s, n, 4, 3, 2)) {
         scratch_free(&s);
         return -1;
     }
     double *ref_degree = s.real, *cross = s.real + n, *w_to = s.real + 2 * n;
+    double *parent_degree = s.real + 3 * n;
     idx *ref_size = s.id, *cands = s.id + n, *first = s.id + 2 * n;
     uint8_t *connected = s.flag, *seen = s.flag + n;
     for (idx i = 0; i < n; i++) {
         ref_labels[i] = i;
         ref_size[i] = 1;
         ref_degree[i] = k[i];
+        parent_degree[parent[i]] += k[i];
     }
 
     for (idx start = 0, end; start < members; start = end) {
@@ -232,7 +226,7 @@ idx refine_partition(idx n, const idx *ptr, const idx *nbr, const double *w, con
             }
         }
     }
-    idx count = compact(n, k, ref_labels, comm_degree, first);
+    idx count = compact(n, ref_labels, first);
     scratch_free(&s);
     return count;
 }
@@ -257,21 +251,23 @@ static void sort_by(const idx *key, idx keys, const idx *from, idx *to, idx item
  * node order, then its inside edges in stream order. The cross pairs
  * (lo, hi) are ordered by a stable counting sort by hi, then by lo, and
  * each sums its edges from 0.0 in stream order. The finished CSR lists
- * each row's pairs in that order; a degree is 2 * self-loop plus the row
- * summed in row order. lo, hi and pair_w have room for `edges` pairs,
- * indices and csr_w for twice that. Returns the pair count. */
+ * each row's pairs in that order; indices and csr_w have room for twice
+ * `edges` entries. Returns the pair count. */
 idx aggregate_graph(idx n, idx communities, idx edges, const idx *labels,
                     const double *self_loops, const idx *heads, const idx *tails,
-                    const double *weights, double *loops, idx *ptr, idx *lo, idx *hi,
-                    double *pair_w, idx *indices, double *csr_w, double *degree) {
+                    const double *weights, double *loops, idx *ptr, idx *indices,
+                    double *csr_w) {
     scratch s;
-    if (!scratch_alloc(&s, edges + communities, 0, 5, 0)) {
+    if (!scratch_alloc(&s, edges + communities, 1, 7, 0)) {
         scratch_free(&s);
         return -1;
     }
-    /* Per cross edge in stream order: its ends' labels and its stream index. */
+    /* Per cross edge in stream order: its ends' labels and its stream index;
+     * per pair: its ends and summed weight. */
     idx *low = s.id, *high = low + edges, *edge = high + edges;
-    idx *order = edge + edges, *by_high = order + edges, *count = by_high + edges;
+    idx *order = edge + edges, *by_high = order + edges, *lo = by_high + edges;
+    idx *hi = lo + edges, *count = hi + edges;
+    double *pair_w = s.real;
     idx crossing = 0, pairs = 0;
     for (idx c = 0; c < communities; c++)
         loops[c] = 0.0;
@@ -316,12 +312,6 @@ idx aggregate_graph(idx n, idx communities, idx edges, const idx *labels,
         csr_w[count[lo[p]]++] = pair_w[p];
         indices[count[hi[p]]] = lo[p];
         csr_w[count[hi[p]]++] = pair_w[p];
-    }
-    for (idx c = 0; c < communities; c++) {
-        double row = 0.0;
-        for (idx e = ptr[c]; e < ptr[c + 1]; e++)
-            row += csr_w[e];
-        degree[c] = 2.0 * loops[c] + row;
     }
     scratch_free(&s);
     return pairs;

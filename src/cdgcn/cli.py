@@ -66,8 +66,7 @@ def cmd_train_gcn(args) -> int:
         speakers = _read_speakers(labels_path, emb.count)
         sub = build_subgraph(cosine_affinity(emb), emb, np.arange(emb.count), args.knn_k)
         batches.append((sub, shared_speaker_labels(speakers, sub.members)))
-    if args.rotations:
-        batches = rotate_batches(batches, args.rotations, seed=args.seed)
+    batches = rotate_batches(batches, args.rotations, seed=args.seed)
 
     feature_dim = batches[0][0].features.shape[-1]
     init = GcnWeights.glorot(feature_dim, num_layers=args.layers, seed=args.seed)

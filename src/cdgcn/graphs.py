@@ -127,9 +127,9 @@ class SpeakerGraph:
     row order equals insertion order, and a pair given more than once keeps
     its first position and its largest weight. Self-loops only appear on
     aggregated graphs and live in the self_loops vector; a self-loop counts
-    twice in a node's weighted degree. Computed once at construction:
-    weighted_degrees, total_weight (m) and edges, the (heads, tails,
-    weights) stream of pair edges with head < tail in row order.
+    twice in a node's weighted degree. Derived once from the rows and
+    self-loops: weighted_degrees, total_weight (m) and edges, the (heads,
+    tails, weights) stream of pair edges with head < tail in row order.
     """
 
     def __init__(self, node_count: int, heads=(), tails=(), weights=(), self_loops=None):
@@ -162,16 +162,20 @@ class SpeakerGraph:
         self.indices = np.stack([hi, lo], axis=1).reshape(-1)[order]
         self.weights = both[order]
         self.indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
-        self.weighted_degrees = 2.0 * self.self_loops + np.bincount(
-            src, weights=both, minlength=n)
-        del src, both, order   # keeps the build's transient memory low
-        # A pair's head < tail entry sits in the row of its low end.
-        by_row = np.argsort(lo, kind="stable")
-        self.edges = (lo[by_row], hi[by_row], weights[by_row])
+        del src, both, order, lo, hi, weights   # keeps the build's transient memory low
         self._seal()
 
     def _seal(self) -> None:
-        """Sets edge_count and m, and makes every array read-only."""
+        """Derives weighted_degrees, edges, edge_count and m from the rows
+        and self-loops, and makes every array read-only."""
+        n = self.node_count
+        rows = np.repeat(np.arange(n), np.diff(self.indptr))
+        # Each row is summed from 0.0 in row order.
+        self.weighted_degrees = 2.0 * self.self_loops + np.bincount(
+            rows, weights=self.weights, minlength=n)
+        # A pair's head < tail entry sits in the row of its low end.
+        upper = rows < self.indices
+        self.edges = (rows[upper], self.indices[upper], self.weights[upper])
         self.edge_count = len(self.edges[0])
         # cumsum adds in stream order, as the per-edge sums elsewhere do.
         pair = np.cumsum(self.edges[2])[-1] if self.edge_count else 0.0
@@ -181,16 +185,14 @@ class SpeakerGraph:
             array.flags.writeable = False
 
     @classmethod
-    def _adopt(cls, indptr, indices, weights, weighted_degrees, self_loops,
-               edges) -> "SpeakerGraph":
+    def _adopt(cls, indptr, indices, weights, self_loops) -> "SpeakerGraph":
         """A graph over float64 and int64 arrays already laid out as the
-        constructor lays them out (rows in pair order, edges sorted by row),
-        taken as they are; aggregate_graph's kernel builds them."""
+        constructor lays them out (rows in pair order), taken as they are;
+        aggregate_graph's kernel builds them."""
         graph = cls.__new__(cls)
         graph.node_count = len(self_loops)
         graph.indptr, graph.indices, graph.weights = indptr, indices, weights
-        graph.weighted_degrees, graph.self_loops, graph.edges = (weighted_degrees, self_loops,
-                                                                 edges)
+        graph.self_loops = self_loops
         graph._seal()
         return graph
 

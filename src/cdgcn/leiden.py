@@ -19,16 +19,16 @@ edgeless graph has Q defined as 0.
 Local moving, refinement and aggregation each run as one C call per level
 (`_sweeps.c`, built on first use by `_kernel.py`); Python keeps the random
 draws and the input checks, and the kernels own their scratch. Each sweep
-ends by compacting its labels by first appearance and summing K_c in node
-order, so its result needs no `Partition.from_labels`; aggregation emits
-the finished CSR of the aggregate graph. Refinement is greedy: a node joins
-the part of largest gain, the zero-temperature limit of Traag et al.'s
-randomized merge. The sweeps are bit-exact with the per-node loops the
-tests keep as oracles, and aggregation with the numpy code they keep: the
-same visit order, sums from 0.0 in CSR row or edge-stream order, every
-gain in the same operand order, the smallest label among equal best gains
-(what an ascending scan picks), and -ffp-contract=off, so no multiply-add
-is fused.
+sums the K_c it needs from the labels and ends by compacting its labels by
+first appearance, so its result needs no `Partition.from_labels`;
+aggregation emits the finished CSR of the aggregate graph. Refinement is
+greedy: a node joins the part of largest gain, the zero-temperature limit
+of Traag et al.'s randomized merge. The sweeps are bit-exact with the
+per-node loops the tests keep as oracles, and aggregation with the numpy
+code they keep: the same visit order, sums from 0.0 in CSR row or
+edge-stream order, every gain in the same operand order, the smallest label
+among equal best gains (what an ascending scan picks), and
+-ffp-contract=off, so no multiply-add is fused.
 """
 
 from __future__ import annotations
@@ -59,29 +59,23 @@ class LeidenConfig:
 
 @dataclass
 class Partition:
-    """Node-to-community assignment: labels are contiguous in 0..C-1 with
-    no empty community, and community_degree[c] caches K_c."""
+    """Node-to-community assignment: labels are contiguous in 0..C-1, C
+    being community_count, with no empty community."""
 
     labels: np.ndarray
-    community_degree: np.ndarray
-
-    @property
-    def community_count(self) -> int:
-        return len(self.community_degree)
+    community_count: int
 
     @classmethod
     def from_labels(cls, graph: SpeakerGraph, labels) -> "Partition":
         """Build a partition from arbitrary labels, compacting them to
-        0..C-1 by first appearance and recomputing K_c from scratch."""
+        0..C-1 by first appearance."""
         labels = np.asarray(labels, dtype=np.int64)
         if labels.shape != (graph.node_count,):
             raise ValueError(
                 f"{labels.size} labels do not cover a graph of {graph.node_count} nodes"
             )
         _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-        compact = np.argsort(np.argsort(first))[inverse]
-        return cls(compact, np.bincount(compact, weights=graph.weighted_degrees,
-                                        minlength=first.size))
+        return cls(np.argsort(np.argsort(first))[inverse], first.size)
 
 
 def _community_sums(graph: SpeakerGraph, labels: np.ndarray, c: int):
@@ -96,7 +90,7 @@ def _community_sums(graph: SpeakerGraph, labels: np.ndarray, c: int):
 
 
 def quality(graph: SpeakerGraph, partition: Partition, gamma: float) -> float:
-    """Evaluate Q from scratch (independent of the partition's K_c cache)."""
+    """Evaluate Q from the partition's labels."""
     labels = partition.labels
     if labels.shape != (graph.node_count,):
         raise ValueError("partition does not cover the graph")
@@ -116,13 +110,11 @@ def _check_total_weight(graph: SpeakerGraph) -> None:
 
 def _valid_labels(graph: SpeakerGraph, partition: Partition) -> np.ndarray:
     """The labels as a fresh int64 array, once what the compiled kernels index
-    by is checked: n integer labels in 0..C-1, none unused, one K_c each."""
+    by is checked: n integer labels in 0..C-1, none unused."""
     labels, c = partition.labels, partition.community_count
     if labels.shape != (graph.node_count,) or labels.dtype.kind not in "iu":
         raise ValueError(f"partition needs {graph.node_count} integer labels, "
                          f"got {labels.dtype} labels of shape {labels.shape}")
-    if partition.community_degree.shape != (c,):
-        raise ValueError("partition needs one K_c per community")
     if labels.size and (labels.min() < 0 or labels.max() >= c):
         raise ValueError(f"partition labels must lie in 0..{c - 1}")
     labels = labels.astype(np.int64)
@@ -163,14 +155,10 @@ def local_move(graph: SpeakerGraph, partition: Partition, gamma: float, seed: in
     from ._kernel import load
 
     queue = np.random.default_rng(seed).permutation(n)
-    # K_c in, compacted K_c out: room for n communities, as many as can be live at once.
-    c = partition.community_count
-    degree = np.empty(n)
-    degree[:c] = partition.community_degree
     count = load().local_move(n, graph.indptr, graph.indices, graph.weights,
-                              graph.weighted_degrees, gamma, 2.0 * m, GAIN_TOLERANCE, c, labels,
-                              queue, degree)
-    return Partition(labels, degree[:_counted(count, "local_move", graph)])
+                              graph.weighted_degrees, gamma, 2.0 * m, GAIN_TOLERANCE,
+                              partition.community_count, labels, queue)
+    return Partition(labels, _counted(count, "local_move", graph))
 
 
 def refine_partition(graph: SpeakerGraph, partition: Partition, gamma: float,
@@ -198,13 +186,11 @@ def refine_partition(graph: SpeakerGraph, partition: Partition, gamma: float,
     order = np.concatenate([np.empty(0, np.int64)] + [
         rng.permutation(by_parent[bounds[c]:bounds[c + 1]])
         for c in np.flatnonzero(np.diff(bounds) > 1)])
-    ref_labels, degree = np.empty(n, np.int64), np.empty(n)
+    ref_labels = np.empty(n, np.int64)
     count = load().refine_partition(n, graph.indptr, graph.indices, graph.weights,
-                                    graph.weighted_degrees, parent,
-                                    np.ascontiguousarray(partition.community_degree, dtype=float),
-                                    gamma, 2.0 * m, GAIN_TOLERANCE, order, order.size,
-                                    ref_labels, degree)
-    return Partition(ref_labels, degree[:_counted(count, "refine_partition", graph)])
+                                    graph.weighted_degrees, parent, gamma, 2.0 * m,
+                                    GAIN_TOLERANCE, order, order.size, ref_labels)
+    return Partition(ref_labels, _counted(count, "refine_partition", graph))
 
 
 def aggregate_graph(graph: SpeakerGraph, refined: Partition) -> SpeakerGraph:
@@ -222,17 +208,14 @@ def aggregate_graph(graph: SpeakerGraph, refined: Partition) -> SpeakerGraph:
 
     from ._kernel import load
 
-    loops, degrees, indptr = np.empty(c), np.empty(c), np.empty(c + 1, np.int64)
-    lo, hi, summed = np.empty(edges, np.int64), np.empty(edges, np.int64), np.empty(edges)
+    loops, indptr = np.empty(c), np.empty(c + 1, np.int64)
     indices, weights = np.empty(2 * edges, np.int64), np.empty(2 * edges)
     pairs = _counted(load().aggregate_graph(graph.node_count, c, edges, labels, graph.self_loops,
-                                            *graph.edges, loops, indptr, lo, hi, summed,
-                                            indices, weights, degrees),
+                                            *graph.edges, loops, indptr, indices, weights),
                      "aggregate_graph", graph)
     # Copies trimmed to the pairs, so the aggregate pins no parent-sized buffer.
     return SpeakerGraph._adopt(indptr, indices[:2 * pairs].copy(), weights[:2 * pairs].copy(),
-                               degrees, loops, (lo[:pairs].copy(), hi[:pairs].copy(),
-                                                summed[:pairs].copy()))
+                               loops)
 
 
 def _hierarchy_pass(graph: SpeakerGraph, flat_labels: np.ndarray, gamma: float,

@@ -166,11 +166,11 @@ def run_pipeline(emb: EmbeddingSet, mode: str, weights: GcnWeights | None = None
 
     aff = cosine_affinity(emb)
     if mode == "raw_leiden":
-        graph = knn_graph(aff, max(1, n - 1))
+        graph = knn_graph(aff, n)
     elif mode == "knn_leiden":
         graph = knn_graph(aff, cfg.knn_k)
     else:
-        graph = refine_graph(emb, aff, weights, min(cfg.knn_k, max(1, n - 1)))
+        graph = refine_graph(emb, aff, weights, cfg.knn_k)
 
     partition = leiden(graph, LeidenConfig(gamma=cfg.gamma, seed=cfg.seed))
     primary, frame_segment = _frame_attribution(emb.segments, partition.labels, vad_regions)

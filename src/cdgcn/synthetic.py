@@ -41,6 +41,14 @@ class SyntheticSession:
         return len(labels)
 
 
+def _check_spread(noise: float, mean_cosine: float | None) -> None:
+    """Refuses a noise scale or a cosine between means that cannot be drawn."""
+    if not 0.0 <= noise < math.inf:
+        raise ValueError(f"noise must be finite and non-negative, got {noise}")
+    if mean_cosine is not None and not -1.0 <= mean_cosine <= 1.0:
+        raise ValueError(f"mean_cosine must lie in [-1, 1], got {mean_cosine}")
+
+
 def _orthonormal_directions(count: int, dim: int, rng) -> np.ndarray:
     if count > dim:
         raise ValueError(f"cannot fit {count} orthonormal directions in {dim} dimensions")
@@ -101,8 +109,11 @@ def make_session(num_speakers: int = 4, segments_per_speaker: int = 50, dim: int
     instead of orthogonally (useful to teach the linkage predictor that
     adjacent clusters are still different speakers).
     """
+    if num_speakers < 1:
+        raise ValueError(f"num_speakers must be at least 1, got {num_speakers}")
     if segments_per_speaker < 1:
         raise ValueError(f"segments_per_speaker must be at least 1, got {segments_per_speaker}")
+    _check_spread(noise, mean_cosine)
     rng = np.random.default_rng(seed)
     means = _orthonormal_directions(num_speakers, dim, rng)
     if mean_cosine is not None:
@@ -137,6 +148,7 @@ def make_overlap_session(solo_seconds: float = 24.0, overlap_seconds: float = 12
     speaker 1 as ground-truth second speaker, and the oracle mask flags
     exactly those frames.
     """
+    _check_spread(noise, mean_cosine)
     rng = np.random.default_rng(seed)
     base = _orthonormal_directions(2, dim, rng)
     mean_a = base[0]
@@ -181,7 +193,9 @@ def rotate_batches(batches, rotations: int, seed: int = 0):
     linkage predictor to ignore the embedding basis, which transfers
     better to sessions with unseen speaker directions.
     """
-    if rotations <= 0 or not batches:
+    if rotations < 0:
+        raise ValueError(f"rotations must be non-negative, got {rotations}")
+    if rotations == 0 or not batches:
         return list(batches)
     from scipy.stats import ortho_group
 

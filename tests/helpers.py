@@ -248,7 +248,8 @@ def reference_local_move(graph: SpeakerGraph, partition: Partition, gamma: float
     k = graph.weighted_degrees.tolist()
     # Community slots: at most n communities can be live at any point.
     c = partition.community_count
-    comm_degree = partition.community_degree.tolist() + [0.0] * (n - c)
+    comm_degree = np.bincount(partition.labels, weights=graph.weighted_degrees,
+                              minlength=n).tolist()
     comm_size = np.bincount(partition.labels, minlength=n).tolist()
     free_ids: list[int] = []
     next_fresh = c
@@ -321,11 +322,13 @@ def reference_refine_partition(graph: SpeakerGraph, partition: Partition, gamma:
 
     by_parent = np.argsort(parent, kind="stable")
     bounds = np.searchsorted(parent[by_parent], np.arange(partition.community_count + 1))
+    # Python floats: fast scalar math.
+    parent_degree = np.bincount(parent, weights=graph.weighted_degrees).tolist()
     for comm in range(partition.community_count):
         members = by_parent[bounds[comm]:bounds[comm + 1]]
         if members.size < 2:
             continue
-        k_total = float(partition.community_degree[comm])   # Python float: fast scalar math
+        k_total = parent_degree[comm]
         for v in rng.permutation(members).tolist():
             own = ref_labels[v]
             if ref_size[own] > 1:

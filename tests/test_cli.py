@@ -202,7 +202,8 @@ class TestTrainCommand:
         ("--lr", "nan", "learning rate must be finite and positive, got nan"),
         ("--lr", "inf", "learning rate must be finite and positive, got inf"),
         ("--epochs", "-1", "epochs must be non-negative, got -1"),
-    ], ids=["lr-nan", "lr-inf", "epochs-negative"])
+        ("--rotations", "-1", "rotations must be non-negative, got -1"),
+    ], ids=["lr-nan", "lr-inf", "epochs-negative", "rotations-negative"])
     def test_bad_lr_or_epochs_is_one_line_error(self, train_dir, capsys, flag, value, message):
         out = train_dir / "w.gcnw"
         code = main(["train-gcn", "--data", str(train_dir), "--out", str(out), flag, value])
@@ -298,12 +299,23 @@ class TestSyntheticScript:
 
     script = Path(__file__).resolve().parents[1] / "scripts" / "make_synthetic.py"
 
-    def make(self, out_dir, name, *flags):
+    def make(self, out_dir, name, *flags, check=True):
         env = dict(os.environ)
         src = str(Path(cdgcn.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        subprocess.run([sys.executable, str(self.script), "--out-dir", str(out_dir),
-                        "--name", name, *flags], env=env, check=True, capture_output=True)
+        return subprocess.run([sys.executable, str(self.script), "--out-dir", str(out_dir),
+                               "--name", name, *flags], env=env, check=check,
+                              capture_output=True, text=True)
+
+    @pytest.mark.parametrize("flags", [
+        "--speakers 0", "--overlap --noise -1", "--noise nan", "--speakers 3 --dim 2",
+        "--speakers 2 --mean-cosine 2", "--segments-per-speaker 0", "--overlap --dim 1"])
+    def test_bad_arguments_are_one_line_errors(self, tmp_path, flags):
+        done = self.make(tmp_path / "out", "bad", *flags.split(), check=False)
+        assert done.returncode == 1
+        assert done.stderr.startswith("make_synthetic.py: ")
+        assert done.stderr.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_script_output_feeds_train_cluster_and_score(self, tmp_path, capsys):
         self.make(tmp_path, "plain", "--speakers", "3", "--segments-per-speaker", "10")

@@ -69,7 +69,6 @@ def test_from_labels_caches_match_dense(case):
     assert p.labels[np.sort(first)].tolist() == list(range(first.size))
     a = matrix_from_graph(graph)
     s = one_hot(p.labels, p.community_count)
-    assert p.community_degree.tolist() == (s.T @ a.sum(axis=1)).tolist()
     internal = _community_sums(graph, p.labels, p.community_count)[0]   # m_c, as quality sums it
     assert internal.tolist() == (np.diag(s.T @ a @ s) / 2.0).tolist()
 
@@ -170,6 +169,15 @@ def test_sums_run_in_edge_stream_order(seed):
     agg = aggregate_graph(graph, p)
     assert agg.self_loops.tolist() == agg_loops.tolist()
     assert list(edge_dict(agg).items()) == sorted(cross.items())
+    # The aggregate's derived arrays, pinned from its rows and the pair sums.
+    agg_k = 2.0 * agg.self_loops
+    for c in range(agg.node_count):
+        agg_k[c] += sum(w for _, w in neighbors(agg, c))
+    assert agg.weighted_degrees.tolist() == agg_k.tolist()
+    lo, hi, summed = agg.edges
+    assert lo.dtype == hi.dtype == np.int64 and summed.dtype == np.float64
+    assert list(zip(lo.tolist(), hi.tolist())) == sorted(cross)
+    assert summed.tolist() == [cross[pair] for pair in sorted(cross)]
 
 
 @given(edge_streams())
