@@ -8,10 +8,10 @@ gradients can be checked against finite differences; inference runs in
 float32 and training in float64.
 
 Both passes run on stacks of equal-size sub-graphs (a leading sub-graph
-axis), BLOCK at a time. A stacked matmul computes each sub-graph's product
-as an unstacked one would, and training adds each sub-graph's loss and
-gradient to the totals in sub-graph order, so no result depends on how
-sub-graphs are stacked.
+axis). A stacked matmul computes each sub-graph's product as an unstacked
+one would, and training adds each sub-graph's loss and gradient to the
+totals in sub-graph order, so no result depends on how sub-graphs are
+stacked: inference stacks graphs.BLOCK (32) pivots, training BLOCK (8).
 """
 
 from __future__ import annotations
@@ -21,10 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import BLOCK, SubGraph
+from .graphs import SubGraph, seeded_rng
 
 WEIGHTS_MAGIC = b"GCNW"
 PROB_EPSILON = 1e-7
+BLOCK = 8   # sub-graphs per training block: larger float64 ones fall out of cache
 
 
 @dataclass
@@ -92,7 +93,7 @@ class GcnWeights:
     def glorot(cls, feature_dim: int, num_layers: int = 4, seed: int = 0) -> "GcnWeights":
         """Seeded float32 uniform init in +-sqrt(6 / (fan_in + fan_out)), zero
         biases; the head's hidden layer is feature_dim wide."""
-        rng = np.random.default_rng(seed)
+        rng = seeded_rng(seed)
 
         def draw(rows, cols):
             bound = np.sqrt(6.0 / (rows + cols))

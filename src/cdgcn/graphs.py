@@ -10,6 +10,7 @@ edge arrays in one step, whose rows keep insertion order.
 
 from __future__ import annotations
 
+import numbers
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,9 +18,17 @@ from pathlib import Path
 import numpy as np
 
 EMBEDDING_MAGIC = b"EMB1"
-# Rows, pivots or sub-graphs per block wherever work is stacked: few enough
+# Rows per knn_graph block and pivots per refine_graph block: few enough
 # that a block's arrays and activations stay in cache and off peak memory.
-BLOCK = 8
+BLOCK = 32
+
+
+def seeded_rng(seed) -> np.random.Generator:
+    """numpy's generator for a non-negative integer seed; any other seed
+    is refused with one line that names it."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return np.random.default_rng(seed)
 
 
 @dataclass
@@ -271,7 +280,7 @@ def build_subgraph(aff: np.ndarray, emb: EmbeddingSet, pivot, k: int) -> SubGrap
     members = np.concatenate((pivots[..., None], neighbors), axis=-1)
     features = emb.vectors[members]
     features -= emb.vectors[pivots][..., None, :]
-    adjacency = aff[members[..., :, None], members[..., None, :]]
+    adjacency = np.take(aff.ravel(), members[..., :, None] * n + members[..., None, :])
     np.maximum(adjacency, 0.0, out=adjacency)
     diagonal = np.arange(members.shape[-1])
     adjacency[..., diagonal, diagonal] = 0.0

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import SpeakerGraph
+from .graphs import SpeakerGraph, seeded_rng
 
 #: Quality gains at or below this threshold are treated as noise.
 GAIN_TOLERANCE = 1e-12
@@ -55,6 +55,7 @@ class LeidenConfig:
     def __post_init__(self):
         if not 0 < self.gamma < np.inf:
             raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
+        seeded_rng(self.seed)   # refuses a seed leiden could not draw from
 
 
 @dataclass

@@ -92,34 +92,36 @@ def _frame_count(end: float, frame_duration: float) -> int:
     return max(1, math.ceil(end / frame_duration - _EPS))
 
 
-def _covered_frames(start: float, end: float, frame_duration: float, total: int):
-    """Index range of frames whose centers fall in [start, end)."""
-    f0 = max(0, math.ceil(start / frame_duration - 0.5 - _EPS))
-    f1 = min(total, math.ceil(end / frame_duration - 0.5 - _EPS))
+def _covered_frames(start, end, frame_duration: float, total: int):
+    """Index range [f0, f1) of frames whose centers fall in [start, end);
+    given arrays of starts and ends, one range per pair."""
+    f0 = np.maximum(0, np.ceil(start / frame_duration - 0.5 - _EPS)).astype(np.int64)
+    f1 = np.minimum(total, np.ceil(end / frame_duration - 0.5 - _EPS)).astype(np.int64)
     return f0, f1
 
 
 def _frame_attribution(segments: np.ndarray, labels: np.ndarray, vad_regions=None):
     """Assign each frame the label of the covering segment with the nearest
-    center; frames outside every segment (or outside the VAD) stay -1.
-    Frames are FRAME_DURATION long.
+    center (the lowest index among ties); frames outside every segment (or
+    outside the VAD) stay -1. Frames are FRAME_DURATION long.
 
     Returns (per-frame label, per-frame segment index).
     """
-    ends = segments[:, 0] + segments[:, 1]
+    starts, durations = segments[:, 0], segments[:, 1]
+    ends = starts + durations
     total = _frame_count(ends.max(), FRAME_DURATION)
-    frame_segment = np.full(total, -1, dtype=np.int64)
+    f0, f1 = _covered_frames(starts, ends, FRAME_DURATION, total)
+    counts = np.maximum(f1 - f0, 0)
+    # One entry per (segment, covered frame), segment by segment.
+    segment = np.repeat(np.arange(len(segments)), counts)
+    frame = np.arange(counts.sum()) + np.repeat(f0 - (np.cumsum(counts) - counts), counts)
+    dist = np.abs((frame + 0.5) * FRAME_DURATION - (starts + durations / 2.0)[segment])
     best = np.full(total, np.inf)
-    for idx in range(len(segments)):
-        start, duration = segments[idx]
-        f0, f1 = _covered_frames(start, start + duration, FRAME_DURATION, total)
-        if f1 <= f0:
-            continue
-        centers = (np.arange(f0, f1) + 0.5) * FRAME_DURATION
-        dist = np.abs(centers - (start + duration / 2.0))
-        better = dist < best[f0:f1]
-        frame_segment[f0:f1][better] = idx
-        best[f0:f1][better] = dist[better]
+    np.minimum.at(best, frame, dist)
+    nearest = dist == best[frame]
+    frame_segment = np.full(total, len(segments), dtype=np.int64)
+    np.minimum.at(frame_segment, frame[nearest], segment[nearest])
+    frame_segment[frame_segment == len(segments)] = -1
     if vad_regions is not None:
         speech = np.zeros(total, dtype=bool)
         for start, end in vad_regions:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import EmbeddingSet, SubGraph, build_subgraph, cosine_affinity
+from .graphs import EmbeddingSet, SubGraph, build_subgraph, cosine_affinity, seeded_rng
 from .osd import OverlapMask
 from .pipeline import SHIFT, WINDOW, _covered_frames, _frame_count, segment_speech
 from .timeline import FRAME_DURATION, RttmRecord
@@ -114,7 +114,7 @@ def make_session(num_speakers: int = 4, segments_per_speaker: int = 50, dim: int
     if segments_per_speaker < 1:
         raise ValueError(f"segments_per_speaker must be at least 1, got {segments_per_speaker}")
     _check_spread(noise, mean_cosine)
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     means = _orthonormal_directions(num_speakers, dim, rng)
     if mean_cosine is not None:
         if num_speakers != 2:
@@ -149,7 +149,7 @@ def make_overlap_session(solo_seconds: float = 24.0, overlap_seconds: float = 12
     exactly those frames.
     """
     _check_spread(noise, mean_cosine)
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     base = _orthonormal_directions(2, dim, rng)
     mean_a = base[0]
     mean_b = mean_cosine * base[0] + math.sqrt(1.0 - mean_cosine**2) * base[1]
@@ -195,12 +195,12 @@ def rotate_batches(batches, rotations: int, seed: int = 0):
     """
     if rotations < 0:
         raise ValueError(f"rotations must be non-negative, got {rotations}")
+    rng = seeded_rng(seed)
     if rotations == 0 or not batches:
         return list(batches)
     from scipy.stats import ortho_group
 
     dim = batches[0][0].features.shape[-1]
-    rng = np.random.default_rng(seed)
     out = list(batches)
     for _ in range(rotations):
         q = ortho_group.rvs(dim, random_state=rng)

@@ -1,6 +1,7 @@
 """Independent oracles and fixture generators shared by the tests."""
 
 import heapq
+import math
 import os
 import subprocess
 import sys
@@ -15,6 +16,8 @@ import cdgcn
 from cdgcn.gcn import PROB_EPSILON, GcnWeights
 from cdgcn.graphs import SpeakerGraph, SubGraph
 from cdgcn.leiden import GAIN_TOLERANCE, Partition
+from cdgcn.pipeline import _EPS
+from cdgcn.timeline import FRAME_DURATION
 
 
 def random_gcn_weights(rng, feature_dim, num_layers=2, hidden_dim=None, scale=0.5):
@@ -191,6 +194,41 @@ def reference_top_neighbors(aff: np.ndarray, node: int, k: int) -> np.ndarray:
     row[node] = -np.inf
     order = np.lexsort((np.arange(row.size), -row))
     return order[:k]
+
+
+def reference_frame_attribution(segments: np.ndarray, labels: np.ndarray, vad_regions=None):
+    """Frame attribution one segment at a time: a frame keeps the first
+    segment whose center is strictly nearer than any before it."""
+
+    def covered(start, end, total):
+        f0 = max(0, math.ceil(start / FRAME_DURATION - 0.5 - _EPS))
+        f1 = min(total, math.ceil(end / FRAME_DURATION - 0.5 - _EPS))
+        return f0, f1
+
+    ends = segments[:, 0] + segments[:, 1]
+    total = max(1, math.ceil(ends.max() / FRAME_DURATION - _EPS))
+    frame_segment = np.full(total, -1, dtype=np.int64)
+    best = np.full(total, np.inf)
+    for idx in range(len(segments)):
+        start, duration = segments[idx]
+        f0, f1 = covered(start, start + duration, total)
+        if f1 <= f0:
+            continue
+        centers = (np.arange(f0, f1) + 0.5) * FRAME_DURATION
+        dist = np.abs(centers - (start + duration / 2.0))
+        better = dist < best[f0:f1]
+        frame_segment[f0:f1][better] = idx
+        best[f0:f1][better] = dist[better]
+    if vad_regions is not None:
+        speech = np.zeros(total, dtype=bool)
+        for start, end in vad_regions:
+            f0, f1 = covered(start, end, total)
+            speech[f0:f1] = True
+        frame_segment[~speech] = -1
+    primary = np.full(total, -1, dtype=np.int64)
+    covered_frames = frame_segment >= 0
+    primary[covered_frames] = labels[frame_segment[covered_frames]]
+    return primary, frame_segment
 
 
 def reference_second_community(belonging: np.ndarray, primary) -> list:

@@ -15,7 +15,7 @@ from helpers import (
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cdgcn import gcn
+from cdgcn import gcn, graphs, pipeline
 from cdgcn.gcn import GcnWeights, gcn_forward, loss_and_gradients, train
 from cdgcn.graphs import (
     EmbeddingSet,
@@ -111,6 +111,24 @@ def test_batched_forward_and_refined_graph_match_reference(n, k, layers, dtype, 
         for a, b in zip((refined.indptr, refined.indices, refined.weights),
                         (oracle.indptr, oracle.indices, oracle.weights)):
             assert same_bits(a, b)
+
+
+@given(n=st.integers(1, 40), k=st.integers(1, 12), block=st.sampled_from([1, 3, 8, 64]),
+       seed=st.integers(0, 10_000))
+def test_inference_does_not_depend_on_block_size(n, k, block, seed):
+    # 64 exceeds every n drawn here: all rows or pivots in one block.
+    rng = np.random.default_rng(seed)
+    emb = embeddings(rng, n, dim=4, pool=int(rng.integers(2, 6)) if seed % 2 else None)
+    aff = cosine_affinity(emb)
+    weights = random_gcn_weights(rng, 4, num_layers=2).astype(np.float32)
+    expected = (refine_graph(emb, aff, weights, k), knn_graph(aff, k))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graphs, "BLOCK", block)
+        patch.setattr(pipeline, "BLOCK", block)
+        got = (refine_graph(emb, aff, weights, k), knn_graph(aff, k))
+    for a, b in zip(got, expected):
+        for x, y in zip((a.indptr, a.indices, a.weights), (b.indptr, b.indices, b.weights)):
+            assert same_bits(x, y)
 
 
 def mixed_batches(rng, dim=3):

@@ -332,3 +332,25 @@ class TestSyntheticScript:
             assert main(["score", "--ref", str(tmp_path / f"{name}_ref.rttm"),
                          "--hyp", str(hyp), "--counts"]) == 0
         assert capsys.readouterr().out.count("MSE=") == 2
+
+
+class TestNegativeSeed:
+    """Every command that takes --seed refuses a negative one with one line
+    that names it."""
+
+    @pytest.mark.parametrize("command", ["cluster", "train-gcn", "make_synthetic.py"])
+    def test_is_one_line_error(self, train_dir, capsys, command):
+        out = train_dir / "out"
+        if command == "make_synthetic.py":
+            done = TestSyntheticScript().make(out, "bad", "--seed", "-1", check=False)
+            code, err = done.returncode, done.stderr
+        else:
+            args = {"cluster": ["--embeddings", str(train_dir / "s31.emb"),
+                                "--mode", "knn_leiden"],
+                    "train-gcn": ["--data", str(train_dir)]}[command]
+            code = main([command, *args, "--seed", "-1", "--out", str(out)])
+            err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1
+        assert err.endswith(": seed must be a non-negative integer, got -1\n")
+        assert not out.exists()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import reference_frame_attribution
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -11,6 +12,7 @@ from cdgcn.pipeline import (
     SHIFT,
     WINDOW,
     PipelineConfig,
+    _frame_attribution,
     read_vad_regions,
     run_pipeline,
     segment_speech,
@@ -148,6 +150,37 @@ class TestTimeline:
     def test_secondary_requires_speech(self):
         with pytest.raises(ValueError, match="non-speech"):
             DiarizationTimeline(np.array([-1]), np.array([2]))
+
+
+class TestFrameAttribution:
+    """The array form against the per-segment loop in helpers.py, bit for bit."""
+
+    @given(n=st.integers(1, 30), grid=st.booleans(), vad=st.booleans(),
+           seed=st.integers(0, 2**16))
+    def test_matches_per_segment_loop(self, n, grid, vad, seed):
+        rng = np.random.default_rng(seed)
+        if grid:
+            # Starts and durations on a 5 ms grid: repeated and mirrored segment
+            # centres put frames at equal distance from several segments.
+            starts = np.sort(rng.integers(0, 200, n)) * 0.005
+            durations = rng.integers(1, 150, n) * 0.005
+        else:
+            starts = np.sort(rng.uniform(0.0, 1.0, n))
+            durations = rng.uniform(0.001, 0.75, n)
+        short = rng.random(n) < 0.3
+        durations[short] = 0.005 if grid else rng.uniform(0.0005, FRAME_DURATION, short.sum())
+        segments = np.column_stack([starts, durations])
+        labels = rng.integers(0, 4, n)
+        regions = None
+        if vad:
+            # Every region ends before the last segment does.
+            bounds = np.sort(rng.uniform(0.0, (starts + durations).max(),
+                                         2 * int(rng.integers(1, 4))))
+            regions = list(zip(bounds[::2].tolist(), bounds[1::2].tolist()))
+        got = _frame_attribution(segments, labels, regions)
+        expected = reference_frame_attribution(segments, labels, regions)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestRunPipeline:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from cdgcn.gcn import GcnWeights
+from cdgcn.leiden import LeidenConfig
 from cdgcn.synthetic import (
     linkage_labels,
     linkage_training_batches,
@@ -113,3 +115,15 @@ class TestRotateBatches:
         session = make_session(num_speakers=2, segments_per_speaker=5, dim=8, seed=8)
         base = linkage_training_batches(session, k=4)
         assert len(rotate_batches(base, 0)) == len(base)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: make_session(seed=-1),
+    lambda: make_overlap_session(seed=-1),
+    lambda: rotate_batches([], rotations=0, seed=-1),
+    lambda: GcnWeights.glorot(4, seed=-1),
+    lambda: LeidenConfig(seed=-1),
+], ids=["make_session", "make_overlap_session", "rotate_batches", "glorot", "LeidenConfig"])
+def test_negative_seed_is_refused_by_name(call):
+    with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
+        call()
