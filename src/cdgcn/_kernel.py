@@ -1,4 +1,4 @@
-"""Builds and loads the compiled Leiden kernels of `_sweeps.c`.
+"""Builds and loads the compiled kernels of `_sweeps.c`.
 
 On first use the library is compiled into $XDG_CACHE_HOME/cdgcn (default
 ~/.cache/cdgcn; delete it to force a rebuild), named by a hash of source,
@@ -53,7 +53,7 @@ def _build(target: Path) -> None:
                 return
             failures.append(f"C compiler {compiler!r}: "
                             f"{(done.stderr.strip().splitlines() or ['no output'])[0]}")
-        raise OSError("cannot build the Leiden sweeps: " + "; ".join(failures))
+        raise OSError("cannot build the compiled kernels: " + "; ".join(failures))
     finally:
         if os.path.exists(partial):
             os.unlink(partial)
@@ -78,4 +78,6 @@ def load() -> ctypes.CDLL:
     lib.aggregate_graph.restype = idx
     lib.aggregate_graph.argtypes = [idx, idx, idx, ints, reals, ints, ints, reals,
                                     reals, ints, ints, reals]
+    lib.build_graph.restype = idx
+    lib.build_graph.argtypes = [idx, idx, ints, ints, reals, ints, ints, reals]
     return lib

@@ -1,7 +1,9 @@
-/* Leiden's three per-level phases (cdgcn/leiden.py), one call each per
- * level: the sequential sweeps local_move and refine_partition, and
- * aggregate_graph. Each kernel allocates and frees its own scratch and
- * returns -1, having written nothing, if it cannot.
+/* The compiled kernels: build_graph, which lays out the CSR rows of every
+ * SpeakerGraph (cdgcn/graphs.py), and Leiden's three per-level phases
+ * (cdgcn/leiden.py), one call each per level: the sequential sweeps
+ * local_move and refine_partition, and aggregate_graph. Each kernel
+ * allocates and frees its own scratch and returns -1, having written
+ * nothing, if it cannot.
  *
  * The sweeps are bit-exact with the per-node loops the tests keep as
  * oracles: nodes are visited in the given order, a node's weight into each
@@ -11,8 +13,8 @@
  * picks. Each sweep sums the K_c it starts from out of its labels, from
  * 0.0 in node order as np.bincount(labels, weights=k) does, and ends by
  * compacting its labels by first appearance, returning the community count.
- * Aggregation is bit-exact with the numpy code the tests keep as its
- * oracle. Built with -ffp-contract=off and no fast-math, so nothing is
+ * Aggregation and graph building are bit-exact with the numpy code the
+ * tests keep as their oracles. Built with -ffp-contract=off and no fast-math, so nothing is
  * contracted or reassociated. The graph is symmetric CSR (ptr, nbr, w)
  * without diagonal, k its weighted degrees; ids are below n. */
 #include <stddef.h>
@@ -312,6 +314,75 @@ idx aggregate_graph(idx n, idx communities, idx edges, const idx *labels,
         csr_w[count[lo[p]]++] = pair_w[p];
         indices[count[hi[p]]] = lo[p];
         csr_w[count[hi[p]]++] = pair_w[p];
+    }
+    scratch_free(&s);
+    return pairs;
+}
+
+/* Lays out the CSR rows of a graph of n nodes from `entries` pair edges
+ * (heads, tails, weights), whose ends lie below n and differ. Each distinct
+ * pair keeps its first position and the largest weight it was given, a
+ * later equal weight winning (so 0.0 then -0.0 keeps -0.0); every row lists
+ * its pairs by first position. The entries are bucketed by low end with a
+ * stable counting sort and each bucket is deduplicated through slot[high
+ * end], a pair id that counts only if it is at least the bucket's first.
+ * Weights are moved and compared, never summed. indices and csr_w have room
+ * for twice `entries` entries. Returns the pair count. */
+idx build_graph(idx n, idx entries, const idx *heads, const idx *tails, const double *weights,
+                idx *ptr, idx *indices, double *csr_w) {
+    scratch s;
+    if (!scratch_alloc(&s, entries + n + 1, 1, 2, 1)) {
+        scratch_free(&s);
+        return -1;
+    }
+    /* count: bucket starts, later each row's next free slot; pair_of: the
+     * pair of each entry; placed: whether a pair is in the rows yet. */
+    idx *count = s.id, *slot = count + n + 1, *by_low = slot + n, *pair_of = by_low + entries;
+    double *pair_w = s.real;
+    uint8_t *placed = s.flag;
+    idx pairs = 0;
+    for (idx e = 0; e < entries; e++)
+        count[(heads[e] < tails[e] ? heads[e] : tails[e]) + 1]++;
+    for (idx v = 1; v < n; v++)
+        count[v] += count[v - 1];
+    for (idx e = 0; e < entries; e++)
+        by_low[count[heads[e] < tails[e] ? heads[e] : tails[e]]++] = e;
+
+    for (idx v = 0; v <= n; v++)
+        ptr[v] = 0;
+    for (idx v = 0; v < n; v++)
+        slot[v] = -1;
+    for (idx t = 0, low = -1, bucket_first = 0; t < entries; t++) {
+        idx e = by_low[t], a = heads[e], b = tails[e];
+        idx lo = a < b ? a : b, hi = a < b ? b : a, p = slot[hi];
+        if (lo != low) {
+            low = lo;
+            bucket_first = pairs;
+        }
+        if (p < bucket_first) {
+            p = slot[hi] = pairs++;
+            pair_w[p] = weights[e];
+            ptr[lo + 1]++;
+            ptr[hi + 1]++;
+        } else if (!(pair_w[p] > weights[e])) {
+            pair_w[p] = weights[e];
+        }
+        pair_of[e] = p;
+    }
+
+    for (idx v = 0; v < n; v++) {
+        ptr[v + 1] += ptr[v];
+        count[v] = ptr[v];
+    }
+    for (idx e = 0; e < entries; e++) {
+        idx p = pair_of[e], a = heads[e], b = tails[e];
+        if (placed[p])
+            continue;
+        placed[p] = 1;
+        indices[count[a]] = b;
+        csr_w[count[a]++] = pair_w[p];
+        indices[count[b]] = a;
+        csr_w[count[b]++] = pair_w[p];
     }
     scratch_free(&s);
     return pairs;

@@ -117,7 +117,9 @@ def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
     a = np.asarray(adjacency)
     a_tilde = a + np.eye(a.shape[-1], dtype=a.dtype)
     inv_sqrt = 1.0 / np.sqrt(a_tilde.sum(axis=-1))
-    return a_tilde * inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
+    a_tilde *= inv_sqrt[..., :, None]
+    a_tilde *= inv_sqrt[..., None, :]
+    return a_tilde
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ assignment) runs on the structures built here: the dense cosine affinity
 matrix, the union-of-top-k sparsified graph, pivot-centered sub-graphs for
 the linkage predictor, and the max-merge of refined sub-graph edges. The
 sparse graphs are SpeakerGraph objects: immutable CSR graphs, built from
-edge arrays in one step, whose rows keep insertion order.
+edge arrays in one compiled pass, whose rows keep insertion order.
 """
 
 from __future__ import annotations
@@ -116,19 +116,6 @@ def cosine_affinity(emb: EmbeddingSet) -> np.ndarray:
     return scores
 
 
-def _distinct_pairs(n: int, heads: np.ndarray, tails: np.ndarray, weights: np.ndarray):
-    """(low end, high end, weight) of each distinct pair, ordered by first
-    position, with the largest weight the pair was given."""
-    key = np.minimum(heads, tails) * n + np.maximum(heads, tails)
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    starts = np.flatnonzero(np.diff(key, prepend=-1))   # keys are >= 0
-    largest = np.maximum.reduceat(weights[order], starts)
-    by_position = np.argsort(order[starts])
-    lo, hi = np.divmod(key[starts[by_position]], n)
-    return lo, hi, largest[by_position]
-
-
 class SpeakerGraph:
     """Immutable weighted undirected graph over segment nodes, in CSR form.
 
@@ -145,9 +132,9 @@ class SpeakerGraph:
         if node_count < 0:
             raise ValueError("node_count must be non-negative")
         n = self.node_count = node_count
-        heads = np.asarray(heads, dtype=np.int64).reshape(-1)
-        tails = np.asarray(tails, dtype=np.int64).reshape(-1)
-        weights = np.asarray(weights, dtype=np.float64).reshape(-1)
+        heads = np.ascontiguousarray(heads, dtype=np.int64).reshape(-1)
+        tails = np.ascontiguousarray(tails, dtype=np.int64).reshape(-1)
+        weights = np.ascontiguousarray(weights, dtype=np.float64).reshape(-1)
         if not heads.shape == tails.shape == weights.shape:
             raise ValueError("heads, tails and weights must have the same length")
         loop = np.flatnonzero(heads == tails)
@@ -162,16 +149,17 @@ class SpeakerGraph:
         if self.self_loops.shape != (n,):
             raise ValueError("self_loops must have one entry per node")
 
-        lo, hi, weights = _distinct_pairs(n, heads, tails, weights)
-        # Both directions of every pair in pair order, then stable-sorted by
-        # row, so each row lists its pairs by first position.
-        src = np.stack([lo, hi], axis=1).reshape(-1)
-        both = np.repeat(weights, 2)
-        order = np.argsort(src, kind="stable")
-        self.indices = np.stack([hi, lo], axis=1).reshape(-1)[order]
-        self.weights = both[order]
-        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
-        del src, both, order, lo, hi, weights   # keeps the build's transient memory low
+        from ._kernel import load
+
+        entries = heads.size
+        self.indptr = np.empty(n + 1, np.int64)
+        indices, both = np.empty(2 * entries, np.int64), np.empty(2 * entries)
+        pairs = load().build_graph(n, entries, heads, tails, weights, self.indptr, indices, both)
+        if pairs < 0:
+            raise MemoryError(f"build_graph: cannot allocate scratch for a graph of {n} nodes "
+                              f"and {entries} edges")
+        # Copies trimmed to the pairs, so the graph pins no room left for repeats.
+        self.indices, self.weights = indices[:2 * pairs].copy(), both[:2 * pairs].copy()
         self._seal()
 
     def _seal(self) -> None:
@@ -204,12 +192,6 @@ class SpeakerGraph:
         graph.self_loops = self_loops
         graph._seal()
         return graph
-
-    @classmethod
-    def from_edges(cls, node_count: int, edges, self_loops=None) -> "SpeakerGraph":
-        """Build from a sequence of (i, j, weight) triples, in insertion order."""
-        heads, tails, weights = zip(*edges) if edges else ((), (), ())
-        return cls(node_count, heads, tails, weights, self_loops)
 
 
 def top_neighbors(aff: np.ndarray, k: int, rows: np.ndarray) -> np.ndarray:

@@ -54,8 +54,8 @@ def rng():
 
 @pytest.fixture
 def empty_cache(monkeypatch, tmp_path):
-    """An empty library cache; the compiled Leiden sweeps are unloaded
-    before and after."""
+    """An empty library cache; the compiled kernels are unloaded before
+    and after."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     _kernel.load.cache_clear()
     yield tmp_path / "cache"

@@ -50,6 +50,12 @@ def singletons(g: SpeakerGraph) -> Partition:
     return Partition.from_labels(g, np.arange(g.node_count))
 
 
+def graph_from_edges(node_count: int, edges, self_loops=None) -> SpeakerGraph:
+    """A graph from a sequence of (i, j, weight) triples, in insertion order."""
+    heads, tails, weights = zip(*edges) if edges else ((), (), ())
+    return SpeakerGraph(node_count, heads, tails, weights, self_loops)
+
+
 def graph_from_matrix(weight: np.ndarray) -> SpeakerGraph:
     """Non-zero upper-triangle entries as pair edges, in row-major order."""
     heads, tails = np.nonzero(np.triu(weight, 1))
@@ -133,7 +139,7 @@ def clique_pair_graph(size: int) -> SpeakerGraph:
             for b in range(a + 1, len(group)):
                 edges.append((group[a], group[b], 1.0))
     edges.append((size - 1, size, 1.0))
-    return SpeakerGraph.from_edges(n, edges)
+    return graph_from_edges(n, edges)
 
 
 def random_weight_matrix(rng, planted: bool, n: int | None = None) -> np.ndarray:
@@ -171,12 +177,13 @@ def modules_after(code: str) -> set:
     return set(out.split())
 
 
-def one_line_error_in_small_memory(call, *args) -> str:
-    """The message of the ValueError that call(*args) raises, checked to be
-    one line and to come before anything near a megabyte is allocated."""
+def one_line_error_in_small_memory(call, *args, error=ValueError) -> str:
+    """The message of the error (a ValueError unless given) that call(*args)
+    raises, checked to be one line and to come before anything near a
+    megabyte is allocated."""
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError) as caught:
+        with pytest.raises(error) as caught:
             call(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -400,6 +407,34 @@ def reference_refine_partition(graph: SpeakerGraph, partition: Partition, gamma:
             ref_labels[v] = target
 
     return Partition.from_labels(graph, ref_labels)
+
+
+def reference_graph_rows(n: int, heads, tails, weights):
+    """(indptr, indices, weights) of SpeakerGraph(n, heads, tails, weights)
+    by numpy sorts: the bit-for-bit oracle of the compiled build_graph.
+
+    Each distinct pair keeps its first position and its largest weight, the
+    later of equal ones; np.maximum.reduceat alone may keep the other zero's
+    sign once a pair repeats nine or more times, so the winner is picked by
+    position. Both directions of every pair, in pair order, are then
+    stable-sorted by row, so each row lists its pairs by first position.
+    """
+    heads, tails = (np.asarray(a, dtype=np.int64).reshape(-1) for a in (heads, tails))
+    weights = np.asarray(weights, dtype=np.float64).reshape(-1)
+    key = np.minimum(heads, tails) * n + np.maximum(heads, tails)
+    order = np.argsort(key, kind="stable")
+    key, ordered = key[order], weights[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))   # keys are >= 0
+    largest = np.maximum.reduceat(ordered, starts)
+    hit = ordered == np.repeat(largest, np.diff(np.append(starts, key.size)))
+    largest = ordered[np.maximum.reduceat(np.where(hit, np.arange(key.size), -1), starts)]
+    by_position = np.argsort(order[starts])
+    lo, hi = np.divmod(key[starts[by_position]], n)
+    src = np.stack([lo, hi], axis=1).reshape(-1)
+    rows = np.argsort(src, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+    return (indptr, np.stack([hi, lo], axis=1).reshape(-1)[rows],
+            np.repeat(largest[by_position], 2)[rows])
 
 
 def reference_aggregate_graph(graph: SpeakerGraph, refined: Partition) -> SpeakerGraph:

@@ -145,7 +145,7 @@ class TestClusterCommand:
                      "--mode", "knn_leiden", "--out", str(session_dir / "x.rttm")])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("cdgcn: cannot build the Leiden sweeps") and "'no-such-cc'" in err
+        assert err.startswith("cdgcn: cannot build the compiled kernels") and "'no-such-cc'" in err
         assert err.count("\n") == 1
         assert not (session_dir / "x.rttm").exists()
 

@@ -1,4 +1,5 @@
-"""Property tests of the CSR graph core against direct dense-matrix formulas.
+"""Property tests of the CSR graph core against direct dense-matrix formulas,
+and of the compiled graph builder against the numpy sorts it replaced.
 
 Most weights are signed multiples of 1/8, so every sum is exact in any
 order and the vectorized bookkeeping must match the dense formulas
@@ -13,13 +14,21 @@ those last bits.
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cdgcn.graphs import SpeakerGraph, merge_subgraphs
 from cdgcn.leiden import Partition, _community_sums, aggregate_graph, quality
 from cdgcn.osd import belonging_coefficients
-from helpers import edge_dict, matrix_from_graph, neighbors, quality_of_blocks
+from helpers import (
+    edge_dict,
+    graph_from_edges,
+    matrix_from_graph,
+    neighbors,
+    one_line_error_in_small_memory,
+    quality_of_blocks,
+    reference_graph_rows,
+)
 
 dyadic = st.integers(-8, 8).map(lambda q: q / 8.0)
 
@@ -42,9 +51,29 @@ def graphs_and_labels(draw):
     loops = draw(st.lists(dyadic, min_size=n, max_size=n))
     if draw(st.booleans()):
         loops = [0.0] * n
-    graph = SpeakerGraph.from_edges(n, stream, self_loops=loops)
+    graph = graph_from_edges(n, stream, self_loops=loops)
     labels = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
     return graph, labels
+
+
+@st.composite
+def entry_streams(draw):
+    """(n, heads, tails, weights) over up to 40 nodes: pairs drawn from a
+    small pool, so they repeat, either way round, with arbitrary finite
+    weights, signed zeros or both; sometimes an empty stream."""
+    n = draw(st.integers(0, 40))
+    if n < 2 or draw(st.integers(0, 9)) == 0:
+        return n, [], [], []
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1])
+    pool = draw(st.lists(pair, min_size=1, max_size=n))
+    finite, zero = st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([0.0, -0.0])
+    weight = draw(st.sampled_from([finite, zero, finite | zero]))
+    stream = draw(st.lists(st.tuples(st.sampled_from(pool), st.booleans(), weight),
+                           max_size=120))
+    heads = [p[flip] for p, flip, _ in stream]
+    tails = [p[not flip] for p, flip, _ in stream]
+    return n, heads, tails, [w for *_, w in stream]
 
 
 def one_hot(labels, count):
@@ -113,7 +142,7 @@ def test_belonging_is_st_a(case):
 @given(edge_streams())
 def test_rows_keep_first_insertion_order(case):
     n, stream = case
-    graph = SpeakerGraph.from_edges(n, stream)
+    graph = graph_from_edges(n, stream)
     adj = insertion_reference(n, stream)
     for i in range(n):
         assert neighbors(graph, i) == list(adj[i].items())
@@ -192,7 +221,7 @@ def test_merge_keeps_largest_probability(case):
 
 
 def test_graph_arrays_are_read_only():
-    graph = SpeakerGraph.from_edges(3, [(0, 1, 0.5), (1, 2, 0.25)])
+    graph = graph_from_edges(3, [(0, 1, 0.5), (1, 2, 0.25)])
     for array in (graph.indices, graph.weights, graph.weighted_degrees, graph.edges[2]):
         with pytest.raises(ValueError):
             array[0] = 1.0
@@ -200,4 +229,37 @@ def test_graph_arrays_are_read_only():
 
 def test_non_finite_weight_rejected():
     with pytest.raises(ValueError, match="finite"):
-        SpeakerGraph.from_edges(2, [(0, 1, float("nan"))])
+        graph_from_edges(2, [(0, 1, float("nan"))])
+
+
+# One pair given nine zeros, the last one -0.0: np.maximum.reduceat alone
+# keeps 0.0 here where its vectorized loop runs.
+@example((2, [0, 1, 0] * 3, [1, 0, 1] * 3, [-0.0, 0.0, 0.0] + [-0.0] * 6))
+@example((0, [], [], []))
+@example((1, [], [], []))
+@given(entry_streams())
+def test_build_graph_matches_numpy_rows_bit_for_bit(case):
+    n, heads, tails, weights = case
+    indptr, indices, both = reference_graph_rows(n, heads, tails, weights)
+    # Lists and strided arrays build the same rows.
+    strided = (np.repeat(np.array(a, dtype), 2)[::2]
+               for a, dtype in ((heads, np.int64), (tails, np.int64), (weights, float)))
+    for graph in (SpeakerGraph(n, heads, tails, weights), SpeakerGraph(n, *strided)):
+        assert graph.indptr.dtype == graph.indices.dtype == np.int64
+        assert graph.indptr.tolist() == indptr.tolist()
+        assert graph.indices.tolist() == indices.tolist()
+        # Compared as bits, so that the sign of a zero counts.
+        assert graph.weights.view(np.int64).tolist() == both.view(np.int64).tolist()
+
+
+def test_failed_build_is_one_line_memory_error(monkeypatch):
+    from cdgcn import _kernel
+
+    class OutOfMemory:
+        def __getattr__(self, kernel):
+            return lambda *args: -1
+
+    monkeypatch.setattr(_kernel, "load", OutOfMemory)
+    message = one_line_error_in_small_memory(SpeakerGraph, 3, [0, 1], [1, 2], [0.5, 0.25],
+                                             error=MemoryError)
+    assert message == "build_graph: cannot allocate scratch for a graph of 3 nodes and 2 edges"

@@ -16,7 +16,7 @@ from cdgcn.graphs import (
     read_embeddings,
     write_embeddings,
 )
-from helpers import edge_dict, one_line_error_in_small_memory
+from helpers import edge_dict, graph_from_edges, one_line_error_in_small_memory
 
 
 def embedding_set(vectors):
@@ -249,7 +249,7 @@ class TestMergeSubgraphs:
 class TestSpeakerGraph:
     def test_no_self_loop_edges(self):
         with pytest.raises(ValueError, match="self-loop"):
-            SpeakerGraph.from_edges(3, [(0, 2, 0.3), (1, 1, 0.5)])
+            graph_from_edges(3, [(0, 2, 0.3), (1, 1, 0.5)])
 
     def test_out_of_range_edge_rejected(self):
         with pytest.raises(ValueError, match="outside graph"):

@@ -1,9 +1,10 @@
-"""Building, caching and loading the compiled Leiden sweeps."""
+"""Building, caching and loading the compiled kernels."""
 
+import numpy as np
 import pytest
 
 from cdgcn import _kernel
-from cdgcn.graphs import SpeakerGraph
+from cdgcn.graphs import SpeakerGraph, knn_graph
 from cdgcn.leiden import LeidenConfig, leiden
 from helpers import clique_pair_graph, modules_after
 
@@ -39,11 +40,14 @@ def test_first_use_builds_into_an_empty_cache(request, empty_cache, recorded_cc)
 
 
 def test_missing_compiler_is_one_line_error(missing_compiler):
-    graph = SpeakerGraph(3, [0, 1], [1, 2], [1.0, 1.0])
-    with pytest.raises(OSError, match="^cannot build the Leiden sweeps: C compiler "
-                                      "'no-such-cc': .*; C compiler 'cc': ") as caught:
-        leiden(graph, LeidenConfig(seed=0))
-    assert "\n" not in str(caught.value)
+    # Building any graph needs the kernels, Leiden's input graph included.
+    for build in (lambda: leiden(SpeakerGraph(3, [0, 1], [1, 2], [1.0, 1.0]),
+                                 LeidenConfig(seed=0)),
+                  lambda: knn_graph(np.eye(3), 1)):
+        with pytest.raises(OSError, match="^cannot build the compiled kernels: C compiler "
+                                          "'no-such-cc': .*; C compiler 'cc': ") as caught:
+            build()
+        assert "\n" not in str(caught.value)
     assert built_libraries(missing_compiler) == []
 
 

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cdgcn.graphs import SpeakerGraph
 from cdgcn.leiden import Partition
 from cdgcn.osd import (
     OverlapMask,
@@ -13,19 +12,19 @@ from cdgcn.osd import (
     second_community,
     write_overlap_mask,
 )
-from helpers import graph_from_matrix, random_weight_matrix
+from helpers import graph_from_edges, graph_from_matrix, random_weight_matrix
 
 
 class TestBelongingCoefficients:
     def test_isolated_node_zero(self):
-        g = SpeakerGraph.from_edges(3, [(0, 1, 0.9)])
+        g = graph_from_edges(3, [(0, 1, 0.9)])
         p = Partition.from_labels(g, [0, 0, 1])
         b = belonging_coefficients(g, p)
         assert (b[:, 2] == 0.0).all()
 
     def test_two_community_example(self):
         # node 0: edges 0.5 and 0.3 into community A, 0.6 into community B
-        g = SpeakerGraph.from_edges(4, [(0, 1, 0.5), (0, 2, 0.3), (0, 3, 0.6)])
+        g = graph_from_edges(4, [(0, 1, 0.5), (0, 2, 0.3), (0, 3, 0.6)])
         p = Partition.from_labels(g, [0, 0, 0, 1])
         b = belonging_coefficients(g, p)
         assert b[0, 0] == pytest.approx(0.8)

@@ -25,6 +25,7 @@ from cdgcn.leiden import (
 )
 from cdgcn.synthetic import make_session
 from helpers import (
+    graph_from_edges,
     reference_aggregate_graph,
     reference_local_move,
     reference_refine_partition,
@@ -269,6 +270,7 @@ def test_kernels_return_minus_one_when_scratch_cannot_be_had():
                                    ids) == -1
     assert load().aggregate_graph(1, 1, huge, ids, reals, ids, ids, reals, reals, ids, ids,
                                   reals) == -1
+    assert load().build_graph(huge, 0, ids, ids, reals, ids, ids, reals) == -1
 
 
 @pytest.mark.parametrize("phase", [local_move, refine_partition, aggregate_graph])
@@ -279,8 +281,8 @@ def test_failed_allocation_is_one_line_memory_error(monkeypatch, phase):
         def __getattr__(self, kernel):
             return lambda *args: -1
 
-    monkeypatch.setattr(_kernel, "load", OutOfMemory)
     graph = SpeakerGraph(4, [0, 1, 2, 0], [1, 2, 3, 3], [1.0, 0.5, 1.0, 0.25])
+    monkeypatch.setattr(_kernel, "load", OutOfMemory)
     gamma = () if phase is aggregate_graph else (1.0,)
     with pytest.raises(MemoryError, match=f"^{phase.__name__}: cannot allocate") as caught:
         phase(graph, singletons(graph), *gamma)
@@ -332,7 +334,7 @@ def test_merged_part_weight_rounds_as_in_python():
     bound (2.1000000000000005 at this gamma), so node 0 stays alone. Summed
     as (4.2 + 2.1) - 2 * 2.1 it would be 2.1000000000000005, and node 0
     would join that part."""
-    graph = SpeakerGraph.from_edges(5, [(1, 2, 5.9), (2, 3, 0.8), (0, 3, 1.3), (0, 2, 0.7),
+    graph = graph_from_edges(5, [(1, 2, 5.9), (2, 3, 0.8), (0, 3, 1.3), (0, 2, 0.7),
                                         (3, 4, 2.1)])
     partition = Partition.from_labels(graph, [0] * 5)
     gamma = 0.4705882352941177
