@@ -2,8 +2,8 @@
  * SpeakerGraph (cdgcn/graphs.py), and Leiden's three per-level phases
  * (cdgcn/leiden.py), one call each per level: the sequential sweeps
  * local_move and refine_partition, and aggregate_graph. Each kernel
- * allocates and frees its own scratch and returns -1, having written
- * nothing, if it cannot.
+ * allocates and frees its own scratch and returns -1 if it cannot; only
+ * aggregate_graph may have written an output (its loops) by then.
  *
  * The sweeps are bit-exact with the per-node loops the tests keep as
  * oracles: nodes are visited in the given order, a node's weight into each
@@ -156,9 +156,9 @@ idx local_move(idx n, const idx *ptr, const idx *nbr, const double *w, const dou
     return count;
 }
 
-static int well_connected(double cross, double degree, double k_total, double gamma,
-                          double two_m) {
-    return cross >= gamma * degree * (k_total - degree) / two_m;
+static uint8_t well_connected(double cross, double degree, double k_total, double gamma,
+                              double two_m) {
+    return cross >= gamma * degree * (k_total - degree) / two_m ? 1 : 0;
 }
 
 /* Refines parent communities (labels in parent, all below n) in turn,
@@ -247,78 +247,6 @@ static void sort_by(const idx *key, idx keys, const idx *from, idx *to, idx item
         to[count[key[from[x]]]++] = from[x];
 }
 
-/* Collapses community c of labels (0..C-1, none empty) into node c of a
- * graph of C nodes, from the pair-edge stream (heads, tails, weights) of
- * `edges` entries. Node c's self-loop sums its members' old self-loops in
- * node order, then its inside edges in stream order. The cross pairs
- * (lo, hi) are ordered by a stable counting sort by hi, then by lo, and
- * each sums its edges from 0.0 in stream order. The finished CSR lists
- * each row's pairs in that order; indices and csr_w have room for twice
- * `edges` entries. Returns the pair count. */
-idx aggregate_graph(idx n, idx communities, idx edges, const idx *labels,
-                    const double *self_loops, const idx *heads, const idx *tails,
-                    const double *weights, double *loops, idx *ptr, idx *indices,
-                    double *csr_w) {
-    scratch s;
-    if (!scratch_alloc(&s, edges + communities, 1, 7, 0)) {
-        scratch_free(&s);
-        return -1;
-    }
-    /* Per cross edge in stream order: its ends' labels and its stream index;
-     * per pair: its ends and summed weight. */
-    idx *low = s.id, *high = low + edges, *edge = high + edges;
-    idx *order = edge + edges, *by_high = order + edges, *lo = by_high + edges;
-    idx *hi = lo + edges, *count = hi + edges;
-    double *pair_w = s.real;
-    idx crossing = 0, pairs = 0;
-    for (idx c = 0; c < communities; c++)
-        loops[c] = 0.0;
-    for (idx i = 0; i < n; i++)
-        loops[labels[i]] += self_loops[i];
-    for (idx e = 0; e < edges; e++) {
-        idx a = labels[heads[e]], b = labels[tails[e]];
-        if (a == b) {
-            loops[a] += weights[e];
-            continue;
-        }
-        low[crossing] = a < b ? a : b;
-        high[crossing] = a < b ? b : a;
-        order[crossing] = crossing;
-        edge[crossing++] = e;
-    }
-    sort_by(high, communities, order, by_high, crossing, count);
-    sort_by(low, communities, by_high, order, crossing, count);
-    for (idx t = 0; t < crossing; t++) {
-        idx x = order[t];
-        if (!pairs || lo[pairs - 1] != low[x] || hi[pairs - 1] != high[x]) {
-            lo[pairs] = low[x];
-            hi[pairs] = high[x];
-            pair_w[pairs++] = 0.0;
-        }
-        pair_w[pairs - 1] += weights[edge[x]];
-    }
-
-    /* Row r's entries start at ptr[r]; count[r] is its next free slot. */
-    for (idx c = 0; c <= communities; c++)
-        ptr[c] = 0;
-    for (idx p = 0; p < pairs; p++) {
-        ptr[lo[p] + 1]++;
-        ptr[hi[p] + 1]++;
-    }
-    for (idx c = 0; c < communities; c++) {
-        ptr[c + 1] += ptr[c];
-        count[c] = ptr[c];
-    }
-    for (idx p = 0; p < pairs; p++) {
-        indices[count[lo[p]]] = hi[p];
-        csr_w[count[lo[p]]++] = pair_w[p];
-        indices[count[hi[p]]] = lo[p];
-        csr_w[count[hi[p]]++] = pair_w[p];
-    }
-    scratch_free(&s);
-    return pairs;
-}
-
 /* Lays out the CSR rows of a graph of n nodes from `entries` pair edges
  * (heads, tails, weights), whose ends lie below n and differ. Each distinct
  * pair keeps its first position and the largest weight it was given, a
@@ -387,3 +315,61 @@ idx build_graph(idx n, idx entries, const idx *heads, const idx *tails, const do
     scratch_free(&s);
     return pairs;
 }
+
+/* Collapses community c of labels (0..C-1, none empty) into node c of a
+ * graph of C nodes, from the pair-edge stream (heads, tails, weights) of
+ * `edges` entries. Node c's self-loop sums its members' old self-loops in
+ * node order, then its inside edges in stream order. The cross pairs
+ * (lo, hi) are ordered by a stable counting sort by hi, then by lo, and
+ * each sums its edges from 0.0 in stream order. build_graph lays out the
+ * rows; the pairs are distinct, so each row lists its pairs in that order.
+ * indices and csr_w have room for twice `edges` entries. Returns the pair
+ * count. */
+idx aggregate_graph(idx n, idx communities, idx edges, const idx *labels,
+                    const double *self_loops, const idx *heads, const idx *tails,
+                    const double *weights, double *loops, idx *ptr, idx *indices,
+                    double *csr_w) {
+    scratch s;
+    if (!scratch_alloc(&s, edges + communities, 1, 7, 0)) {
+        scratch_free(&s);
+        return -1;
+    }
+    /* Per cross edge in stream order: its ends' labels and its stream index;
+     * per pair: its ends and summed weight. */
+    idx *low = s.id, *high = low + edges, *edge = high + edges;
+    idx *order = edge + edges, *by_high = order + edges, *lo = by_high + edges;
+    idx *hi = lo + edges, *count = hi + edges;
+    double *pair_w = s.real;
+    idx crossing = 0, pairs = 0;
+    for (idx c = 0; c < communities; c++)
+        loops[c] = 0.0;
+    for (idx i = 0; i < n; i++)
+        loops[labels[i]] += self_loops[i];
+    for (idx e = 0; e < edges; e++) {
+        idx a = labels[heads[e]], b = labels[tails[e]];
+        if (a == b) {
+            loops[a] += weights[e];
+            continue;
+        }
+        low[crossing] = a < b ? a : b;
+        high[crossing] = a < b ? b : a;
+        order[crossing] = crossing;
+        edge[crossing++] = e;
+    }
+    sort_by(high, communities, order, by_high, crossing, count);
+    sort_by(low, communities, by_high, order, crossing, count);
+    for (idx t = 0; t < crossing; t++) {
+        idx x = order[t];
+        if (!pairs || lo[pairs - 1] != low[x] || hi[pairs - 1] != high[x]) {
+            lo[pairs] = low[x];
+            hi[pairs] = high[x];
+            pair_w[pairs++] = 0.0;
+        }
+        pair_w[pairs - 1] += weights[edge[x]];
+    }
+
+    idx built = build_graph(communities, pairs, lo, hi, pair_w, ptr, indices, csr_w);
+    scratch_free(&s);
+    return built;
+}
+

@@ -146,24 +146,22 @@ def _forward(h: np.ndarray, a_hat: np.ndarray, weights: GcnWeights):
 
 
 def gcn_forward(sub: SubGraph, weights: GcnWeights) -> np.ndarray:
-    """Per-neighbor probability that the neighbor shares the pivot's speaker.
+    """Per-neighbor probability that the neighbor shares the pivot's speaker,
+    one row per sub-graph of the stack.
 
     Runs the aggregation stack in the weights' precision, applies the
     two-layer head to every node, and returns the positive-class softmax
-    component for the non-pivot members, in member order; for a stack of
-    sub-graphs, one row of probabilities per sub-graph.
+    component for the non-pivot members, in member order.
     """
     if sub.features.shape[-1] != weights.feature_dim:
-        raise ValueError(
-            f"sub-graph feature dim {sub.features.shape[-1]} does not match "
-            f"weights feature dim {weights.feature_dim}"
-        )
-    if sub.adjacency.shape != sub.features.shape[:-1] + sub.features.shape[-2:-1]:
+        raise ValueError(f"sub-graph feature dim {sub.features.shape[-1]} does not match "
+                         f"weights feature dim {weights.feature_dim}")
+    if sub.adjacency.shape != sub.members.shape + sub.members.shape[1:]:
         raise ValueError(f"adjacency shape {sub.adjacency.shape} does not match "
-                         f"{sub.features.shape[-2]} nodes")
+                         f"{sub.members.shape[1]} nodes")
     dtype = weights.dtype
     a_hat = normalize_adjacency(sub.adjacency.astype(dtype))
-    return _forward(sub.features.astype(dtype), a_hat, weights)[-1][..., 1:, 1]
+    return _forward(sub.features.astype(dtype), a_hat, weights)[-1][:, 1:, 1]
 
 
 def bce_loss(pred: np.ndarray, labels: np.ndarray):
@@ -172,7 +170,7 @@ def bce_loss(pred: np.ndarray, labels: np.ndarray):
     pred = np.asarray(pred, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     if pred.shape != labels.shape:
-        raise ValueError(f"{pred.shape[0] if pred.ndim else 0} predictions vs {labels.shape} labels")
+        raise ValueError(f"predictions of shape {pred.shape} vs labels of shape {labels.shape}")
     if pred.size == 0:
         return 0.0
     p = np.clip(pred, PROB_EPSILON, 1.0 - PROB_EPSILON)
@@ -186,16 +184,14 @@ def _training_blocks(batches, dtype):
     blocks = []
     for sub, labels in batches:
         labels = np.asarray(labels, dtype=np.float64)
-        if labels.shape != sub.members[..., 1:].shape:
-            raise ValueError(f"pivot {sub.pivot}: {labels.size} labels for "
-                             f"{sub.members[..., 1:].size} neighbors")
+        if labels.shape != sub.members[:, 1:].shape:
+            raise ValueError(f"labels of shape {labels.shape} for neighbors of shape "
+                             f"{sub.members[:, 1:].shape}")
         if not np.isin(labels, (0.0, 1.0)).all():
-            raise ValueError(f"pivot {sub.pivot}: labels must be 0 or 1")
-        size, dim = sub.members.shape[-1], sub.features.shape[-1]
-        if size > 1:
-            features = sub.features.reshape(-1, size, dim).astype(dtype, copy=False)
-            adjacency = sub.adjacency.reshape(-1, size, size).astype(dtype, copy=False)
-            labels = labels.reshape(-1, size - 1).astype(dtype, copy=False)
+            raise ValueError("labels must be 0 or 1")
+        if sub.members.shape[1] > 1:
+            features, adjacency, labels = (array.astype(dtype, copy=False)
+                                           for array in (sub.features, sub.adjacency, labels))
             blocks += [(features[i:i + BLOCK], normalize_adjacency(adjacency[i:i + BLOCK]),
                         labels[i:i + BLOCK]) for i in range(0, len(labels), BLOCK)]
     return blocks
@@ -232,8 +228,8 @@ def _block_loss_and_grads(features, a_hat, labels, weights: GcnWeights):
 
 
 def loss_and_gradients(batches, weights: GcnWeights):
-    """Mean BCE over (SubGraph, labels) batches, each one sub-graph or a stack
-    of them with a row of labels each, and its parameter gradients."""
+    """Mean BCE over (SubGraph, labels) batches, each a stack of sub-graphs
+    with a row of labels per sub-graph, and its parameter gradients."""
     return _loss_and_gradients(_training_blocks(batches, weights.dtype), weights)
 
 

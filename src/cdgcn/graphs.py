@@ -146,8 +146,8 @@ class SpeakerGraph:
         if not np.isfinite(weights).all():
             raise ValueError("edge weights must be finite")
         self.self_loops = np.array(np.zeros(n) if self_loops is None else self_loops, dtype=float)
-        if self.self_loops.shape != (n,):
-            raise ValueError("self_loops must have one entry per node")
+        if self.self_loops.shape != (n,) or not np.isfinite(self.self_loops).all():
+            raise ValueError("self_loops must hold one finite weight per node")
 
         from ._kernel import load
 
@@ -232,59 +232,56 @@ def knn_graph(aff: np.ndarray, k: int) -> SpeakerGraph:
 
 @dataclass
 class SubGraph:
-    """Pivot-centered local graph fed to the linkage predictor, or a stack
-    of equal-size ones along a leading axis.
-
-    members lists the pivot first, then its nearest neighbors. features
-    holds the member embeddings with the pivot's embedding subtracted
-    (row 0 is therefore zero); adjacency is the members' pairwise affinity
-    clamped at zero with a zero diagonal. A stack has an array of pivots
-    and one more leading axis on every other field.
+    """A stack of equal-size pivot-centered local graphs for the linkage
+    predictor. members holds one row per sub-graph, its pivot first and then
+    the pivot's nearest neighbors, so the pivots are members[:, 0]. features
+    holds the member embeddings minus the pivot's (row 0 of each is zero);
+    adjacency is the members' pairwise affinity clamped at zero with a zero
+    diagonal.
     """
 
-    pivot: int | np.ndarray
     members: np.ndarray
     features: np.ndarray
     adjacency: np.ndarray
 
+    def __post_init__(self):
+        if self.members.ndim != 2 or self.features.shape[:-1] != self.members.shape:
+            raise ValueError(f"a SubGraph is a stack: members {self.members.shape} need two "
+                             f"axes and features {self.features.shape} one more")
 
-def build_subgraph(aff: np.ndarray, emb: EmbeddingSet, pivot, k: int) -> SubGraph:
-    """Build the sub-graph of `pivot` and its top-min(k, N-1) neighbors;
-    given an array of pivots, their sub-graphs stacked in that order."""
+
+def build_subgraph(aff: np.ndarray, emb: EmbeddingSet, pivots, k: int) -> SubGraph:
+    """The stacked sub-graphs of the given 1-D array of pivots, in that
+    order, each of a pivot and its top-min(k, N-1) neighbors."""
     n = aff.shape[0]
-    pivots = np.asarray(pivot, dtype=np.int64)
+    pivots = np.asarray(pivots)
+    if pivots.ndim != 1 or pivots.dtype.kind not in "iu":
+        raise ValueError(f"pivots must be a 1-d integer array, got {pivots.ndim}-d {pivots.dtype}")
     bad = pivots[(pivots < 0) | (pivots >= n)]
     if bad.size:
         raise ValueError(f"pivot {bad[0]} outside graph of {n} nodes")
     if k < 1:
         raise ValueError("k must be >= 1")
-    neighbors = top_neighbors(aff, min(k, n - 1), pivots.reshape(-1)).reshape(*pivots.shape, -1)
-    members = np.concatenate((pivots[..., None], neighbors), axis=-1)
+    members = np.column_stack((pivots, top_neighbors(aff, min(k, n - 1), pivots)))
     features = emb.vectors[members]
-    features -= emb.vectors[pivots][..., None, :]
-    adjacency = np.take(aff.ravel(), members[..., :, None] * n + members[..., None, :])
+    features -= emb.vectors[pivots][:, None, :]
+    adjacency = np.take(aff.ravel(), members[:, :, None] * n + members[:, None, :])
     np.maximum(adjacency, 0.0, out=adjacency)
-    diagonal = np.arange(members.shape[-1])
-    adjacency[..., diagonal, diagonal] = 0.0
-    return SubGraph(pivot=pivot, members=members, features=features, adjacency=adjacency)
+    diagonal = np.arange(members.shape[1])
+    adjacency[:, diagonal, diagonal] = 0.0
+    return SubGraph(members, features, adjacency)
 
 
-def merge_subgraphs(refined, node_count: int) -> SpeakerGraph:
-    """Combine per-pivot linkage probabilities into one refined graph.
+def merge_subgraphs(members: np.ndarray, probs: np.ndarray, node_count: int) -> SpeakerGraph:
+    """Combine linkage probabilities into one refined graph.
 
-    refined: iterable of (pivot, neighbor ids, edge probabilities), one
-    entry per sub-graph or per stack of them (pivots in an array). A pair
-    predicted by several sub-graphs keeps its largest probability.
-    Probabilities must lie in [0, 1].
+    members: (P, k+1) sub-graph members, the pivots first; probs: (P, k)
+    probabilities of the edges from each pivot to its neighbors, in [0, 1].
+    A pair predicted by several sub-graphs keeps its largest probability.
     """
-    parts = []
-    for pivot, neighbors, probs in refined:
-        probs = np.asarray(probs, dtype=np.float64)
-        heads = np.broadcast_to(np.asarray(pivot)[..., None], probs.shape)
-        bad = ~((probs >= 0.0) & (probs <= 1.0))
-        if bad.any():
-            raise ValueError(f"sub-graph of pivot {heads[bad][0]}: edge probability outside [0, 1]")
-        parts.append((heads.ravel(), np.ravel(neighbors), probs.ravel()))
-    if not parts:
-        return SpeakerGraph(node_count)
-    return SpeakerGraph(node_count, *(np.concatenate(column) for column in zip(*parts)))
+    members, probs = np.asarray(members), np.asarray(probs, dtype=np.float64)
+    heads = np.broadcast_to(members[:, :1], probs.shape)
+    bad = ~((probs >= 0.0) & (probs <= 1.0))
+    if bad.any():
+        raise ValueError(f"sub-graph of pivot {heads[bad][0]}: edge probability outside [0, 1]")
+    return SpeakerGraph(node_count, heads, members[:, 1:], probs)

@@ -105,6 +105,8 @@ def quality(graph: SpeakerGraph, partition: Partition, gamma: float) -> float:
 
 
 def _check_total_weight(graph: SpeakerGraph) -> None:
+    if not np.isfinite(graph.total_weight):
+        raise ValueError(f"graph has non-finite total weight m = {graph.total_weight}")
     if graph.total_weight < 0.0:
         raise ValueError(f"graph has negative total weight m = {graph.total_weight:.6g}")
 
@@ -262,8 +264,9 @@ def leiden(graph: SpeakerGraph, config: LeidenConfig | None = None) -> Partition
     GAIN_TOLERANCE or after MAX_ITERATIONS. Because greedy moving can
     settle in a local optimum, the whole climb is repeated from
     singletons RESTARTS times with fresh seeded orders and the best
-    partition wins. Deterministic given the seed. Graphs with negative total
-    weight m are refused: Q is undefined there. Node degrees may be negative.
+    partition wins. Deterministic given the seed. Graphs with a negative or
+    non-finite total weight m are refused: Q is undefined there. Node
+    degrees may be negative.
     """
     if config is None:
         config = LeidenConfig()

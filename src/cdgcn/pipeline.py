@@ -100,6 +100,15 @@ def _covered_frames(start, end, frame_duration: float, total: int):
     return f0, f1
 
 
+def _region_frames(regions, total: int, frame_duration: float) -> np.ndarray:
+    """For each of `total` frames, whether its center falls in a (start, end) region."""
+    frames = np.zeros(total, dtype=bool)
+    for start, end in regions:
+        f0, f1 = _covered_frames(start, end, frame_duration, total)
+        frames[f0:f1] = True
+    return frames
+
+
 def _frame_attribution(segments: np.ndarray, labels: np.ndarray, vad_regions=None):
     """Assign each frame the label of the covering segment with the nearest
     center (the lowest index among ties); frames outside every segment (or
@@ -123,11 +132,7 @@ def _frame_attribution(segments: np.ndarray, labels: np.ndarray, vad_regions=Non
     np.minimum.at(frame_segment, frame[nearest], segment[nearest])
     frame_segment[frame_segment == len(segments)] = -1
     if vad_regions is not None:
-        speech = np.zeros(total, dtype=bool)
-        for start, end in vad_regions:
-            f0, f1 = _covered_frames(start, end, FRAME_DURATION, total)
-            speech[f0:f1] = True
-        frame_segment[~speech] = -1
+        frame_segment[~_region_frames(vad_regions, total, FRAME_DURATION)] = -1
     primary = np.full(total, -1, dtype=np.int64)
     covered = frame_segment >= 0
     primary[covered] = labels[frame_segment[covered]]
@@ -138,11 +143,12 @@ def refine_graph(emb: EmbeddingSet, aff: np.ndarray, weights: GcnWeights, k: int
     """Predict linkage probabilities on every pivot sub-graph, BLOCK stacked
     pivots at a time, and merge them."""
     n = emb.count
-    predictions = []
+    members, probs = [], []
     for start in range(0, n, BLOCK):
         sub = build_subgraph(aff, emb, np.arange(start, min(n, start + BLOCK)), k)
-        predictions.append((sub.pivot, sub.members[:, 1:], gcn_forward(sub, weights)))
-    return merge_subgraphs(predictions, n)
+        members.append(sub.members)
+        probs.append(gcn_forward(sub, weights))
+    return merge_subgraphs(np.concatenate(members), np.concatenate(probs), n)
 
 
 def run_pipeline(emb: EmbeddingSet, mode: str, weights: GcnWeights | None = None,

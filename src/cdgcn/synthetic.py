@@ -16,7 +16,7 @@ import numpy as np
 
 from .graphs import EmbeddingSet, SubGraph, build_subgraph, cosine_affinity, seeded_rng
 from .osd import OverlapMask
-from .pipeline import SHIFT, WINDOW, _covered_frames, _frame_count, segment_speech
+from .pipeline import SHIFT, WINDOW, _frame_count, _region_frames, segment_speech
 from .timeline import FRAME_DURATION, RttmRecord
 
 #: Silence between consecutive speech regions, in seconds.
@@ -63,11 +63,7 @@ def _draw_cluster(mean: np.ndarray, count: int, noise: float, rng) -> np.ndarray
 
 
 def _mask_from_regions(regions, end: float, frame_duration: float) -> OverlapMask:
-    total = _frame_count(end, frame_duration)
-    frames = np.zeros(total, dtype=bool)
-    for start, stop in regions:
-        f0, f1 = _covered_frames(start, stop, frame_duration, total)
-        frames[f0:f1] = True
+    frames = _region_frames(regions, _frame_count(end, frame_duration), frame_duration)
     return OverlapMask(frames=frames, frame_duration=frame_duration)
 
 
@@ -185,8 +181,8 @@ def linkage_labels(session: SyntheticSession, members: np.ndarray) -> np.ndarray
 
 
 def rotate_batches(batches, rotations: int, seed: int = 0):
-    """Append copies of (SubGraph, labels) batches, single or stacked, with
-    features mapped through random orthogonal matrices.
+    """Append copies of (SubGraph, labels) batches with features mapped
+    through random orthogonal matrices.
 
     Labels and adjacency are rotation invariant (features are
     pivot-relative differences), so augmenting this way teaches the
@@ -205,7 +201,7 @@ def rotate_batches(batches, rotations: int, seed: int = 0):
     for _ in range(rotations):
         q = ortho_group.rvs(dim, random_state=rng)
         out += [
-            (SubGraph(sub.pivot, sub.members, sub.features @ q, sub.adjacency), labels)
+            (SubGraph(sub.members, sub.features @ q, sub.adjacency), labels)
             for sub, labels in batches
         ]
     return out

@@ -456,16 +456,11 @@ def reference_aggregate_graph(graph: SpeakerGraph, refined: Partition) -> Speake
 
 
 def unstack(batches):
-    """(SubGraph, labels) batches split into one pair per sub-graph."""
-    out = []
-    for sub, labels in batches:
-        if sub.members.ndim == 1:
-            out.append((sub, np.asarray(labels)))
-            continue
-        for i in range(sub.members.shape[0]):
-            out.append((SubGraph(int(sub.pivot[i]), sub.members[i], sub.features[i],
-                                 sub.adjacency[i]), np.asarray(labels)[i]))
-    return out
+    """(SubGraph, labels) batches split into one batch per sub-graph: a
+    stack of one with its row of labels."""
+    return [(SubGraph(sub.members[i:i + 1], sub.features[i:i + 1], sub.adjacency[i:i + 1]),
+             np.asarray(labels)[i:i + 1])
+            for sub, labels in batches for i in range(len(sub.members))]
 
 
 def _normalize(a):
@@ -487,16 +482,20 @@ def _bce(pred, labels):
 
 
 def reference_forward(sub: SubGraph, weights: GcnWeights) -> np.ndarray:
-    """Linkage probabilities of one unstacked sub-graph, layer by layer."""
+    """Linkage probabilities of a stack of sub-graphs, one row each, computed
+    one sub-graph at a time, layer by layer."""
     dtype = weights.dtype
-    a_hat = _normalize(sub.adjacency.astype(dtype))
-    h = sub.features.astype(dtype)
-    for w in weights.layer_weights:
-        h = np.maximum(np.concatenate([h, a_hat @ h], axis=1) @ w, 0)
     w1, w2 = weights.head_weights
     b1, b2 = weights.head_biases
-    z = np.maximum(h @ w1 + b1, 0)
-    return _softmax(z @ w2 + b2)[1:, 1]
+    rows = []
+    for features, adjacency in zip(sub.features, sub.adjacency):
+        a_hat = _normalize(adjacency.astype(dtype))
+        h = features.astype(dtype)
+        for w in weights.layer_weights:
+            h = np.maximum(np.concatenate([h, a_hat @ h], axis=1) @ w, 0)
+        z = np.maximum(h @ w1 + b1, 0)
+        rows.append(_softmax(z @ w2 + b2)[1:, 1])
+    return np.array(rows)
 
 
 def _reference_sub_loss_and_grads(features, a_hat, labels, weights):
@@ -551,13 +550,13 @@ def _reference_sub_loss_and_grads(features, a_hat, labels, weights):
 def reference_loss_and_gradients(batches, weights: GcnWeights):
     """Mean BCE and its gradients, backpropagated one sub-graph at a time."""
     dtype = weights.dtype
-    counted = [(sub, np.asarray(labels, dtype=dtype)) for sub, labels in unstack(batches)
+    counted = [(sub, np.asarray(labels[0], dtype=dtype)) for sub, labels in unstack(batches)
                if np.size(labels)]
     total_loss = 0.0
     total = [np.zeros_like(t) for t in weights.tensors()]
     for sub, labels in counted:
         loss, grads = _reference_sub_loss_and_grads(
-            sub.features.astype(dtype), _normalize(sub.adjacency.astype(dtype)),
+            sub.features[0].astype(dtype), _normalize(sub.adjacency[0].astype(dtype)),
             labels, weights)
         total_loss += loss
         for acc, g in zip(total, grads):

@@ -122,8 +122,8 @@ def test_gcn_gradient_check():
         adjacency = np.abs(rng.normal(size=(nodes, nodes)))
         adjacency = (adjacency + adjacency.T) / 2.0
         np.fill_diagonal(adjacency, 0.0)
-        sub = SubGraph(0, np.arange(nodes), features, adjacency)
-        labels = rng.integers(0, 2, nodes - 1).astype(float)
+        sub = SubGraph(np.arange(nodes)[None], features[None], adjacency[None])
+        labels = rng.integers(0, 2, (1, nodes - 1)).astype(float)
         weights = random_gcn_weights(rng, dim, num_layers=2)
         batches = [(sub, labels)]
         _, grads = loss_and_gradients(batches, weights)

@@ -84,10 +84,10 @@ def test_stacked_subgraphs_equal_per_pivot_ones(n, k, pool, seed):
         members = reference_subgraph_members(aff, pivot, k)
         adjacency = np.maximum(aff[np.ix_(members, members)], 0.0)
         np.fill_diagonal(adjacency, 0.0)
-        for sub in (build_subgraph(aff, emb, pivot, k), rows[pivot][0]):
-            assert (sub.members == members).all()
-            assert same_bits(sub.features, emb.vectors[members] - emb.vectors[pivot])
-            assert same_bits(sub.adjacency, adjacency)
+        for sub in (build_subgraph(aff, emb, np.array([pivot]), k), rows[pivot][0]):
+            assert (sub.members == members[None]).all()
+            assert same_bits(sub.features, (emb.vectors[members] - emb.vectors[pivot])[None])
+            assert same_bits(sub.adjacency, adjacency[None])
 
 
 @given(n=st.integers(1, 40), k=st.integers(1, 12), layers=st.integers(1, 3),
@@ -99,15 +99,12 @@ def test_batched_forward_and_refined_graph_match_reference(n, k, layers, dtype, 
     weights = random_gcn_weights(rng, 4, num_layers=layers).astype(dtype)
     stacked = build_subgraph(aff, emb, np.arange(n), k)
     probs = gcn_forward(stacked, weights)
-    expected = [reference_forward(sub, weights)
-                for sub, _ in unstack([(stacked, np.zeros(stacked.members[:, 1:].shape))])]
-    for row, ref in zip(probs, expected):
-        assert same_bits(row, ref)
+    expected = reference_forward(stacked, weights)
+    assert same_bits(probs, expected)
 
     if dtype is np.float32:   # the pipeline's precision
         refined = refine_graph(emb, aff, weights, k)
-        oracle = merge_subgraphs([(p, sub_members[1:], ref) for p, (sub_members, ref) in
-                                  enumerate(zip(stacked.members, expected))], n)
+        oracle = merge_subgraphs(stacked.members, expected, n)
         for a, b in zip((refined.indptr, refined.indices, refined.weights),
                         (oracle.indptr, oracle.indices, oracle.weights)):
             assert same_bits(a, b)
@@ -132,8 +129,8 @@ def test_inference_does_not_depend_on_block_size(n, k, block, seed):
 
 
 def mixed_batches(rng, dim=3):
-    """Stacked and single sub-graphs of interleaved sizes, one without
-    neighbors, sometimes followed by rotated copies."""
+    """Stacks of several and of one sub-graph, of interleaved sizes, one
+    without neighbors, sometimes followed by rotated copies."""
     batches = []
     for _ in range(int(rng.integers(2, 6))):
         n = int(rng.integers(1, 8))
@@ -142,7 +139,8 @@ def mixed_batches(rng, dim=3):
         labels = rng.integers(0, 2, sub.members[:, 1:].shape).astype(float)
         batches += [(sub, labels)] if rng.random() < 0.5 else unstack([(sub, labels)])
     alone = embeddings(rng, 1, dim=dim)
-    batches.append((build_subgraph(cosine_affinity(alone), alone, 0, 3), np.zeros(0)))
+    batches.append((build_subgraph(cosine_affinity(alone), alone, np.arange(1), 3),
+                    np.zeros((1, 0))))
     batches = [batches[i] for i in rng.permutation(len(batches))]
     return rotate_batches(batches, int(rng.integers(0, 2)), seed=int(rng.integers(100)))
 

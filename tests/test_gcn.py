@@ -21,14 +21,18 @@ from cdgcn.graphs import SubGraph
 from helpers import one_line_error_in_small_memory
 
 
+def stack_of_one(features, adjacency):
+    """The sub-graph of pivot 0 over nodes 0..len(features)-1, as a stack of one."""
+    return SubGraph(np.arange(len(features))[None], features[None], adjacency[None])
+
+
 def random_subgraph(rng, nodes=4, dim=3):
     features = rng.normal(size=(nodes, dim))
     features[0] = 0.0
     adjacency = np.abs(rng.normal(size=(nodes, nodes)))
     adjacency = (adjacency + adjacency.T) / 2.0
     np.fill_diagonal(adjacency, 0.0)
-    return SubGraph(pivot=0, members=np.arange(nodes), features=features,
-                    adjacency=adjacency)
+    return stack_of_one(features, adjacency)
 
 
 def flatten(weights):
@@ -96,13 +100,13 @@ class TestForward:
             (np.zeros((3, 3)), np.zeros((3, 2))),
             (np.zeros(3), np.zeros(2)),
         )
-        assert gcn_forward(sub, weights) == pytest.approx(np.full(4, 0.5))
+        assert gcn_forward(sub, weights) == pytest.approx(np.full((1, 4), 0.5))
 
     def test_one_neighbor_closed_form(self):
         # Scalar pipeline, worked by hand below.
         features = np.array([[0.0], [2.0]])
         adjacency = np.array([[0.0, 1.0], [1.0, 0.0]])
-        sub = SubGraph(0, np.arange(2), features, adjacency)
+        sub = stack_of_one(features, adjacency)
         weights = GcnWeights(
             [np.array([[0.5], [1.0]])],
             (np.array([[1.0]]), np.array([[2.0, -1.0]])),
@@ -113,7 +117,7 @@ class TestForward:
         # logits = (2.5*2 + 0.1, 2.5*-1 + 0.2) = (5.1, -2.3)
         expected = 1.0 / (1.0 + np.exp(5.1 - (-2.3)))
         probs = gcn_forward(sub, weights.astype(np.float64))
-        assert probs == pytest.approx(np.array([expected]), abs=1e-12)
+        assert probs == pytest.approx(np.array([[expected]]), abs=1e-12)
 
     def test_duplicate_neighbors_identical_probability(self, rng):
         features = np.array([[0.0, 0.0], [1.0, 2.0], [1.0, 2.0], [3.0, -1.0]])
@@ -125,19 +129,19 @@ class TestForward:
         ])
         # rows 1 and 2 are indistinguishable except for their mutual edge,
         # which is symmetric, so their probabilities must match
-        sub = SubGraph(0, np.arange(4), features, adjacency)
+        sub = stack_of_one(features, adjacency)
         probs = gcn_forward(sub, GcnWeights.glorot(2, num_layers=2, seed=5))
-        assert probs[0] == pytest.approx(probs[1], abs=1e-6)
+        assert probs[0, 0] == pytest.approx(probs[0, 1], abs=1e-6)
 
     def test_neighbor_permutation_equivariance(self, rng):
         sub = random_subgraph(rng, nodes=6, dim=4)
         weights = GcnWeights.glorot(4, num_layers=3, seed=2).astype(np.float64)
         base = gcn_forward(sub, weights)
         perm = np.concatenate([[0], 1 + rng.permutation(5)])
-        permuted = SubGraph(0, sub.members[perm], sub.features[perm],
-                            sub.adjacency[np.ix_(perm, perm)])
+        permuted = SubGraph(sub.members[:, perm], sub.features[:, perm],
+                            sub.adjacency[:, perm][:, :, perm])
         out = gcn_forward(permuted, weights)
-        assert out == pytest.approx(base[perm[1:] - 1], abs=1e-12)
+        assert out == pytest.approx(base[:, perm[1:] - 1], abs=1e-12)
 
     def test_feature_dim_mismatch(self, rng):
         sub = random_subgraph(rng, nodes=3, dim=3)
@@ -146,8 +150,8 @@ class TestForward:
 
     def test_adjacency_shape_mismatch(self, rng):
         sub = random_subgraph(rng, nodes=4, dim=3)
-        for adjacency in (sub.adjacency[:3, :3], sub.adjacency[:, :3], sub.adjacency[None]):
-            bad = SubGraph(0, sub.members, sub.features, adjacency)
+        for adjacency in (sub.adjacency[:, :3, :3], sub.adjacency[:, :, :3], sub.adjacency[None]):
+            bad = SubGraph(sub.members, sub.features, adjacency)
             message = f"adjacency shape {adjacency.shape} does not match 4 nodes"
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 gcn_forward(bad, GcnWeights.glorot(3))
@@ -155,7 +159,7 @@ class TestForward:
     def test_probabilities_in_unit_interval(self, rng):
         sub = random_subgraph(rng, nodes=8, dim=4)
         probs = gcn_forward(sub, GcnWeights.glorot(4, seed=9))
-        assert probs.shape == (7,)
+        assert probs.shape == (1, 7)
         assert (probs >= 0.0).all() and (probs <= 1.0).all()
 
 
@@ -171,8 +175,12 @@ class TestBceLoss:
         assert bce_loss([0.0], [1.0]) == pytest.approx(-np.log(1e-7))
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
+        message = "predictions of shape (1,) vs labels of shape (2,)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             bce_loss([0.5], [1.0, 0.0])
+        message = "predictions of shape () vs labels of shape (1,)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            bce_loss(0.5, [1.0])
 
 
 class TestGradients:
@@ -181,7 +189,7 @@ class TestGradients:
 
         weights = random_gcn_weights(rng, 3, num_layers=2)
         batches = [(random_subgraph(rng, nodes=4, dim=3),
-                    rng.integers(0, 2, size=3).astype(float)) for _ in range(3)]
+                    rng.integers(0, 2, size=(1, 3)).astype(float)) for _ in range(3)]
         _, grads = loss_and_gradients(batches, weights)
         x0 = flatten(weights)
         analytic = flatten(grads)
@@ -205,7 +213,7 @@ class TestTrain:
         for _ in range(count):
             sub = random_subgraph(rng, nodes=5, dim=3)
             # separable rule: positive first feature -> same speaker
-            labels = (sub.features[1:, 0] > 0).astype(float)
+            labels = (sub.features[:, 1:, 0] > 0).astype(float)
             batches.append((sub, labels))
         return batches
 

@@ -212,12 +212,14 @@ def test_sums_run_in_edge_stream_order(seed):
 @given(edge_streams())
 def test_merge_keeps_largest_probability(case):
     n, stream = case
-    refined = [(i, [j], [abs(w)]) for i, j, w in stream]
+    # One stacked sub-graph per entry: its pivot and one neighbor.
+    members = np.array([(i, j) for i, j, _ in stream], dtype=np.int64).reshape(-1, 2)
+    probs = np.array([abs(w) for _, _, w in stream]).reshape(-1, 1)
     expected = {}
     for i, j, w in stream:
         key = (min(i, j), max(i, j))
         expected[key] = max(abs(w), expected.get(key, 0.0))
-    assert edge_dict(merge_subgraphs(refined, n)) == expected
+    assert edge_dict(merge_subgraphs(members, probs, n)) == expected
 
 
 def test_graph_arrays_are_read_only():
@@ -230,6 +232,12 @@ def test_graph_arrays_are_read_only():
 def test_non_finite_weight_rejected():
     with pytest.raises(ValueError, match="finite"):
         graph_from_edges(2, [(0, 1, float("nan"))])
+
+
+@pytest.mark.parametrize("loop", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_self_loop_rejected(loop):
+    with pytest.raises(ValueError, match="^self_loops must hold one finite weight per node$"):
+        SpeakerGraph(3, [0, 1], [1, 2], [1.0, 1.0], self_loops=[loop, 0.0, 0.0])
 
 
 # One pair given nine zeros, the last one -0.0: np.maximum.reduceat alone

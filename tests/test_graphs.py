@@ -9,6 +9,7 @@ from cdgcn.graphs import (
     EMBEDDING_MAGIC,
     EmbeddingSet,
     SpeakerGraph,
+    SubGraph,
     build_subgraph,
     cosine_affinity,
     knn_graph,
@@ -169,80 +170,100 @@ class TestKnnGraph:
 class TestBuildSubgraph:
     def test_two_nodes_pivot_row_zero(self, rng):
         emb = random_embeddings(rng, 2)
-        sub = build_subgraph(cosine_affinity(emb), emb, pivot=0, k=1)
-        assert sub.members.tolist() == [0, 1]
-        assert (sub.features[0] == 0.0).all()
+        sub = build_subgraph(cosine_affinity(emb), emb, pivots=[0], k=1)
+        assert sub.members.tolist() == [[0, 1]]
+        assert (sub.features[0, 0] == 0.0).all()
 
     def test_member_count_at_paper_setting(self, rng):
         # k = 6 neighbors out of 12 nodes gives a 7-node sub-graph
         emb = random_embeddings(rng, 12)
-        sub = build_subgraph(cosine_affinity(emb), emb, pivot=3, k=6)
-        assert len(sub.members) == 7
-        assert sub.members[0] == 3
+        sub = build_subgraph(cosine_affinity(emb), emb, pivots=[3], k=6)
+        assert sub.members.shape == (1, 7)
+        assert sub.members[0, 0] == 3
 
     def test_negative_affinity_clamped(self):
         emb = embedding_set([[1.0, 0.0], [-1.0, 0.1], [0.0, 1.0]])
         aff = cosine_affinity(emb)
         assert aff[0, 1] < 0.0
-        sub = build_subgraph(aff, emb, pivot=2, k=2)
-        row = {int(m): idx for idx, m in enumerate(sub.members)}
-        assert sub.adjacency[row[0], row[1]] == 0.0
+        sub = build_subgraph(aff, emb, pivots=[2], k=2)
+        row = {int(m): idx for idx, m in enumerate(sub.members[0])}
+        assert sub.adjacency[0, row[0], row[1]] == 0.0
         assert (sub.adjacency >= 0.0).all()
-        assert (np.diag(sub.adjacency) == 0.0).all()
+        assert (np.diag(sub.adjacency[0]) == 0.0).all()
 
     def test_adjacency_symmetric(self, rng):
         emb = random_embeddings(rng, 9)
-        sub = build_subgraph(cosine_affinity(emb), emb, pivot=4, k=5)
-        assert (sub.adjacency == sub.adjacency.T).all()
+        sub = build_subgraph(cosine_affinity(emb), emb, pivots=[4], k=5)
+        assert (sub.adjacency == sub.adjacency.swapaxes(1, 2)).all()
 
     def test_pivot_out_of_range(self, rng):
         emb = random_embeddings(rng, 3)
         with pytest.raises(ValueError, match="pivot"):
-            build_subgraph(cosine_affinity(emb), emb, pivot=3, k=1)
+            build_subgraph(cosine_affinity(emb), emb, pivots=[3], k=1)
+
+    @pytest.mark.parametrize("pivots, shape", [
+        (0, "0-d int64"), ([[0, 1]], "2-d int64"), ([0.0], "1-d float64"),
+    ], ids=["scalar", "matrix", "float"])
+    def test_pivots_must_be_a_1d_integer_array(self, rng, pivots, shape):
+        emb = random_embeddings(rng, 3)
+        message = f"pivots must be a 1-d integer array, got {shape}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_subgraph(cosine_affinity(emb), emb, pivots, k=1)
+
+    def test_unstacked_subgraph_refused(self, rng):
+        emb = random_embeddings(rng, 4)
+        sub = build_subgraph(cosine_affinity(emb), emb, np.arange(4), k=2)
+        with pytest.raises(ValueError, match=r"^a SubGraph is a stack: members \(3,\)"):
+            SubGraph(sub.members[0], sub.features[0], sub.adjacency[0])
+        with pytest.raises(ValueError, match=r"^a SubGraph is a stack: .* features \(3, 5\) "):
+            SubGraph(sub.members, sub.features[0], sub.adjacency)
 
     @given(n=st.integers(2, 12), k=st.integers(1, 15), seed=st.integers(0, 1000))
     def test_member_invariants(self, n, k, seed):
         emb = random_embeddings(np.random.default_rng(seed), n)
         pivot = seed % n
-        sub = build_subgraph(cosine_affinity(emb), emb, pivot, k)
-        members = sub.members.tolist()
+        sub = build_subgraph(cosine_affinity(emb), emb, [pivot], k)
+        members = sub.members[0].tolist()
         assert members.count(pivot) == 1
         assert len(members) == len(set(members)) == min(k, n - 1) + 1
 
 
 class TestMergeSubgraphs:
     def test_max_rule(self):
-        g = merge_subgraphs([(2, [5], [0.7]), (5, [2], [0.4])], node_count=6)
+        g = merge_subgraphs([[2, 5], [5, 2]], [[0.7], [0.4]], node_count=6)
         assert edge_dict(g) == {(2, 5): 0.7}
 
     def test_single_occurrence_identity(self):
-        g = merge_subgraphs([(0, [3], [0.3])], node_count=4)
+        g = merge_subgraphs([[0, 3]], [[0.3]], node_count=4)
         assert edge_dict(g) == {(0, 3): 0.3}
         assert g.edge_count == 1
 
     def test_empty_input(self):
-        g = merge_subgraphs([], node_count=5)
+        g = merge_subgraphs(np.zeros((0, 1), np.int64), np.zeros((0, 0)), node_count=5)
         assert g.node_count == 5 and g.edge_count == 0
 
     def test_probability_out_of_range_rejected(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            merge_subgraphs([(0, [1], [1.2])], node_count=2)
+            merge_subgraphs([[0, 1]], [[1.2]], node_count=2)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            merge_subgraphs([(0, [1], [-0.1])], node_count=2)
+            merge_subgraphs([[0, 1]], [[-0.1]], node_count=2)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            merge_subgraphs([(0, [1], [float("nan")])], node_count=2)
+            merge_subgraphs([[0, 1]], [[float("nan")]], node_count=2)
 
     @given(seed=st.integers(0, 10_000))
     def test_idempotent(self, seed):
         rng = np.random.default_rng(seed)
         n = 8
-        entries = []
+        members, probs = [], []
         for pivot in range(n):
+            # The pivot's sub-graph, stacked as one (pivot, neighbor) row per neighbor.
             neighbors = [j for j in range(n) if j != pivot and rng.random() < 0.5]
-            entries.append((pivot, neighbors, rng.random(len(neighbors))))
-        once = merge_subgraphs(entries, n)
-        again = merge_subgraphs(
-            [(i, [j], [w]) for (i, j), w in edge_dict(once).items()], n)
+            members += [(pivot, j) for j in neighbors]
+            probs += rng.random(len(neighbors)).tolist()
+        once = merge_subgraphs(np.reshape(members, (-1, 2)), np.reshape(probs, (-1, 1)), n)
+        pairs = edge_dict(once)
+        again = merge_subgraphs(np.reshape(list(pairs), (-1, 2)),
+                                np.reshape(list(pairs.values()), (-1, 1)), n)
         assert edge_dict(once) == edge_dict(again)
 
 

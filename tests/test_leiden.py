@@ -210,6 +210,17 @@ class TestLeiden:
         with pytest.raises(ValueError, match=r"^graph has negative total weight m = -0\.5$"):
             leiden(g, LeidenConfig(seed=0))
 
+    def test_non_finite_total_weight_rejected(self):
+        # Two finite weights whose sum overflows: m = inf.
+        with np.errstate(over="ignore"):
+            g = SpeakerGraph(3, [0, 1], [1, 2], [1.7e308, 1.7e308])
+        message = "^graph has non-finite total weight m = inf$"
+        with pytest.raises(ValueError, match=message):
+            leiden(g, LeidenConfig(seed=0))
+        for phase in (quality, local_move, refine_partition):
+            with pytest.raises(ValueError, match=message):
+                phase(g, singletons(g), 1.0)
+
     @pytest.mark.parametrize("phase", [quality, local_move, refine_partition])
     def test_negative_total_weight_rejected_by_every_phase(self, phase):
         g = graph_from_edges(3, [(0, 1, -1.0), (1, 2, 0.5)])
