@@ -51,10 +51,9 @@ def main():
     write_vad_regions(out / f"{args.name}.vad", session.vad_regions)
     write_overlap_mask(out / f"{args.name}.mask", session.overlap_mask)
     (out / f"{args.name}_ref.rttm").write_text(write_rttm(session.reference))
-    lines = []
-    for spk, second in zip(session.speaker, session.second_speaker):
-        lines.append(f"{spk} {second}" if second >= 0 else f"{spk}")
-    (out / f"{args.name}.spk").write_text("".join(line + "\n" for line in lines))
+    (out / f"{args.name}.spk").write_text("".join(
+        f"{spk}\n" if spk == second else f"{spk} {second}\n"
+        for spk, second in session.speakers.tolist()))
     print(f"wrote {session.embeddings.count} segments, "
           f"{session.speaker_count} speakers under {out}/{args.name}.*")
 

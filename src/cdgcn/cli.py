@@ -9,11 +9,11 @@ from pathlib import Path
 import numpy as np
 
 from .gcn import GcnWeights, load_weights, save_weights, train
-from .graphs import build_subgraph, cosine_affinity, read_embeddings
+from .graphs import read_embeddings
 from .osd import read_overlap_mask
 from .pipeline import MODES, PipelineConfig, read_vad_regions, run_pipeline
 from .scoring import der, rttm_speaker_counts, speaker_count_mse
-from .synthetic import rotate_batches, shared_speaker_labels
+from .synthetic import labelled_subgraphs, rotate_batches
 from .timeline import read_rttm, write_rttm
 
 
@@ -26,9 +26,11 @@ def _read_speakers(path, expected: int) -> np.ndarray:
         if not line:
             continue
         try:
-            ids = sorted({int(tok) for tok in line.split()})
+            ids = np.unique(np.array([int(tok) for tok in line.split()], dtype=np.int64))
         except ValueError:
             raise ValueError(f"{path} line {lineno}: speaker ids must be integers") from None
+        except OverflowError:
+            raise ValueError(f"{path} line {lineno}: speaker ids must fit in 64 bits") from None
         if not 1 <= len(ids) <= 2:
             raise ValueError(f"{path} line {lineno}: expected 1 or 2 speaker ids")
         rows.append((ids[0], ids[-1]))
@@ -63,13 +65,11 @@ def cmd_train_gcn(args) -> int:
         if not labels_path.exists():
             raise ValueError(f"missing labels file {labels_path}")
         emb = read_embeddings(emb_path)
-        speakers = _read_speakers(labels_path, emb.count)
-        sub = build_subgraph(cosine_affinity(emb), emb, np.arange(emb.count), args.knn_k)
-        batches.append((sub, shared_speaker_labels(speakers, sub.members)))
+        batches.append(labelled_subgraphs(emb, _read_speakers(labels_path, emb.count), args.knn_k))
     batches = rotate_batches(batches, args.rotations, seed=args.seed)
 
     feature_dim = batches[0][0].features.shape[-1]
-    init = GcnWeights.glorot(feature_dim, num_layers=args.layers, seed=args.seed)
+    init = GcnWeights.glorot(feature_dim, layers=args.layers, seed=args.seed)
     losses = []
     weights = train(batches, init=init, lr=args.lr, epochs=args.epochs, seed=args.seed,
                     on_epoch=lambda _, loss: losses.append(loss))

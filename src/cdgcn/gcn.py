@@ -30,33 +30,32 @@ BLOCK = 8   # sub-graphs per training block: larger float64 ones fall out of cac
 
 @dataclass
 class GcnWeights:
-    """Parameters of the aggregation stack and the prediction head.
+    """Parameters in one flat order: each aggregation layer's (2 * d_in, d_out)
+    weight, then the head's W1, b1, W2, b2. Gradients come, and .gcnw files
+    store the tensors, in the same order.
 
-    layer_weights[l] has shape (2 * d_in, d_out); consecutive layers must
-    chain (rows of layer l+1 equal twice the columns of layer l). The head
-    maps the last layer's output through a hidden relu layer to 2 logits.
+    Consecutive layers must chain (rows of layer l+1 equal twice the columns
+    of layer l). The head maps the last layer's output through a hidden relu
+    layer (W1, b1) to 2 logits (W2, b2).
     """
 
-    layer_weights: list[np.ndarray]
-    head_weights: tuple[np.ndarray, np.ndarray]
-    head_biases: tuple[np.ndarray, np.ndarray]
+    tensors: list[np.ndarray]
 
     def __post_init__(self):
-        if not self.layer_weights:
+        *layers, w1, b1, w2, b2 = self.tensors
+        if not layers:
             raise ValueError("need at least one aggregation layer")
-        for idx, w in enumerate(self.layer_weights):
+        for idx, w in enumerate(layers):
             if w.ndim != 2 or w.shape[0] % 2:
                 raise ValueError(f"layer {idx}: weight shape {w.shape} is not (2*d_in, d_out)")
-            if idx and w.shape[0] != 2 * self.layer_weights[idx - 1].shape[1]:
+            if idx and w.shape[0] != 2 * layers[idx - 1].shape[1]:
                 raise ValueError(
-                    f"layer {idx}: expected {2 * self.layer_weights[idx - 1].shape[1]} rows, "
+                    f"layer {idx}: expected {2 * layers[idx - 1].shape[1]} rows, "
                     f"got {w.shape[0]}"
                 )
-        w1, w2 = self.head_weights
-        b1, b2 = self.head_biases
-        if w1.shape[0] != self.layer_weights[-1].shape[1]:
+        if w1.shape[0] != layers[-1].shape[1]:
             raise ValueError(
-                f"head: expected {self.layer_weights[-1].shape[1]} input rows, got {w1.shape[0]}"
+                f"head: expected {layers[-1].shape[1]} input rows, got {w1.shape[0]}"
             )
         if w2.shape != (w1.shape[1], 2):
             raise ValueError(f"head: output layer shape {w2.shape} is not ({w1.shape[1]}, 2)")
@@ -65,32 +64,17 @@ class GcnWeights:
 
     @property
     def feature_dim(self) -> int:
-        return self.layer_weights[0].shape[0] // 2
-
-    @property
-    def num_layers(self) -> int:
-        return len(self.layer_weights)
+        return self.tensors[0].shape[0] // 2
 
     @property
     def dtype(self):
-        return self.layer_weights[0].dtype
+        return self.tensors[0].dtype
 
     def astype(self, dtype) -> "GcnWeights":
-        return GcnWeights.from_tensors([t.astype(dtype) for t in self.tensors()])
-
-    def tensors(self):
-        """All parameter arrays in a fixed order (layers, W1, b1, W2, b2)."""
-        return [*self.layer_weights, self.head_weights[0], self.head_biases[0],
-                self.head_weights[1], self.head_biases[1]]
+        return GcnWeights([t.astype(dtype) for t in self.tensors])
 
     @classmethod
-    def from_tensors(cls, tensors) -> "GcnWeights":
-        return cls(list(tensors[:-4]),
-                   (tensors[-4], tensors[-2]),
-                   (tensors[-3], tensors[-1]))
-
-    @classmethod
-    def glorot(cls, feature_dim: int, num_layers: int = 4, seed: int = 0) -> "GcnWeights":
+    def glorot(cls, feature_dim: int, layers: int = 4, seed: int = 0) -> "GcnWeights":
         """Seeded float32 uniform init in +-sqrt(6 / (fan_in + fan_out)), zero
         biases; the head's hidden layer is feature_dim wide."""
         rng = seeded_rng(seed)
@@ -99,11 +83,11 @@ class GcnWeights:
             bound = np.sqrt(6.0 / (rows + cols))
             return rng.uniform(-bound, bound, size=(rows, cols)).astype(np.float32)
 
-        layers = [draw(2 * feature_dim, feature_dim) for _ in range(num_layers)]
+        aggregation = [draw(2 * feature_dim, feature_dim) for _ in range(layers)]
         w1 = draw(feature_dim, feature_dim)
         w2 = draw(feature_dim, 2)
-        return cls(layers, (w1, w2),
-                   (np.zeros(feature_dim, dtype=np.float32), np.zeros(2, dtype=np.float32)))
+        return cls([*aggregation, w1, np.zeros(feature_dim, dtype=np.float32),
+                    w2, np.zeros(2, dtype=np.float32)])
 
 
 def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
@@ -131,18 +115,27 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 def _forward(h: np.ndarray, a_hat: np.ndarray, weights: GcnWeights):
     """Every activation of the forward pass: each layer's [H || A_hat @ H] and
     pre-activation, the last layer's output, the head's hidden z and softmax."""
+    *layers, w1, b1, w2, b2 = weights.tensors
     concats = []
     pre_acts = []
-    for w in weights.layer_weights:
+    for w in layers:
         m = np.concatenate([h, a_hat @ h], axis=-1)
         pre = m @ w
         h = np.maximum(pre, 0)
         concats.append(m)
         pre_acts.append(pre)
-    w1, w2 = weights.head_weights
-    b1, b2 = weights.head_biases
     z = np.maximum(h @ w1 + b1, 0)
     return concats, pre_acts, h, z, _softmax(z @ w2 + b2)
+
+
+def _check_stack(sub: SubGraph, weights: GcnWeights) -> None:
+    """Refuses a stack whose features or adjacency the weights cannot take."""
+    if sub.features.shape[-1] != weights.feature_dim:
+        raise ValueError(f"sub-graph feature dim {sub.features.shape[-1]} does not match "
+                         f"weights feature dim {weights.feature_dim}")
+    if sub.adjacency.shape != sub.members.shape + sub.members.shape[1:]:
+        raise ValueError(f"adjacency shape {sub.adjacency.shape} does not match "
+                         f"{sub.members.shape[1]} nodes")
 
 
 def gcn_forward(sub: SubGraph, weights: GcnWeights) -> np.ndarray:
@@ -153,12 +146,7 @@ def gcn_forward(sub: SubGraph, weights: GcnWeights) -> np.ndarray:
     two-layer head to every node, and returns the positive-class softmax
     component for the non-pivot members, in member order.
     """
-    if sub.features.shape[-1] != weights.feature_dim:
-        raise ValueError(f"sub-graph feature dim {sub.features.shape[-1]} does not match "
-                         f"weights feature dim {weights.feature_dim}")
-    if sub.adjacency.shape != sub.members.shape + sub.members.shape[1:]:
-        raise ValueError(f"adjacency shape {sub.adjacency.shape} does not match "
-                         f"{sub.members.shape[1]} nodes")
+    _check_stack(sub, weights)
     dtype = weights.dtype
     a_hat = normalize_adjacency(sub.adjacency.astype(dtype))
     return _forward(sub.features.astype(dtype), a_hat, weights)[-1][:, 1:, 1]
@@ -177,12 +165,13 @@ def bce_loss(pred: np.ndarray, labels: np.ndarray):
     return np.mean(-(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)), axis=-1)
 
 
-def _training_blocks(batches, dtype):
-    """(features, normalized adjacency, labels) of each batch's sub-graphs,
-    BLOCK at a time, in order. Sub-graphs without neighbors carry no loss
-    and are left out."""
+def _training_blocks(batches, weights: GcnWeights):
+    """(features, normalized adjacency, labels) of each batch's sub-graphs in
+    the weights' precision, BLOCK at a time, in order. Sub-graphs without
+    neighbors carry no loss and are left out."""
     blocks = []
     for sub, labels in batches:
+        _check_stack(sub, weights)
         labels = np.asarray(labels, dtype=np.float64)
         if labels.shape != sub.members[:, 1:].shape:
             raise ValueError(f"labels of shape {labels.shape} for neighbors of shape "
@@ -190,7 +179,7 @@ def _training_blocks(batches, dtype):
         if not np.isin(labels, (0.0, 1.0)).all():
             raise ValueError("labels must be 0 or 1")
         if sub.members.shape[1] > 1:
-            features, adjacency, labels = (array.astype(dtype, copy=False)
+            features, adjacency, labels = (array.astype(weights.dtype, copy=False)
                                            for array in (sub.features, sub.adjacency, labels))
             blocks += [(features[i:i + BLOCK], normalize_adjacency(adjacency[i:i + BLOCK]),
                         labels[i:i + BLOCK]) for i in range(0, len(labels), BLOCK)]
@@ -198,11 +187,10 @@ def _training_blocks(batches, dtype):
 
 
 def _block_loss_and_grads(features, a_hat, labels, weights: GcnWeights):
-    """Per-sub-graph losses and stacked parameter gradients (in tensors()
-    order) of one block, by backpropagation."""
+    """Per-sub-graph losses and stacked parameter gradients (in the order of
+    weights.tensors) of one block, by backpropagation."""
     concats, pre_acts, h, z, sm = _forward(features, a_hat, weights)
-    lw = weights.layer_weights
-    w1, w2 = weights.head_weights
+    *layers, w1, _, w2, _ = weights.tensors
     probs = sm[:, 1:, 1]
     k = probs.shape[1]
     losses = bce_loss(probs, labels)
@@ -214,15 +202,15 @@ def _block_loss_and_grads(features, a_hat, labels, weights: GcnWeights):
     dlogits[:, 1:] = (sm[:, 1:] - target) * (active[..., None] / k)
 
     ds = (dlogits @ w2.T) * (z > 0)
-    grads = [None] * len(lw) + [h.transpose(0, 2, 1) @ ds, ds.sum(axis=1),
-                                z.transpose(0, 2, 1) @ dlogits, dlogits.sum(axis=1)]
+    grads = [None] * len(layers) + [h.transpose(0, 2, 1) @ ds, ds.sum(axis=1),
+                                    z.transpose(0, 2, 1) @ dlogits, dlogits.sum(axis=1)]
     dh = ds @ w1.T
-    for l in range(len(lw) - 1, -1, -1):
+    for l in range(len(layers) - 1, -1, -1):
         dpre = dh * (pre_acts.pop() > 0)
         grads[l] = concats.pop().transpose(0, 2, 1) @ dpre
         if l:   # the input gradient of layer 0 is never used
-            dm = dpre @ lw[l].T
-            d_in = lw[l].shape[0] // 2
+            dm = dpre @ layers[l].T
+            d_in = layers[l].shape[0] // 2
             dh = dm[..., :d_in] + a_hat.transpose(0, 2, 1) @ dm[..., d_in:]
     return losses, grads
 
@@ -230,18 +218,17 @@ def _block_loss_and_grads(features, a_hat, labels, weights: GcnWeights):
 def loss_and_gradients(batches, weights: GcnWeights):
     """Mean BCE over (SubGraph, labels) batches, each a stack of sub-graphs
     with a row of labels per sub-graph, and its parameter gradients."""
-    return _loss_and_gradients(_training_blocks(batches, weights.dtype), weights)
+    return _loss_and_gradients(_training_blocks(batches, weights), weights)
 
 
 def _loss_and_gradients(blocks, weights: GcnWeights):
-    tensors = weights.tensors()
     count = sum(len(labels) for _, _, labels in blocks)
     if not count:
-        return 0.0, GcnWeights.from_tensors([np.zeros_like(t) for t in tensors])
+        return 0.0, GcnWeights([np.zeros_like(t) for t in weights.tensors])
     # Each sub-graph's loss and gradient join the totals in sub-graph
     # order, so the sums do not depend on how sub-graphs are blocked.
     total_loss = 0.0
-    total = [np.zeros_like(t) for t in tensors]
+    total = [np.zeros_like(t) for t in weights.tensors]
     for block in blocks:
         losses, grads = _block_loss_and_grads(*block, weights)
         for loss in losses.tolist():
@@ -250,7 +237,7 @@ def _loss_and_gradients(blocks, weights: GcnWeights):
             for g in grad:
                 acc += g
     scale = 1.0 / count
-    return total_loss * scale, GcnWeights.from_tensors([t * scale for t in total])
+    return total_loss * scale, GcnWeights([t * scale for t in total])
 
 
 def train(batches, init: GcnWeights | None = None, lr: float = 1e-2, epochs: int = 100,
@@ -271,33 +258,28 @@ def train(batches, init: GcnWeights | None = None, lr: float = 1e-2, epochs: int
         raise ValueError("no training batches")
     if init is None:
         init = GcnWeights.glorot(batches[0][0].features.shape[-1], seed=seed)
+    weights = init.astype(np.float64)
+    blocks = _training_blocks(batches, weights)
     if epochs == 0:
         return init
-    weights = init.astype(np.float64)
-    blocks = _training_blocks(batches, np.float64)
     for epoch in range(epochs):
         loss, grads = _loss_and_gradients(blocks, weights)
         if not np.isfinite(loss):
             raise FloatingPointError(f"non-finite training loss at epoch {epoch}")
         if on_epoch is not None:
             on_epoch(epoch, loss)
-        stepped = [t - lr * g for t, g in zip(weights.tensors(), grads.tensors())]
-        weights = GcnWeights.from_tensors(stepped)
+        weights = GcnWeights([t - lr * g for t, g in zip(weights.tensors, grads.tensors)])
     return weights.astype(init.dtype)
 
 
 def save_weights(weights: GcnWeights) -> bytes:
-    """Serialize weights: magic, layer count, then (rows, cols, float32 data)
-    per aggregation layer and per head layer with its bias appended."""
-    w = weights.astype(np.float32)
-    out = [struct.pack("<4sI", WEIGHTS_MAGIC, w.num_layers)]
-    for mat in w.layer_weights:
-        out.append(struct.pack("<II", *mat.shape))
-        out.append(mat.astype("<f4").tobytes())
-    for mat, bias in zip(w.head_weights, w.head_biases):
-        out.append(struct.pack("<II", *mat.shape))
-        out.append(mat.astype("<f4").tobytes())
-        out.append(bias.astype("<f4").tobytes())
+    """Serialize weights: magic and aggregation layer count, then each tensor
+    in order as float32 data, a matrix preceded by its (rows, cols)."""
+    out = [struct.pack("<4sI", WEIGHTS_MAGIC, len(weights.tensors) - 4)]
+    for tensor in weights.tensors:
+        if tensor.ndim == 2:
+            out.append(struct.pack("<II", *tensor.shape))
+        out.append(tensor.astype("<f4").tobytes())
     return b"".join(out)
 
 
@@ -305,38 +287,32 @@ def load_weights(data: bytes) -> GcnWeights:
     """Parse bytes produced by :func:`save_weights`; exact float32 round-trip."""
     if len(data) < 8:
         raise ValueError("truncated weights data")
-    magic, num_layers = struct.unpack_from("<4sI", data, 0)
+    magic, layer_count = struct.unpack_from("<4sI", data, 0)
     if magic != WEIGHTS_MAGIC:
         raise ValueError(f"bad magic {magic!r}, expected {WEIGHTS_MAGIC!r}")
     offset = 8
 
-    def take(count):
+    def take(dtype, count):
         nonlocal offset
-        if offset + 4 * count > len(data):
+        if offset + np.dtype(dtype).itemsize * count > len(data):
             raise ValueError("truncated weights data")
-        out = np.frombuffer(data, dtype="<f4", count=count, offset=offset).copy()
-        offset += 4 * count
+        out = np.frombuffer(data, dtype=dtype, count=count, offset=offset).copy()
+        offset += out.nbytes
         return out
 
-    def matrix():
-        nonlocal offset
-        if offset + 8 > len(data):
-            raise ValueError("truncated weights data")
-        rows, cols = struct.unpack_from("<II", data, offset)
-        offset += 8
-        return take(rows * cols).reshape(rows, cols), cols
-
-    layers = [matrix()[0] for _ in range(num_layers)]
-    w1, hidden = matrix()
-    b1 = take(hidden)
-    w2, out_dim = matrix()
-    b2 = take(out_dim)
+    tensors = []
+    for index in range(layer_count + 4):
+        if index in (layer_count + 1, layer_count + 3):   # b1, b2: one per column of W1, W2
+            tensors.append(take("<f4", tensors[-1].shape[1]))
+        else:
+            rows, cols = take("<u4", 2).tolist()
+            tensors.append(take("<f4", rows * cols).reshape(rows, cols))
     if offset != len(data):
         raise ValueError(f"{len(data) - offset} trailing bytes in weights data")
-    weights = GcnWeights(layers, (w1, w2), (b1, b2))
-    for index, tensor in enumerate(weights.tensors()):
+    weights = GcnWeights(tensors)
+    for index, tensor in enumerate(tensors):
         if not np.isfinite(tensor).all():
-            name = (f"layer {index}" if index < num_layers
-                    else f"head layer {(index - num_layers) // 2}")
+            name = (f"layer {index}" if index < layer_count
+                    else f"head layer {(index - layer_count) // 2}")
             raise ValueError(f"{name} has a non-finite weight")
     return weights

@@ -55,7 +55,8 @@ class EmbeddingSet:
                 f"{self.segments.shape[0]} segments do not match "
                 f"{self.vectors.shape[0]} embedding rows"
             )
-        bad = np.flatnonzero(~np.isfinite(self.segments).all(axis=1))
+        with np.errstate(over="ignore", invalid="ignore"):   # inf + -inf, or an end past 1.8e308
+            bad = np.flatnonzero(~np.isfinite(self.segments.sum(axis=1)))
         if bad.size:
             raise ValueError(f"segment {bad[0]} has a non-finite time")
         starts = self.segments[:, 0]

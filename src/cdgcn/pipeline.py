@@ -95,8 +95,8 @@ def _frame_count(end: float, frame_duration: float) -> int:
 def _covered_frames(start, end, frame_duration: float, total: int):
     """Index range [f0, f1) of frames whose centers fall in [start, end);
     given arrays of starts and ends, one range per pair."""
-    f0 = np.maximum(0, np.ceil(start / frame_duration - 0.5 - _EPS)).astype(np.int64)
-    f1 = np.minimum(total, np.ceil(end / frame_duration - 0.5 - _EPS)).astype(np.int64)
+    f0 = np.clip(np.ceil(start / frame_duration - 0.5 - _EPS), 0, total).astype(np.int64)
+    f1 = np.clip(np.ceil(end / frame_duration - 0.5 - _EPS), 0, total).astype(np.int64)
     return f0, f1
 
 

@@ -28,8 +28,7 @@ MIX = (0.85, 0.4)
 @dataclass
 class SyntheticSession:
     embeddings: EmbeddingSet
-    speaker: np.ndarray          # primary speaker id per segment
-    second_speaker: np.ndarray   # second speaker id per segment, -1 where none
+    speakers: np.ndarray   # (N, 2) ids per segment, as in .spk files: a solo one repeats its id
     vad_regions: list
     reference: list
     overlap_mask: OverlapMask
@@ -37,8 +36,7 @@ class SyntheticSession:
 
     @property
     def speaker_count(self) -> int:
-        labels = set(self.speaker.tolist()) | set(self.second_speaker[self.second_speaker >= 0].tolist())
-        return len(labels)
+        return len(np.unique(self.speakers))
 
 
 def _check_spread(noise: float, mean_cosine: float | None) -> None:
@@ -67,25 +65,26 @@ def _mask_from_regions(regions, end: float, frame_duration: float) -> OverlapMas
     return OverlapMask(frames=frames, frame_duration=frame_duration)
 
 
-def _session(vad_regions, means, speakers, seconds, noise, rng, reference, overlapped,
-             file_id) -> SyntheticSession:
+def _session(vad_regions, means, speakers, noise, rng, file_id) -> SyntheticSession:
     """Tile each region with windows and draw its embeddings around means[i],
-    region by region; speakers[i] and seconds[i] are its primary and second
-    speaker (-1 = none). The oracle mask flags the overlapped regions."""
+    region by region; speakers[i] is its (primary, second) speaker pair, the
+    same id twice for a solo region. Each region gets one reference turn per
+    distinct speaker, and the oracle mask flags the regions with two."""
     vectors = []
     segments = []
-    speaker = []
-    second = []
-    for region, mean, spk, snd in zip(vad_regions, means, speakers, seconds):
-        spans = segment_speech([region])
+    counts = []
+    reference = []
+    for (start, end), mean, pair in zip(vad_regions, means, speakers):
+        spans = segment_speech([(start, end)])
         segments.extend(spans)
+        counts.append(len(spans))
         vectors.append(_draw_cluster(mean, len(spans), noise, rng))
-        speaker.extend([spk] * len(spans))
-        second.extend([snd] * len(spans))
+        reference += [RttmRecord(file_id, round(start, 3), round(end - start, 3), f"ref{spk}")
+                      for spk in dict.fromkeys(pair)]
+    overlapped = [region for region, (a, b) in zip(vad_regions, speakers) if a != b]
     return SyntheticSession(
         embeddings=EmbeddingSet(np.vstack(vectors), np.array(segments)),
-        speaker=np.array(speaker, dtype=np.int64),
-        second_speaker=np.array(second, dtype=np.int64),
+        speakers=np.repeat(np.array(speakers, dtype=np.int64), counts, axis=0),
         vad_regions=vad_regions,
         reference=reference,
         overlap_mask=_mask_from_regions(overlapped, vad_regions[-1][1], FRAME_DURATION),
@@ -122,15 +121,12 @@ def make_session(num_speakers: int = 4, segments_per_speaker: int = 50, dim: int
     region_len = (segments_per_speaker - 1) * SHIFT + WINDOW
 
     vad_regions = []
-    reference = []
     t = 0.0
-    for spk in range(num_speakers):
-        region = (t, t + region_len)
-        vad_regions.append(region)
-        reference.append(RttmRecord(file_id, round(region[0], 3), round(region_len, 3), f"ref{spk}"))
-        t = region[1] + GAP_SECONDS
-    return _session(vad_regions, means, range(num_speakers), [-1] * num_speakers, noise, rng,
-                    reference, [], file_id)
+    for _ in range(num_speakers):
+        vad_regions.append((t, t + region_len))
+        t = vad_regions[-1][1] + GAP_SECONDS
+    return _session(vad_regions, means, [(spk, spk) for spk in range(num_speakers)], noise, rng,
+                    file_id)
 
 
 def make_overlap_session(solo_seconds: float = 24.0, overlap_seconds: float = 12.0,
@@ -155,14 +151,8 @@ def make_overlap_session(solo_seconds: float = 24.0, overlap_seconds: float = 12
               solo_seconds + 2 * GAP_SECONDS + overlap_seconds]
     lengths = [solo_seconds, overlap_seconds, solo_seconds]
     vad_regions = [(s, s + l) for s, l in zip(starts, lengths)]
-    reference = [
-        RttmRecord(file_id, round(starts[0], 3), round(lengths[0], 3), "ref0"),
-        RttmRecord(file_id, round(starts[1], 3), round(lengths[1], 3), "ref0"),
-        RttmRecord(file_id, round(starts[1], 3), round(lengths[1], 3), "ref1"),
-        RttmRecord(file_id, round(starts[2], 3), round(lengths[2], 3), "ref1"),
-    ]
     return _session(vad_regions, [mean_a, mixture / np.linalg.norm(mixture), mean_b],
-                    [0, 0, 1], [-1, 1, -1], noise, rng, reference, [vad_regions[1]], file_id)
+                    [(0, 0), (0, 1), (1, 1)], noise, rng, file_id)
 
 
 def shared_speaker_labels(speakers: np.ndarray, members: np.ndarray) -> np.ndarray:
@@ -174,10 +164,11 @@ def shared_speaker_labels(speakers: np.ndarray, members: np.ndarray) -> np.ndarr
     return shared.any(axis=(-2, -1)).astype(np.float64)
 
 
-def linkage_labels(session: SyntheticSession, members: np.ndarray) -> np.ndarray:
-    """1 where the member shares at least one speaker with the pivot."""
-    second = np.where(session.second_speaker >= 0, session.second_speaker, session.speaker)
-    return shared_speaker_labels(np.column_stack([session.speaker, second]), members)
+def labelled_subgraphs(emb: EmbeddingSet, speakers: np.ndarray, k: int):
+    """(SubGraph, labels): the stacked k-neighbor sub-graphs of every segment
+    as pivot, labelled by shared_speaker_labels from (N, 2) speaker ids."""
+    sub = build_subgraph(cosine_affinity(emb), emb, np.arange(emb.count), k)
+    return sub, shared_speaker_labels(speakers, sub.members)
 
 
 def rotate_batches(batches, rotations: int, seed: int = 0):
@@ -207,10 +198,6 @@ def rotate_batches(batches, rotations: int, seed: int = 0):
     return out
 
 
-def linkage_training_batches(session: SyntheticSession, k: int, rotations: int = 0,
-                             seed: int = 0):
-    """(SubGraph, labels) batches: the stacked sub-graphs of every pivot
-    segment of the session with their labels, then any rotated copies."""
-    emb = session.embeddings
-    sub = build_subgraph(cosine_affinity(emb), emb, np.arange(emb.count), k)
-    return rotate_batches([(sub, linkage_labels(session, sub.members))], rotations, seed=seed)
+def linkage_training_batches(session: SyntheticSession, k: int):
+    """One (SubGraph, labels) batch: the session's labelled sub-graphs."""
+    return [labelled_subgraphs(session.embeddings, session.speakers, k)]

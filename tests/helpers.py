@@ -20,17 +20,17 @@ from cdgcn.pipeline import _EPS
 from cdgcn.timeline import FRAME_DURATION
 
 
-def random_gcn_weights(rng, feature_dim, num_layers=2, hidden_dim=None, scale=0.5):
+def random_gcn_weights(rng, feature_dim, layers=2, hidden_dim=None, scale=0.5):
     """Fully random weights (biases included) at a generic point, so ReLU
     pre-activations never sit exactly on the kink during gradient checks."""
     hidden = feature_dim if hidden_dim is None else hidden_dim
-    layers = [rng.normal(scale=scale, size=(2 * feature_dim, feature_dim))
-              for _ in range(num_layers)]
+    aggregation = [rng.normal(scale=scale, size=(2 * feature_dim, feature_dim))
+                   for _ in range(layers)]
     w1 = rng.normal(scale=scale, size=(feature_dim, hidden))
     w2 = rng.normal(scale=scale, size=(hidden, 2))
     b1 = rng.normal(scale=scale, size=hidden)
     b2 = rng.normal(scale=scale, size=2)
-    return GcnWeights(layers, (w1, w2), (b1, b2))
+    return GcnWeights([*aggregation, w1, b1, w2, b2])
 
 
 def neighbors(g: SpeakerGraph, i: int) -> list[tuple[int, float]]:
@@ -485,13 +485,12 @@ def reference_forward(sub: SubGraph, weights: GcnWeights) -> np.ndarray:
     """Linkage probabilities of a stack of sub-graphs, one row each, computed
     one sub-graph at a time, layer by layer."""
     dtype = weights.dtype
-    w1, w2 = weights.head_weights
-    b1, b2 = weights.head_biases
+    *layers, w1, b1, w2, b2 = weights.tensors
     rows = []
     for features, adjacency in zip(sub.features, sub.adjacency):
         a_hat = _normalize(adjacency.astype(dtype))
         h = features.astype(dtype)
-        for w in weights.layer_weights:
+        for w in layers:
             h = np.maximum(np.concatenate([h, a_hat @ h], axis=1) @ w, 0)
         z = np.maximum(h @ w1 + b1, 0)
         rows.append(_softmax(z @ w2 + b2)[1:, 1])
@@ -499,9 +498,7 @@ def reference_forward(sub: SubGraph, weights: GcnWeights) -> np.ndarray:
 
 
 def _reference_sub_loss_and_grads(features, a_hat, labels, weights):
-    lw = weights.layer_weights
-    w1, w2 = weights.head_weights
-    b1, b2 = weights.head_biases
+    *lw, w1, b1, w2, b2 = weights.tensors
 
     h = features
     hs = [h]
@@ -553,7 +550,7 @@ def reference_loss_and_gradients(batches, weights: GcnWeights):
     counted = [(sub, np.asarray(labels[0], dtype=dtype)) for sub, labels in unstack(batches)
                if np.size(labels)]
     total_loss = 0.0
-    total = [np.zeros_like(t) for t in weights.tensors()]
+    total = [np.zeros_like(t) for t in weights.tensors]
     for sub, labels in counted:
         loss, grads = _reference_sub_loss_and_grads(
             sub.features[0].astype(dtype), _normalize(sub.adjacency[0].astype(dtype)),
@@ -562,4 +559,4 @@ def reference_loss_and_gradients(batches, weights: GcnWeights):
         for acc, g in zip(total, grads):
             acc += g
     scale = 1.0 / max(len(counted), 1)
-    return total_loss * scale, GcnWeights.from_tensors([t * scale for t in total])
+    return total_loss * scale, GcnWeights([t * scale for t in total])

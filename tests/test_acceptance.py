@@ -124,21 +124,21 @@ def test_gcn_gradient_check():
         np.fill_diagonal(adjacency, 0.0)
         sub = SubGraph(np.arange(nodes)[None], features[None], adjacency[None])
         labels = rng.integers(0, 2, (1, nodes - 1)).astype(float)
-        weights = random_gcn_weights(rng, dim, num_layers=2)
+        weights = random_gcn_weights(rng, dim, layers=2)
         batches = [(sub, labels)]
         _, grads = loss_and_gradients(batches, weights)
 
-        flat = np.concatenate([t.ravel() for t in weights.tensors()])
-        analytic = np.concatenate([t.ravel() for t in grads.tensors()])
+        flat = np.concatenate([t.ravel() for t in weights.tensors])
+        analytic = np.concatenate([t.ravel() for t in grads.tensors])
         numeric = np.zeros_like(flat)
         step = 1e-6
 
         def rebuild(vector):
             tensors, offset = [], 0
-            for t in weights.tensors():
+            for t in weights.tensors:
                 tensors.append(vector[offset:offset + t.size].reshape(t.shape))
                 offset += t.size
-            return GcnWeights.from_tensors(tensors)
+            return GcnWeights(tensors)
 
         for i in range(flat.size):
             plus, minus = flat.copy(), flat.copy()
@@ -178,7 +178,7 @@ def _cluster_cosines(session):
     unit = session.embeddings.vectors
     unit = unit / np.linalg.norm(unit, axis=1, keepdims=True)
     scores = unit @ unit.T
-    same = session.speaker[:, None] == session.speaker[None, :]
+    same = session.speakers[:, :1] == session.speakers[:, 0]
     off_diag = ~np.eye(len(unit), dtype=bool)
     return scores[same & off_diag].min(), scores[~same].max()
 

@@ -96,7 +96,7 @@ def test_batched_forward_and_refined_graph_match_reference(n, k, layers, dtype, 
     rng = np.random.default_rng(seed)
     emb = embeddings(rng, n, dim=4, pool=int(rng.integers(2, 6)) if seed % 2 else None)
     aff = cosine_affinity(emb)
-    weights = random_gcn_weights(rng, 4, num_layers=layers).astype(dtype)
+    weights = random_gcn_weights(rng, 4, layers=layers).astype(dtype)
     stacked = build_subgraph(aff, emb, np.arange(n), k)
     probs = gcn_forward(stacked, weights)
     expected = reference_forward(stacked, weights)
@@ -117,7 +117,7 @@ def test_inference_does_not_depend_on_block_size(n, k, block, seed):
     rng = np.random.default_rng(seed)
     emb = embeddings(rng, n, dim=4, pool=int(rng.integers(2, 6)) if seed % 2 else None)
     aff = cosine_affinity(emb)
-    weights = random_gcn_weights(rng, 4, num_layers=2).astype(np.float32)
+    weights = random_gcn_weights(rng, 4, layers=2).astype(np.float32)
     expected = (refine_graph(emb, aff, weights, k), knn_graph(aff, k))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(graphs, "BLOCK", block)
@@ -150,13 +150,13 @@ def mixed_batches(rng, dim=3):
 def test_batched_loss_and_gradients_match_reference(seed, block, dtype):
     rng = np.random.default_rng(seed)
     batches = mixed_batches(rng)
-    weights = random_gcn_weights(rng, 3, num_layers=int(rng.integers(1, 4))).astype(dtype)
+    weights = random_gcn_weights(rng, 3, layers=int(rng.integers(1, 4))).astype(dtype)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gcn, "BLOCK", block)
         loss, grads = loss_and_gradients(batches, weights)
     ref_loss, ref_grads = reference_loss_and_gradients(batches, weights)
     assert same_bits(loss, ref_loss)
-    for a, b in zip(grads.tensors(), ref_grads.tensors()):
+    for a, b in zip(grads.tensors, ref_grads.tensors):
         assert same_bits(a, b)
 
 
@@ -164,15 +164,14 @@ def test_batched_loss_and_gradients_match_reference(seed, block, dtype):
 def test_training_matches_reference_steps(seed):
     rng = np.random.default_rng(seed)
     batches = mixed_batches(rng)
-    init = GcnWeights.glorot(3, num_layers=2, seed=seed)
+    init = GcnWeights.glorot(3, layers=2, seed=seed)
     lr, epochs = 0.3, 3
     expected = init.astype(np.float64)
     for _ in range(epochs):
         _, grads = reference_loss_and_gradients(batches, expected)
-        expected = GcnWeights.from_tensors(
-            [t - lr * g for t, g in zip(expected.tensors(), grads.tensors())])
+        expected = GcnWeights([t - lr * g for t, g in zip(expected.tensors, grads.tensors)])
     trained = train(batches, init=init, lr=lr, epochs=epochs)
-    for a, b in zip(trained.tensors(), expected.astype(np.float32).tensors()):
+    for a, b in zip(trained.tensors, expected.astype(np.float32).tensors):
         assert same_bits(a, b)
 
 

@@ -14,7 +14,8 @@ from cdgcn.graphs import EMBEDDING_MAGIC, EmbeddingSet, read_embeddings, write_e
 from cdgcn.osd import write_overlap_mask
 from cdgcn.pipeline import write_vad_regions
 from cdgcn.scoring import der
-from cdgcn.synthetic import linkage_training_batches, make_overlap_session, make_session
+from cdgcn.synthetic import (linkage_training_batches, make_overlap_session, make_session,
+                             rotate_batches)
 from cdgcn.timeline import RttmRecord, read_rttm, write_rttm
 
 
@@ -40,7 +41,7 @@ def train_dir(tmp_path):
     for seed in (31, 32):
         session = make_session(num_speakers=3, segments_per_speaker=8, dim=16, seed=seed)
         write_embeddings(tmp_path / f"s{seed}.emb", session.embeddings)
-        labels = "".join(f"{s}\n" for s in session.speaker)
+        labels = "".join(f"{s}\n" for s in session.speakers[:, 0])
         (tmp_path / f"s{seed}.spk").write_text(labels)
     return tmp_path
 
@@ -87,6 +88,15 @@ class TestClusterCommand:
     def test_non_finite_segment_time_is_one_line_error(self, tmp_path, capsys, bad):
         path = tmp_path / "bad.emb"
         write_raw_embeddings(path, np.eye(3), [[0.0, 1.5], [0.75, 1.5], [1.5, bad]])
+        code = main(["cluster", "--embeddings", str(path), "--mode", "knn_leiden",
+                     "--out", str(tmp_path / "x.rttm")])
+        assert code == 1
+        assert capsys.readouterr().err == "cdgcn: segment 2 has a non-finite time\n"
+        assert not (tmp_path / "x.rttm").exists()
+
+    def test_segment_ending_beyond_the_float_range_is_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "far.emb"
+        write_raw_embeddings(path, np.eye(3), [[0.0, 1.5], [0.75, 1.5], [1e308, 1e308]])
         code = main(["cluster", "--embeddings", str(path), "--mode", "knn_leiden",
                      "--out", str(tmp_path / "x.rttm")])
         assert code == 1
@@ -151,7 +161,7 @@ class TestClusterCommand:
 
     def test_non_finite_weights_are_one_line_error(self, session_dir, capsys):
         weights = GcnWeights.glorot(16, seed=0)
-        weights.layer_weights[1][2, 3] = np.nan
+        weights.tensors[1][2, 3] = np.nan
         path = session_dir / "nan.gcnw"
         path.write_bytes(save_weights(weights))
         code = main(["cluster", "--embeddings", str(session_dir / "e2e.emb"),
@@ -176,15 +186,14 @@ class TestTrainCommand:
         assert code == 0
         assert "sub-graphs" in capsys.readouterr().out
         weights = load_weights(out.read_bytes())
-        assert weights.num_layers == 4
+        assert len(weights.tensors) == 4 + 4   # four aggregation layers, then the head
         assert out.read_bytes() == save_weights(weights)
 
     def test_overlapped_labels_train_like_the_library(self, tmp_path, capsys):
         session = make_overlap_session(solo_seconds=6.0, overlap_seconds=3.0, dim=8, seed=9)
         write_embeddings(tmp_path / "ov.emb", session.embeddings)
         (tmp_path / "ov.spk").write_text("".join(
-            f"{a}\n" if b < 0 else f"{b} {a}\n"
-            for a, b in zip(session.speaker, session.second_speaker)))
+            f"{a}\n" if a == b else f"{b} {a}\n" for a, b in session.speakers.tolist()))
         out = tmp_path / "w.gcnw"
         code = main(["train-gcn", "--data", str(tmp_path), "--out", str(out), "--lr", "0.3",
                      "--epochs", "3", "--seed", "2", "--knn-k", "6", "--layers", "2",
@@ -193,8 +202,8 @@ class TestTrainCommand:
         assert f"trained on {2 * session.embeddings.count} sub-graphs" in capsys.readouterr().out
         # The library labels segments by the same shares-a-speaker rule.
         session.embeddings = read_embeddings(tmp_path / "ov.emb")
-        batches = linkage_training_batches(session, k=6, rotations=1, seed=2)
-        weights = train(batches, init=GcnWeights.glorot(8, num_layers=2, seed=2), lr=0.3,
+        batches = rotate_batches(linkage_training_batches(session, k=6), 1, seed=2)
+        weights = train(batches, init=GcnWeights.glorot(8, layers=2, seed=2), lr=0.3,
                         epochs=3)
         assert out.read_bytes() == save_weights(weights)
 
@@ -225,6 +234,31 @@ class TestTrainCommand:
                      str(tmp_path / "w.gcnw")])
         assert code == 1
         assert "no .emb files" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ids", ["9223372036854775808", "0 -9223372036854775809"])
+    def test_speaker_id_beyond_64_bits_is_one_line_error(self, train_dir, capsys, ids):
+        spk = sorted(train_dir.glob("*.spk"))[0]
+        lines = spk.read_text().splitlines()
+        lines[2] = ids
+        spk.write_text("".join(f"{line}\n" for line in lines))
+        out = train_dir / "w.gcnw"
+        code = main(["train-gcn", "--data", str(train_dir), "--out", str(out), "--epochs", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == f"cdgcn: {spk} line 3: speaker ids must fit in 64 bits\n"
+        assert not out.exists()
+
+    def test_mixed_feature_dims_is_one_line_error(self, tmp_path, capsys):
+        for name, dim in (("a", 8), ("b", 6)):
+            session = make_session(num_speakers=2, segments_per_speaker=5, dim=dim, seed=1)
+            write_embeddings(tmp_path / f"{name}.emb", session.embeddings)
+            (tmp_path / f"{name}.spk").write_text(
+                "".join(f"{s}\n" for s in session.speakers[:, 0]))
+        out = tmp_path / "w.gcnw"
+        code = main(["train-gcn", "--data", str(tmp_path), "--out", str(out), "--knn-k", "4"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "cdgcn: sub-graph feature dim 6 does not match weights feature dim 8\n")
+        assert not out.exists()
 
     def test_mismatched_labels_is_error(self, train_dir, capsys):
         spk = next(train_dir.glob("*.spk"))

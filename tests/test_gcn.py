@@ -36,15 +36,15 @@ def random_subgraph(rng, nodes=4, dim=3):
 
 
 def flatten(weights):
-    return np.concatenate([t.ravel() for t in weights.tensors()])
+    return np.concatenate([t.ravel() for t in weights.tensors])
 
 
 def unflatten(vector, like):
     tensors, offset = [], 0
-    for t in like.tensors():
+    for t in like.tensors:
         tensors.append(vector[offset:offset + t.size].reshape(t.shape))
         offset += t.size
-    return GcnWeights.from_tensors(tensors)
+    return GcnWeights(tensors)
 
 
 class TestNormalizeAdjacency:
@@ -95,11 +95,8 @@ class TestLayerForward:
 class TestForward:
     def test_zero_weights_give_half(self, rng):
         sub = random_subgraph(rng, nodes=5, dim=3)
-        weights = GcnWeights(
-            [np.zeros((6, 3)), np.zeros((6, 3))],
-            (np.zeros((3, 3)), np.zeros((3, 2))),
-            (np.zeros(3), np.zeros(2)),
-        )
+        weights = GcnWeights([np.zeros((6, 3)), np.zeros((6, 3)),
+                              np.zeros((3, 3)), np.zeros(3), np.zeros((3, 2)), np.zeros(2)])
         assert gcn_forward(sub, weights) == pytest.approx(np.full((1, 4), 0.5))
 
     def test_one_neighbor_closed_form(self):
@@ -107,11 +104,8 @@ class TestForward:
         features = np.array([[0.0], [2.0]])
         adjacency = np.array([[0.0, 1.0], [1.0, 0.0]])
         sub = stack_of_one(features, adjacency)
-        weights = GcnWeights(
-            [np.array([[0.5], [1.0]])],
-            (np.array([[1.0]]), np.array([[2.0, -1.0]])),
-            (np.array([0.5]), np.array([0.1, 0.2])),
-        )
+        weights = GcnWeights([np.array([[0.5], [1.0]]), np.array([[1.0]]), np.array([0.5]),
+                              np.array([[2.0, -1.0]]), np.array([0.1, 0.2])])
         # a_hat = [[1/2, 1/2], [1/2, 1/2]]; agg row1 = (0+2)/2 = 1
         # layer row1: relu(2*0.5 + 1*1.0) = 2; head: z = relu(2*1 + 0.5) = 2.5
         # logits = (2.5*2 + 0.1, 2.5*-1 + 0.2) = (5.1, -2.3)
@@ -130,12 +124,12 @@ class TestForward:
         # rows 1 and 2 are indistinguishable except for their mutual edge,
         # which is symmetric, so their probabilities must match
         sub = stack_of_one(features, adjacency)
-        probs = gcn_forward(sub, GcnWeights.glorot(2, num_layers=2, seed=5))
+        probs = gcn_forward(sub, GcnWeights.glorot(2, layers=2, seed=5))
         assert probs[0, 0] == pytest.approx(probs[0, 1], abs=1e-6)
 
     def test_neighbor_permutation_equivariance(self, rng):
         sub = random_subgraph(rng, nodes=6, dim=4)
-        weights = GcnWeights.glorot(4, num_layers=3, seed=2).astype(np.float64)
+        weights = GcnWeights.glorot(4, layers=3, seed=2).astype(np.float64)
         base = gcn_forward(sub, weights)
         perm = np.concatenate([[0], 1 + rng.permutation(5)])
         permuted = SubGraph(sub.members[:, perm], sub.features[:, perm],
@@ -187,7 +181,7 @@ class TestGradients:
     def test_matches_finite_differences(self, rng):
         from helpers import random_gcn_weights
 
-        weights = random_gcn_weights(rng, 3, num_layers=2)
+        weights = random_gcn_weights(rng, 3, layers=2)
         batches = [(random_subgraph(rng, nodes=4, dim=3),
                     rng.integers(0, 2, size=(1, 3)).astype(float)) for _ in range(3)]
         _, grads = loss_and_gradients(batches, weights)
@@ -220,7 +214,7 @@ class TestTrain:
     def test_zero_epochs_returns_init(self, rng):
         init = GcnWeights.glorot(3, seed=4)
         out = train(self.toy_batches(rng), init=init, epochs=0)
-        for a, b in zip(out.tensors(), init.tensors()):
+        for a, b in zip(out.tensors, init.tensors):
             assert (a == b).all()
 
     def test_loss_decreases_on_separable_toy(self, rng):
@@ -249,23 +243,32 @@ class TestTrain:
 
     def test_non_finite_loss_aborts_with_epoch(self, rng):
         init = GcnWeights.glorot(3, seed=4).astype(np.float64)
-        init.layer_weights[0][0, 0] = np.nan
+        init.tensors[0][0, 0] = np.nan
         with pytest.raises(FloatingPointError, match="epoch 0"):
             train(self.toy_batches(rng), init=init, epochs=3)
+
+    def test_feature_dim_mismatch_refused_like_the_forward_pass(self, rng):
+        batches = [(random_subgraph(rng, nodes=4, dim=3), np.zeros((1, 3))),
+                   (random_subgraph(rng, nodes=4, dim=2), np.zeros((1, 3)))]
+        message = "^sub-graph feature dim 2 does not match weights feature dim 3$"
+        with pytest.raises(ValueError, match=message):
+            loss_and_gradients(batches, GcnWeights.glorot(3))
+        with pytest.raises(ValueError, match=message):
+            train(batches, epochs=1)
 
     def test_default_init_seeded(self, rng):
         batches = self.toy_batches(rng)
         a = train(batches, lr=0.1, epochs=3, seed=7)
         b = train(batches, lr=0.1, epochs=3, seed=7)
-        for ta, tb in zip(a.tensors(), b.tensors()):
+        for ta, tb in zip(a.tensors, b.tensors):
             assert (ta == tb).all()
 
 
 class TestSerialization:
     def test_round_trip_bitwise(self):
-        weights = GcnWeights.glorot(5, num_layers=4, seed=3)
+        weights = GcnWeights.glorot(5, layers=4, seed=3)
         again = load_weights(save_weights(weights))
-        for a, b in zip(weights.tensors(), again.tensors()):
+        for a, b in zip(weights.tensors, again.tensors):
             assert a.dtype == b.dtype == np.float32
             assert (a == b).all()
         assert save_weights(again) == save_weights(weights)
@@ -285,7 +288,7 @@ class TestSerialization:
         ("no layers", "at least one aggregation layer"), ("trailing bytes", "trailing"),
         ("seven bytes", "truncated")])
     def test_bad_header_is_one_line_error(self, name, message):
-        data = save_weights(GcnWeights.glorot(3, num_layers=1, seed=0))
+        data = save_weights(GcnWeights.glorot(3, layers=1, seed=0))
         layer_end = 8 + 8 + 6 * 3 * 4
         data = {"huge layer count": struct.pack("<4sI", WEIGHTS_MAGIC, 2**32 - 1) + data[8:],
                 "huge layer": data[:8] + struct.pack("<II", 2**32 - 1, 2**32 - 1) + data[16:],
@@ -295,7 +298,7 @@ class TestSerialization:
         assert message in one_line_error_in_small_memory(load_weights, data)
 
     def test_dim_chain_violation(self):
-        weights = GcnWeights.glorot(3, num_layers=2, seed=0)
+        weights = GcnWeights.glorot(3, layers=2, seed=0)
         data = bytearray(save_weights(weights))
         # corrupt layer 1's row count: header (8) + layer-0 dims (8) + layer-0 data
         offset = 8 + 8 + 6 * 3 * 4
@@ -308,13 +311,13 @@ class TestSerialization:
     @pytest.mark.parametrize("index, name", [(0, "layer 0"), (3, "layer 3"), (4, "head layer 0"),
                                              (5, "head layer 0"), (7, "head layer 1")])
     def test_non_finite_weight_rejected(self, index, name, bad):
-        weights = GcnWeights.glorot(3, num_layers=4, seed=0)
-        weights.tensors()[index].flat[-1] = bad
+        weights = GcnWeights.glorot(3, layers=4, seed=0)
+        weights.tensors[index].flat[-1] = bad
         with pytest.raises(ValueError, match=f"^{name} has a non-finite weight$"):
             load_weights(save_weights(weights))
 
     @given(layers=st.integers(1, 4), dim=st.integers(1, 6), seed=st.integers(0, 100))
     def test_round_trip_any_shape(self, layers, dim, seed):
-        weights = GcnWeights.glorot(dim, num_layers=layers, seed=seed)
+        weights = GcnWeights.glorot(dim, layers=layers, seed=seed)
         data = save_weights(weights)
         assert save_weights(load_weights(data)) == data

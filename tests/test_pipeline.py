@@ -13,6 +13,7 @@ from cdgcn.pipeline import (
     WINDOW,
     PipelineConfig,
     _frame_attribution,
+    _region_frames,
     read_vad_regions,
     run_pipeline,
     segment_speech,
@@ -249,6 +250,13 @@ class TestRunPipeline:
             inside = any(s - 1e-6 <= r.onset and r.end <= e + 1e-6
                          for s, e in session.vad_regions)
             assert inside, (r, session.vad_regions)
+
+    @pytest.mark.parametrize("region", [(-5.0, -1.0), (1e307, 1e308)])
+    def test_region_outside_the_timeline_marks_no_speech(self, region):
+        assert not _region_frames([region], 1000, 0.01).any()
+        session = self.two_cluster_embeddings()
+        _, records = run_pipeline(session.embeddings, "raw_leiden", vad_regions=[region])
+        assert records == []
 
     def test_deterministic_output(self):
         session = self.two_cluster_embeddings()

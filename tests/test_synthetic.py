@@ -4,11 +4,11 @@ import pytest
 from cdgcn.gcn import GcnWeights
 from cdgcn.leiden import LeidenConfig
 from cdgcn.synthetic import (
-    linkage_labels,
     linkage_training_batches,
     make_overlap_session,
     make_session,
     rotate_batches,
+    shared_speaker_labels,
 )
 from helpers import modules_after
 
@@ -17,8 +17,8 @@ class TestMakeSession:
     def test_segment_counts_and_labels(self):
         session = make_session(num_speakers=3, segments_per_speaker=8, dim=8, seed=1)
         assert session.embeddings.count == 24
-        assert np.bincount(session.speaker).tolist() == [8, 8, 8]
-        assert (session.second_speaker == -1).all()
+        assert np.bincount(session.speakers[:, 0]).tolist() == [8, 8, 8]
+        assert (session.speakers[:, 1] == session.speakers[:, 0]).all()
         assert len(session.vad_regions) == 3
         assert not session.overlap_mask.frames.any()
 
@@ -55,10 +55,9 @@ class TestMakeOverlapSession:
         session = make_overlap_session(solo_seconds=6.0, overlap_seconds=3.0,
                                        dim=8, seed=4)
         assert session.speaker_count == 2
-        overlap_segments = session.second_speaker >= 0
+        overlap_segments = session.speakers[:, 1] != session.speakers[:, 0]
         assert overlap_segments.any()
-        assert (session.speaker[overlap_segments] == 0).all()
-        assert (session.second_speaker[overlap_segments] == 1).all()
+        assert (session.speakers[overlap_segments] == [0, 1]).all()
         # mask flags exactly the middle region
         start, end = session.vad_regions[1]
         frames = session.overlap_mask.frames
@@ -79,22 +78,21 @@ class TestLinkageLabels:
     def test_share_a_speaker_rule(self):
         session = make_overlap_session(solo_seconds=6.0, overlap_seconds=3.0,
                                        dim=8, seed=6)
-        solo_a = int(np.flatnonzero((session.speaker == 0)
-                                    & (session.second_speaker < 0))[0])
-        mixed = int(np.flatnonzero(session.second_speaker >= 0)[0])
-        solo_b = int(np.flatnonzero(session.speaker == 1)[0])
+        solo_a = int(np.flatnonzero((session.speakers == [0, 0]).all(axis=1))[0])
+        mixed = int(np.flatnonzero((session.speakers == [0, 1]).all(axis=1))[0])
+        solo_b = int(np.flatnonzero(session.speakers[:, 0] == 1)[0])
         members = np.array([mixed, solo_a, solo_b])
-        assert linkage_labels(session, members).tolist() == [1.0, 1.0]
+        assert shared_speaker_labels(session.speakers, members).tolist() == [1.0, 1.0]
         members = np.array([solo_a, solo_b, mixed])
-        assert linkage_labels(session, members).tolist() == [0.0, 1.0]
+        assert shared_speaker_labels(session.speakers, members).tolist() == [0.0, 1.0]
 
 
 class TestRotateBatches:
     def test_no_rotation_leaves_scipy_stats_unloaded(self):
         loaded = modules_after(
-            "from cdgcn.synthetic import linkage_training_batches, make_session\n"
+            "from cdgcn.synthetic import linkage_training_batches, make_session, rotate_batches\n"
             "session = make_session(num_speakers=2, segments_per_speaker=5, dim=8, seed=7)\n"
-            "assert len(linkage_training_batches(session, k=4, rotations=0)) == 1")
+            "assert len(rotate_batches(linkage_training_batches(session, k=4), 0)) == 1")
         assert "cdgcn.synthetic" in loaded and "scipy.stats" not in loaded
 
     def test_counts_and_invariants(self):
