@@ -70,7 +70,7 @@ def load() -> ctypes.CDLL:
     ints, reals = (np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
                    for dtype in (np.int64, np.float64))
     graph = [ints, ints, reals, reals]    # indptr, indices, weights, degrees
-    # Each kernel returns a count, or -1 when it cannot allocate its scratch.
+    # Each kernel but community_sums returns a count, or -1 if it lacks scratch.
     lib.local_move.restype = idx
     lib.local_move.argtypes = [idx, *graph, real, real, real, idx, ints, ints]
     lib.refine_partition.restype = idx
@@ -78,6 +78,8 @@ def load() -> ctypes.CDLL:
     lib.aggregate_graph.restype = idx
     lib.aggregate_graph.argtypes = [idx, idx, idx, ints, reals, ints, ints, reals,
                                     reals, ints, ints, reals]
+    lib.community_sums.restype = None
+    lib.community_sums.argtypes = [idx, idx, idx, ints, reals, reals, ints, ints, reals, reals]
     lib.build_graph.restype = idx
     lib.build_graph.argtypes = [idx, idx, ints, ints, reals, ints, ints, reals]
     return lib

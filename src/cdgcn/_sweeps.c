@@ -1,9 +1,9 @@
 /* The compiled kernels: build_graph, which lays out the CSR rows of every
- * SpeakerGraph (cdgcn/graphs.py), and Leiden's three per-level phases
+ * SpeakerGraph (cdgcn/graphs.py), and Leiden's per-level phases
  * (cdgcn/leiden.py), one call each per level: the sequential sweeps
- * local_move and refine_partition, and aggregate_graph. Each kernel
- * allocates and frees its own scratch and returns -1 if it cannot; only
- * aggregate_graph may have written an output (its loops) by then.
+ * local_move and refine_partition, and aggregate_graph; and community_sums
+ * for its quality function. Each kernel that needs scratch allocates and
+ * frees its own, and returns -1, before writing any output, if it cannot.
  *
  * The sweeps are bit-exact with the per-node loops the tests keep as
  * oracles: nodes are visited in the given order, a node's weight into each
@@ -13,9 +13,9 @@
  * picks. Each sweep sums the K_c it starts from out of its labels, from
  * 0.0 in node order as np.bincount(labels, weights=k) does, and ends by
  * compacting its labels by first appearance, returning the community count.
- * Aggregation and graph building are bit-exact with the numpy code the
- * tests keep as their oracles. Built with -ffp-contract=off and no fast-math, so nothing is
- * contracted or reassociated. The graph is symmetric CSR (ptr, nbr, w)
+ * The other kernels are bit-exact with the numpy code the tests keep as
+ * their oracles. Built with -ffp-contract=off and no fast-math, so nothing
+ * is contracted or reassociated. The graph is symmetric CSR (ptr, nbr, w)
  * without diagonal, k its weighted degrees; ids are below n. */
 #include <stddef.h>
 #include <stdint.h>
@@ -316,60 +316,100 @@ idx build_graph(idx n, idx entries, const idx *heads, const idx *tails, const do
     return pairs;
 }
 
+/* The slot of pair (lo, hi) in a table of mask + 1 slots: a splitmix64 mix. */
+static uint64_t pair_hash(idx lo, idx hi, uint64_t mask) {
+    uint64_t z = (uint64_t)lo * 0x9E3779B97F4A7C15u + (uint64_t)hi;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9u;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBu;
+    return (z ^ (z >> 31)) & mask;
+}
+
 /* Collapses community c of labels (0..C-1, none empty) into node c of a
  * graph of C nodes, from the pair-edge stream (heads, tails, weights) of
  * `edges` entries. Node c's self-loop sums its members' old self-loops in
- * node order, then its inside edges in stream order. The cross pairs
- * (lo, hi) are ordered by a stable counting sort by hi, then by lo, and
- * each sums its edges from 0.0 in stream order. build_graph lays out the
- * rows; the pairs are distinct, so each row lists its pairs in that order.
- * indices and csr_w have room for twice `edges` entries. Returns the pair
- * count. */
+ * node order, then its inside edges in stream order. Each cross pair
+ * (lo, hi) takes a slot of an open-addressing table the first time one of
+ * its edges is seen and sums its edges from 0.0 in stream order; the table
+ * holds min(edges, C(C-1)/2) pairs, a bound known before the one pass over
+ * the stream, at load at most one half. The distinct pairs are ordered by
+ * a stable counting sort by hi, then by lo, and build_graph lays out the
+ * rows, each listing its pairs in that order. indices and csr_w have room
+ * for twice `edges` entries. Returns the pair count. */
 idx aggregate_graph(idx n, idx communities, idx edges, const idx *labels,
                     const double *self_loops, const idx *heads, const idx *tails,
                     const double *weights, double *loops, idx *ptr, idx *indices,
                     double *csr_w) {
-    scratch s;
-    if (!scratch_alloc(&s, edges + communities, 1, 7, 0)) {
+    if (edges > PTRDIFF_MAX / 64)   /* no stream this long fits in memory */
+        return -1;
+    idx most = communities < (idx)1 << 31 ? communities * (communities - 1) / 2 : edges;
+    idx pairs = 0, size = 1;
+    most = most < edges ? most : edges;
+    while (size < 2 * most)
+        size *= 2;
+    /* t: per slot, its pair's id + 1 (0 while free), then the sort's counts;
+     * s: per pair, its ends, summed weight and sort order, then its sorted
+     * high end and weight (the sorted low ends go to by_high). */
+    scratch t, s;
+    int ok = scratch_alloc(&t, size + communities + 1, 0, 1, 0);
+    if (!(scratch_alloc(&s, most, 2, 5, 0) && ok)) {
+        scratch_free(&t);
         scratch_free(&s);
         return -1;
     }
-    /* Per cross edge in stream order: its ends' labels and its stream index;
-     * per pair: its ends and summed weight. */
-    idx *low = s.id, *high = low + edges, *edge = high + edges;
-    idx *order = edge + edges, *by_high = order + edges, *lo = by_high + edges;
-    idx *hi = lo + edges, *count = hi + edges;
-    double *pair_w = s.real;
-    idx crossing = 0, pairs = 0;
+    idx *table = t.id, *count = t.id + size, *lo = s.id, *hi = lo + most, *order = hi + most;
+    idx *by_high = order + most, *sorted_hi = by_high + most;
+    double *pair_w = s.real, *sorted_w = s.real + most;
     for (idx c = 0; c < communities; c++)
         loops[c] = 0.0;
     for (idx i = 0; i < n; i++)
         loops[labels[i]] += self_loops[i];
     for (idx e = 0; e < edges; e++) {
-        idx a = labels[heads[e]], b = labels[tails[e]];
+        idx a = labels[heads[e]], b = labels[tails[e]], l = a < b ? a : b, h = a < b ? b : a;
         if (a == b) {
             loops[a] += weights[e];
             continue;
         }
-        low[crossing] = a < b ? a : b;
-        high[crossing] = a < b ? b : a;
-        order[crossing] = crossing;
-        edge[crossing++] = e;
-    }
-    sort_by(high, communities, order, by_high, crossing, count);
-    sort_by(low, communities, by_high, order, crossing, count);
-    for (idx t = 0; t < crossing; t++) {
-        idx x = order[t];
-        if (!pairs || lo[pairs - 1] != low[x] || hi[pairs - 1] != high[x]) {
-            lo[pairs] = low[x];
-            hi[pairs] = high[x];
-            pair_w[pairs++] = 0.0;
+        uint64_t at = pair_hash(l, h, (uint64_t)size - 1);
+        while (table[at] && (lo[table[at] - 1] != l || hi[table[at] - 1] != h))
+            at = (at + 1) & ((uint64_t)size - 1);
+        if (!table[at]) {
+            lo[pairs] = l;
+            hi[pairs] = h;
+            pair_w[pairs] = 0.0;
+            table[at] = ++pairs;
         }
-        pair_w[pairs - 1] += weights[edge[x]];
+        pair_w[table[at] - 1] += weights[e];
     }
-
-    idx built = build_graph(communities, pairs, lo, hi, pair_w, ptr, indices, csr_w);
+    for (idx p = 0; p < pairs; p++)
+        order[p] = p;
+    sort_by(hi, communities, order, by_high, pairs, count);
+    sort_by(lo, communities, by_high, order, pairs, count);
+    for (idx x = 0; x < pairs; x++) {
+        by_high[x] = lo[order[x]];
+        sorted_hi[x] = hi[order[x]];
+        sorted_w[x] = pair_w[order[x]];
+    }
+    idx built = build_graph(communities, pairs, by_high, sorted_hi, sorted_w, ptr, indices, csr_w);
+    scratch_free(&t);
     scratch_free(&s);
     return built;
 }
 
+/* The sums of the quality function for labels (0..C-1), each from 0.0 in
+ * input order as np.bincount sums them, into the rows of sums (3 x C): per
+ * community, the weights of its inside stream edges in stream order, then
+ * its members' self-loops and their weighted degrees k in node order. */
+void community_sums(idx n, idx communities, idx edges, const idx *labels,
+                    const double *self_loops, const double *k, const idx *heads,
+                    const idx *tails, const double *weights, double *sums) {
+    double *inside = sums, *loop = sums + communities, *degree = loop + communities;
+    for (idx c = 0; c < 3 * communities; c++)
+        sums[c] = 0.0;
+    for (idx e = 0; e < edges; e++)
+        if (labels[heads[e]] == labels[tails[e]])
+            inside[labels[heads[e]]] += weights[e];
+    for (idx i = 0; i < n; i++) {
+        loop[labels[i]] += self_loops[i];
+        degree[labels[i]] += k[i];
+    }
+}

@@ -112,7 +112,9 @@ def cosine_affinity(emb: EmbeddingSet) -> np.ndarray:
         raise ValueError(f"segment {bad[0]} has a zero-norm embedding")
     unit = emb.vectors / norms[:, None]
     scores = unit @ unit.T
-    scores = np.clip((scores + scores.T) / 2.0, -1.0, 1.0)
+    scores = scores + scores.T
+    scores *= 0.5   # rounds exactly as dividing by 2.0
+    np.clip(scores, -1.0, 1.0, out=scores)
     np.fill_diagonal(scores, 1.0)
     return scores
 

@@ -80,27 +80,24 @@ class Partition:
 
 
 def _community_sums(graph: SpeakerGraph, labels: np.ndarray, c: int):
-    """(m_c, K_c) for labels in 0..c-1, each summed in edge-stream order."""
-    heads, tails, weights = graph.edges
-    a = labels[heads]
-    inside = a == labels[tails]
-    internal = (np.bincount(a[inside], weights=weights[inside], minlength=c)
-                + np.bincount(labels, weights=graph.self_loops, minlength=c))
-    degree = np.bincount(labels, weights=graph.weighted_degrees, minlength=c)
-    return internal, degree
+    """(m_c, K_c) for int64 labels in 0..c-1 by the community_sums kernel: m_c
+    is the inside edges' weight, summed in stream order, plus the self-loops."""
+    from ._kernel import load
+
+    sums = np.empty((3, c))
+    load().community_sums(graph.node_count, c, graph.edge_count, labels, graph.self_loops,
+                          graph.weighted_degrees, *graph.edges, sums)
+    return sums[0] + sums[1], sums[2]
 
 
 def quality(graph: SpeakerGraph, partition: Partition, gamma: float) -> float:
     """Evaluate Q from the partition's labels."""
-    labels = partition.labels
-    if labels.shape != (graph.node_count,):
+    if partition.labels.shape != (graph.node_count,):
         raise ValueError("partition does not cover the graph")
-    _check_total_weight(graph)
-    m = graph.total_weight
+    labels, m = _checked_labels(graph, partition), graph.total_weight
     if m == 0.0:
         return 0.0
-    c = int(labels.max()) + 1 if labels.size else 0
-    internal, degree = _community_sums(graph, labels, c)
+    internal, degree = _community_sums(graph, labels, partition.community_count)
     return float(internal.sum() - gamma * np.sum(degree**2) / (4.0 * m))
 
 
@@ -250,7 +247,8 @@ def _hierarchy_pass(graph: SpeakerGraph, flat_labels: np.ndarray, gamma: float,
             break
         level_graph = aggregate
         node_map = refined.labels[node_map]
-        level_partition = Partition.from_labels(level_graph, lifted)
+        # Compact as lifted: parts nest in parents, both compacted by first node.
+        level_partition = Partition(lifted, level_partition.community_count)
     return level_partition.labels[node_map]
 
 

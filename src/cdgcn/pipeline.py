@@ -87,26 +87,30 @@ def write_vad_regions(path, regions) -> None:
     Path(path).write_text("".join(f"{s:.3f} {e:.3f}\n" for s, e in regions))
 
 
-def _frame_count(end: float, frame_duration: float) -> int:
-    """Number of frames in a timeline that ends at `end` seconds (at least one)."""
-    return max(1, math.ceil(end / frame_duration - _EPS))
+def _frame_count(end: float, frame_duration: float, name: str) -> int:
+    """Frames in a timeline ending at `end` seconds (at least one); `name` names `end`."""
+    frames = float(end) / frame_duration - _EPS
+    if not frames < np.iinfo(np.intp).max:
+        raise ValueError(f"{name} ends at {end:g} s, past the last frame a timeline can hold")
+    return max(1, math.ceil(frames))
 
 
 def _covered_frames(start, end, frame_duration: float, total: int):
     """Index range [f0, f1) of frames whose centers fall in [start, end);
     given arrays of starts and ends, one range per pair."""
-    f0 = np.clip(np.ceil(start / frame_duration - 0.5 - _EPS), 0, total).astype(np.int64)
-    f1 = np.clip(np.ceil(end / frame_duration - 0.5 - _EPS), 0, total).astype(np.int64)
+    with np.errstate(over="ignore"):   # a bound past the float range gives +-inf, clipped
+        f0 = np.clip(np.ceil(start / frame_duration - 0.5 - _EPS), 0, total).astype(np.int64)
+        f1 = np.clip(np.ceil(end / frame_duration - 0.5 - _EPS), 0, total).astype(np.int64)
     return f0, f1
 
 
 def _region_frames(regions, total: int, frame_duration: float) -> np.ndarray:
     """For each of `total` frames, whether its center falls in a (start, end) region."""
-    frames = np.zeros(total, dtype=bool)
-    for start, end in regions:
-        f0, f1 = _covered_frames(start, end, frame_duration, total)
-        frames[f0:f1] = True
-    return frames
+    f0, f1 = _covered_frames(*np.asarray(regions, float).reshape(-1, 2).T, frame_duration, total)
+    # +1 where a region's frames start, -1 where they stop: covered while the sum is > 0.
+    edges = (np.bincount(f0[f0 < f1], minlength=total + 1)
+             - np.bincount(f1[f0 < f1], minlength=total + 1))
+    return np.cumsum(edges[:total]) > 0
 
 
 def _frame_attribution(segments: np.ndarray, labels: np.ndarray, vad_regions=None):
@@ -118,7 +122,7 @@ def _frame_attribution(segments: np.ndarray, labels: np.ndarray, vad_regions=Non
     """
     starts, durations = segments[:, 0], segments[:, 1]
     ends = starts + durations
-    total = _frame_count(ends.max(), FRAME_DURATION)
+    total = _frame_count(ends.max(), FRAME_DURATION, f"segment {np.argmax(ends)}")
     f0, f1 = _covered_frames(starts, ends, FRAME_DURATION, total)
     counts = np.maximum(f1 - f0, 0)
     # One entry per (segment, covered frame), segment by segment.

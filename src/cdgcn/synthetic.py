@@ -61,7 +61,7 @@ def _draw_cluster(mean: np.ndarray, count: int, noise: float, rng) -> np.ndarray
 
 
 def _mask_from_regions(regions, end: float, frame_duration: float) -> OverlapMask:
-    frames = _region_frames(regions, _frame_count(end, frame_duration), frame_duration)
+    frames = _region_frames(regions, _frame_count(end, frame_duration, "session"), frame_duration)
     return OverlapMask(frames=frames, frame_duration=frame_duration)
 
 

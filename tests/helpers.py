@@ -17,7 +17,7 @@ from cdgcn.gcn import PROB_EPSILON, GcnWeights
 from cdgcn.graphs import SpeakerGraph, SubGraph
 from cdgcn.leiden import GAIN_TOLERANCE, Partition
 from cdgcn.pipeline import _EPS
-from cdgcn.timeline import FRAME_DURATION
+from cdgcn.timeline import FRAME_DURATION, RttmRecord
 
 
 def random_gcn_weights(rng, feature_dim, layers=2, hidden_dim=None, scale=0.5):
@@ -203,22 +203,50 @@ def reference_top_neighbors(aff: np.ndarray, node: int, k: int) -> np.ndarray:
     return order[:k]
 
 
+def _reference_covered(start, end, total):
+    """[f0, f1) of the frames whose centers fall in [start, end), clipped to
+    a timeline of `total` frames, in Python floats."""
+    clip = lambda frame: min(total, max(0, frame))
+    return (clip(math.ceil(start / FRAME_DURATION - 0.5 - _EPS)),
+            clip(math.ceil(end / FRAME_DURATION - 0.5 - _EPS)))
+
+
+def reference_region_frames(regions, total: int) -> np.ndarray:
+    """Speech frames marked one (start, end) region at a time."""
+    speech = np.zeros(total, dtype=bool)
+    for start, end in regions:
+        f0, f1 = _reference_covered(start, end, total)
+        speech[f0:f1] = True
+    return speech
+
+
+def reference_records(primary: np.ndarray, secondary: np.ndarray, file_id: str) -> list:
+    """A timeline's RTTM records by a per-frame scan: one record per run of
+    frames carrying a label >= 0, sorted by onset, then speaker."""
+    frames = list(zip(primary.tolist(), secondary.tolist())) + [(-1, -1)]
+    records = []
+    for label in sorted({*primary.tolist(), *secondary.tolist()}):
+        start = None
+        for i, pair in enumerate(frames):
+            if label >= 0 and label in pair and start is None:
+                start = i
+            elif label not in pair and start is not None:
+                records.append(RttmRecord(file_id, round(start * FRAME_DURATION, 3),
+                                          round((i - start) * FRAME_DURATION, 3), f"spk{label}"))
+                start = None
+    return sorted(records, key=lambda r: (r.onset, r.speaker))
+
+
 def reference_frame_attribution(segments: np.ndarray, labels: np.ndarray, vad_regions=None):
     """Frame attribution one segment at a time: a frame keeps the first
     segment whose center is strictly nearer than any before it."""
-
-    def covered(start, end, total):
-        f0 = max(0, math.ceil(start / FRAME_DURATION - 0.5 - _EPS))
-        f1 = min(total, math.ceil(end / FRAME_DURATION - 0.5 - _EPS))
-        return f0, f1
-
     ends = segments[:, 0] + segments[:, 1]
     total = max(1, math.ceil(ends.max() / FRAME_DURATION - _EPS))
     frame_segment = np.full(total, -1, dtype=np.int64)
     best = np.full(total, np.inf)
     for idx in range(len(segments)):
         start, duration = segments[idx]
-        f0, f1 = covered(start, start + duration, total)
+        f0, f1 = _reference_covered(start, start + duration, total)
         if f1 <= f0:
             continue
         centers = (np.arange(f0, f1) + 0.5) * FRAME_DURATION
@@ -227,11 +255,7 @@ def reference_frame_attribution(segments: np.ndarray, labels: np.ndarray, vad_re
         frame_segment[f0:f1][better] = idx
         best[f0:f1][better] = dist[better]
     if vad_regions is not None:
-        speech = np.zeros(total, dtype=bool)
-        for start, end in vad_regions:
-            f0, f1 = covered(start, end, total)
-            speech[f0:f1] = True
-        frame_segment[~speech] = -1
+        frame_segment[~reference_region_frames(vad_regions, total)] = -1
     primary = np.full(total, -1, dtype=np.int64)
     covered_frames = frame_segment >= 0
     primary[covered_frames] = labels[frame_segment[covered_frames]]
@@ -435,6 +459,18 @@ def reference_graph_rows(n: int, heads, tails, weights):
     indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
     return (indptr, np.stack([hi, lo], axis=1).reshape(-1)[rows],
             np.repeat(largest[by_position], 2)[rows])
+
+
+def reference_community_sums(graph: SpeakerGraph, labels: np.ndarray, c: int):
+    """(m_c, K_c) for labels in 0..c-1 by numpy bincounts, each summed from
+    0.0 in input order: the bit-for-bit oracle of the compiled kernel."""
+    heads, tails, weights = graph.edges
+    a = labels[heads]
+    inside = a == labels[tails]
+    internal = (np.bincount(a[inside], weights=weights[inside], minlength=c)
+                + np.bincount(labels, weights=graph.self_loops, minlength=c))
+    degree = np.bincount(labels, weights=graph.weighted_degrees, minlength=c)
+    return internal, degree
 
 
 def reference_aggregate_graph(graph: SpeakerGraph, refined: Partition) -> SpeakerGraph:

@@ -94,6 +94,19 @@ class TestClusterCommand:
         assert capsys.readouterr().err == "cdgcn: segment 2 has a non-finite time\n"
         assert not (tmp_path / "x.rttm").exists()
 
+    @pytest.mark.parametrize("start", [1e300, 1e307])
+    def test_segment_past_the_last_frame_is_one_line_error(self, tmp_path, capsys, start):
+        """A finite end whose frame count no array can index, or whose
+        division into frames overflows."""
+        path = tmp_path / "far.emb"
+        write_raw_embeddings(path, np.eye(3), [[0.0, 1.5], [0.75, 1.5], [start, 1.5]])
+        code = main(["cluster", "--embeddings", str(path), "--mode", "knn_leiden",
+                     "--out", str(tmp_path / "x.rttm")])
+        assert code == 1
+        assert capsys.readouterr().err == (f"cdgcn: segment 2 ends at {start:g} s, past the last "
+                                           "frame a timeline can hold\n")
+        assert not (tmp_path / "x.rttm").exists()
+
     def test_segment_ending_beyond_the_float_range_is_one_line_error(self, tmp_path, capsys):
         path = tmp_path / "far.emb"
         write_raw_embeddings(path, np.eye(3), [[0.0, 1.5], [0.75, 1.5], [1e308, 1e308]])

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import reference_frame_attribution
+from helpers import reference_frame_attribution, reference_records, reference_region_frames
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -148,6 +148,18 @@ class TestTimeline:
             actual = {s for s, mask in rebuilt.items() if mask[frame]}
             assert actual == expected
 
+    @given(seed=st.integers(0, 2**16), frames=st.integers(0, 300))
+    def test_records_match_per_frame_scan(self, seed, frames):
+        rng = np.random.default_rng(seed)
+        # Runs of non-speech, a stray negative label or a speaker, some far
+        # apart; overlap labels in runs of their own, on speech frames only.
+        values = np.array([-2, -1, 0, 1, 3, 2**40])
+        runs = lambda p: np.repeat(rng.choice(values, frames, p=p), rng.integers(1, 30, frames))
+        primary = runs([0.05, 0.25, 0.25, 0.2, 0.15, 0.1])[:frames]
+        secondary = np.where(primary >= 0, runs([0, 0.7, 0.1, 0.1, 0.05, 0.05])[:frames], -1)
+        got = DiarizationTimeline(primary, secondary).to_records("f")
+        assert got == reference_records(primary, secondary, "f")
+
     def test_secondary_requires_speech(self):
         with pytest.raises(ValueError, match="non-speech"):
             DiarizationTimeline(np.array([-1]), np.array([2]))
@@ -182,6 +194,19 @@ class TestFrameAttribution:
         expected = reference_frame_attribution(segments, labels, regions)
         for a, b in zip(got, expected):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @given(seed=st.integers(0, 2**16), count=st.integers(0, 8), grid=st.booleans())
+    def test_region_frames_match_per_region_loop(self, seed, count, grid):
+        rng = np.random.default_rng(seed)
+        total = int(rng.integers(1, 400))
+        # Overlapping, empty, inverted and out-of-range regions; on a 5 ms
+        # grid their bounds fall on frame centers and edges.
+        span = total * FRAME_DURATION
+        bounds = (rng.integers(-40, 2 * total + 40, (count, 2)) * 0.005 if grid
+                  else rng.uniform(-0.2 * span, 1.2 * span, (count, 2)))
+        regions = [tuple(b) for b in bounds.tolist()]
+        got = _region_frames(regions, total, FRAME_DURATION)
+        assert got.tolist() == reference_region_frames(regions, total).tolist()
 
 
 class TestRunPipeline:

@@ -1,10 +1,10 @@
 """Bit-for-bit checks of the compiled Leiden sweeps against the per-node
 dict loops of tests/helpers.py, on signed, real, wide-range, tie-heavy,
 aggregated and degenerate graphs from singleton, mid-way, converged and
-nearly-singleton start partitions; of the compiled aggregation against the
-numpy oracle there, on the same graphs and on graphs of negative total
-weight; and the checks that keep malformed partitions away from the
-compiled code."""
+nearly-singleton start partitions; of the compiled aggregation and
+community sums against the numpy oracles there, on the same graphs and on
+graphs of negative total weight or signed zero weights; and the checks
+that keep malformed partitions away from the compiled code."""
 
 import ctypes
 import importlib
@@ -18,6 +18,7 @@ from cdgcn.graphs import EmbeddingSet, SpeakerGraph, cosine_affinity, knn_graph
 from cdgcn.leiden import (
     LeidenConfig,
     Partition,
+    _community_sums,
     aggregate_graph,
     leiden,
     local_move,
@@ -27,6 +28,7 @@ from cdgcn.synthetic import make_session
 from helpers import (
     graph_from_edges,
     reference_aggregate_graph,
+    reference_community_sums,
     reference_local_move,
     reference_refine_partition,
     singletons,
@@ -132,17 +134,24 @@ def negated(graph: SpeakerGraph) -> SpeakerGraph:
     return SpeakerGraph(graph.node_count, heads, tails, -weights, self_loops=-graph.self_loops)
 
 
-AGGREGATIONS = ("singletons", "one community", "few", "refined")
+AGGREGATIONS = ("singletons", "one community", "few", "two", "one pair merged", "refined")
 
 
 def aggregation_partition(rng, graph: SpeakerGraph, how: str) -> Partition:
     """Singletons (every edge crosses); one community (no edge crosses); a
-    few random communities; or a level's refinement, as the climb makes."""
+    few random communities; two communities, which have C(C-1)/2 = 1 pair
+    for the crossing edges of most graphs; singletons but for one merged
+    pair, whose C(C-1)/2 pairs outnumber the crossing edges of all but the
+    densest graphs; or a level's refinement, as the climb makes."""
     n = graph.node_count
     if how == "singletons":
         return singletons(graph)
     if how == "one community":
         return Partition.from_labels(graph, np.zeros(n, dtype=int))
+    if how == "two":
+        return Partition.from_labels(graph, rng.permutation(np.arange(n) % 2))
+    if how == "one pair merged":
+        return Partition.from_labels(graph, np.minimum(np.arange(n), n - 2))
     if how == "few" or graph.total_weight < 0.0:   # the sweeps refuse m < 0
         return Partition.from_labels(graph, rng.integers(0, max(1, n // 4), n))
     moved = local_move(graph, singletons(graph), 1.0, int(rng.integers(99)))
@@ -157,6 +166,66 @@ def test_aggregate_graph_matches_reference(seed, kind, how, negate):
     if negate:
         graph = negated(graph)
     assert_aggregates_like_reference(graph, aggregation_partition(rng, graph, how))
+
+
+def test_aggregations_meet_both_sides_of_the_pair_bound():
+    """The kernel's table holds min(edges, C(C-1)/2) pairs. Over a fixed
+    corpus, two communities give fewer possible pairs than crossing edges,
+    one merged pair gives more, and every aggregate matches the oracle."""
+    sides = set()
+    for seed in range(24):
+        for kind in KINDS:
+            rng = np.random.default_rng([seed, KINDS.index(kind)])
+            graph = sweep_graph(rng, kind)
+            heads, tails, _ = graph.edges
+            for how in ("two", "one pair merged"):
+                partition = aggregation_partition(rng, graph, how)
+                c, labels = partition.community_count, partition.labels
+                crossing = np.count_nonzero(labels[heads] != labels[tails])
+                sides.add((how, np.sign(c * (c - 1) // 2 - crossing)))
+                assert_aggregates_like_reference(graph, partition)
+    assert {("two", -1), ("one pair merged", 1)} <= sides
+
+
+def with_signed_zeros(rng, graph: SpeakerGraph) -> SpeakerGraph:
+    """The graph with about a third of its weights and self-loops set to
+    +0.0 or -0.0 at random."""
+    heads, tails, weights = graph.edges
+    n, zeros = graph.node_count, np.array([0.0, -0.0])
+    weights = np.where(rng.random(weights.size) < 0.3, rng.choice(zeros, weights.size), weights)
+    loops = np.where(rng.random(n) < 0.3, rng.choice(zeros, n), graph.self_loops)
+    return SpeakerGraph(n, heads, tails, weights, self_loops=loops)
+
+
+@given(seed=st.integers(0, 10**6), kind=st.sampled_from(KINDS), start=st.sampled_from(STARTS),
+       zeros=st.booleans(), negate=st.booleans())
+def test_community_sums_match_reference(seed, kind, start, zeros, negate):
+    rng = np.random.default_rng(seed)
+    graph = sweep_graph(rng, kind)
+    partition = start_partition(rng, graph, start, 1.0)
+    if zeros:
+        graph = with_signed_zeros(rng, graph)
+    if negate:
+        graph = negated(graph)
+    c = partition.community_count
+    got = _community_sums(graph, partition.labels, c)
+    expected = reference_community_sums(graph, partition.labels, c)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expected, strict=True))
+
+
+@given(seed=st.integers(0, 10**6), kind=st.sampled_from(KINDS), start=st.sampled_from(STARTS),
+       gamma=st.sampled_from([0.3, 1.0, 2.5]))
+def test_lifted_labels_are_already_compact(seed, kind, start, gamma):
+    """The climb takes each level's lifted labels (the moved community of
+    each refined part) as they are: they equal their own compaction."""
+    rng = np.random.default_rng(seed)
+    graph = sweep_graph(rng, kind)
+    moved = local_move(graph, start_partition(rng, graph, start, gamma), gamma, seed)
+    refined = refine_partition(graph, moved, gamma, seed + 1)
+    lifted = np.empty(refined.community_count, np.int64)
+    lifted[refined.labels] = moved.labels
+    assert same_partition(Partition(lifted, moved.community_count),
+                          Partition.from_labels(SpeakerGraph(lifted.size), lifted))
 
 
 def leiden_with_reference_sweeps(monkeypatch, graph, config) -> Partition:
