@@ -5,7 +5,9 @@ On first use the library is compiled into $XDG_CACHE_HOME/cdgcn (default
 flags and platform, via a temporary file renamed into place so concurrent
 processes never load a partial one. The compiler is the one Python was built
 with or, if that cannot run or fails (conda and standalone builds record
-their build machine's), `cc`.
+their build machine's), `cc`. A graph's own arrays are passed by address,
+checked once per graph by `graphs.Pinned`; arrays made per call pass through
+ctypes' dtype and order checks.
 """
 
 from __future__ import annotations
@@ -66,20 +68,19 @@ def load() -> ctypes.CDLL:
     if not target.exists():
         _build(target)
     lib = ctypes.CDLL(str(target))
-    idx, real = ctypes.c_int64, ctypes.c_double
+    idx, real, addr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     ints, reals = (np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
                    for dtype in (np.int64, np.float64))
-    graph = [ints, ints, reals, reals]    # indptr, indices, weights, degrees
+    graph = [addr] * 4   # SpeakerGraph.rows or .stream, checked once by graphs.Pinned
     # Each kernel but community_sums returns a count, or -1 if it lacks scratch.
     lib.local_move.restype = idx
     lib.local_move.argtypes = [idx, *graph, real, real, real, idx, ints, ints]
     lib.refine_partition.restype = idx
     lib.refine_partition.argtypes = [idx, *graph, ints, real, real, real, ints, idx, ints]
     lib.aggregate_graph.restype = idx
-    lib.aggregate_graph.argtypes = [idx, idx, idx, ints, reals, ints, ints, reals,
-                                    reals, ints, ints, reals]
+    lib.aggregate_graph.argtypes = [idx, idx, idx, ints, *graph, reals, ints, ints, reals]
     lib.community_sums.restype = None
-    lib.community_sums.argtypes = [idx, idx, idx, ints, reals, reals, ints, ints, reals, reals]
+    lib.community_sums.argtypes = [idx, idx, idx, ints, addr, *graph, reals]   # loops, k, edges
     lib.build_graph.restype = idx
     lib.build_graph.argtypes = [idx, idx, ints, ints, reals, ints, ints, reals]
     return lib

@@ -119,6 +119,22 @@ def cosine_affinity(emb: EmbeddingSet) -> np.ndarray:
     return scores
 
 
+class Pinned:
+    """Arrays the kernels take by address, checked once to be int64 or float64
+    in C order, made read-only and kept alive; copies re-pin their own."""
+
+    def __init__(self, *arrays: np.ndarray):
+        for array in arrays:
+            if array.dtype not in (np.int64, np.float64) or not array.flags.c_contiguous:
+                raise ValueError(f"a kernel array must be int64 or float64 in C order, "
+                                 f"got {array.dtype} with strides {array.strides}")
+            array.flags.writeable = False
+        self.arrays, self.addresses = arrays, tuple(array.ctypes.data for array in arrays)
+
+    def __reduce__(self):
+        return Pinned, self.arrays
+
+
 class SpeakerGraph:
     """Immutable weighted undirected graph over segment nodes, in CSR form.
 
@@ -129,6 +145,7 @@ class SpeakerGraph:
     twice in a node's weighted degree. Derived once from the rows and
     self-loops: weighted_degrees, total_weight (m) and edges, the (heads,
     tails, weights) stream of pair edges with head < tail in row order.
+    The kernels take them by address, pinned as rows and stream by _seal.
     """
 
     def __init__(self, node_count: int, heads=(), tails=(), weights=(), self_loops=None):
@@ -167,7 +184,7 @@ class SpeakerGraph:
 
     def _seal(self) -> None:
         """Derives weighted_degrees, edges, edge_count and m from the rows
-        and self-loops, and makes every array read-only."""
+        and self-loops, and pins every array read-only for the kernels."""
         n = self.node_count
         rows = np.repeat(np.arange(n), np.diff(self.indptr))
         # Each row is summed from 0.0 in row order.
@@ -180,15 +197,15 @@ class SpeakerGraph:
         # cumsum adds in stream order, as the per-edge sums elsewhere do.
         pair = np.cumsum(self.edges[2])[-1] if self.edge_count else 0.0
         self.total_weight = float(pair + self.self_loops.sum())
-        for array in (self.self_loops, self.indices, self.weights, self.indptr,
-                      self.weighted_degrees, *self.edges):
-            array.flags.writeable = False
+        # The kernels' graph arguments, in their parameter order.
+        self.rows = Pinned(self.indptr, self.indices, self.weights, self.weighted_degrees)
+        self.stream = Pinned(self.self_loops, *self.edges)
 
     @classmethod
     def _adopt(cls, indptr, indices, weights, self_loops) -> "SpeakerGraph":
         """A graph over float64 and int64 arrays already laid out as the
         constructor lays them out (rows in pair order), taken as they are;
-        aggregate_graph's kernel builds them."""
+        aggregate_graph's kernel and knn_graph's complete layout build them."""
         graph = cls.__new__(cls)
         graph.node_count = len(self_loops)
         graph.indptr, graph.indices, graph.weights = indptr, indices, weights
@@ -214,23 +231,50 @@ def top_neighbors(aff: np.ndarray, k: int, rows: np.ndarray) -> np.ndarray:
     return np.take_along_axis(ids, order, axis=1)
 
 
+def _square(aff: np.ndarray) -> int:
+    """N for an (N, N) affinity; any other shape is refused with one line."""
+    if aff.ndim != 2 or aff.shape[0] != aff.shape[1]:
+        raise ValueError(f"affinity must be a square matrix, got shape {aff.shape}")
+    return aff.shape[0]
+
+
 def knn_graph(aff: np.ndarray, k: int) -> SpeakerGraph:
     """Sparsify an affinity matrix to the union-of-top-k neighbor graph.
 
     An edge (i, j) survives when j ranks among i's top-k affinities or i
     among j's; its weight is the raw (signed) affinity. k is clamped to
-    N - 1, so k = N - 1 reproduces the full graph minus the diagonal.
+    N - 1, so k = N - 1 reproduces the full graph minus the diagonal. A
+    non-finite entry off the diagonal is refused at any k.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = aff.shape[0]
-    if n <= 1:
-        return SpeakerGraph(n)
-    k_eff = min(k, n - 1)
-    tails = np.concatenate([top_neighbors(aff, k_eff, np.arange(start, min(n, start + BLOCK)))
+    n = _square(aff)
+    finite = np.isfinite(aff)
+    finite.flat[::n + 1] = True   # the diagonal is never read
+    if not finite.all():
+        raise ValueError("edge weights must be finite")
+    if k >= n - 1:
+        return _complete_graph(np.asarray(aff, dtype=np.float64), n)
+    tails = np.concatenate([top_neighbors(aff, k, np.arange(start, min(n, start + BLOCK)))
                             for start in range(0, n, BLOCK)]).ravel()
-    heads = np.repeat(np.arange(n), k_eff)
+    heads = np.repeat(np.arange(n), k)
     return SpeakerGraph(n, heads, tails, aff[heads, tails])
+
+
+def _complete_graph(aff: np.ndarray, n: int) -> SpeakerGraph:
+    """knn_graph at k >= N - 1: the rows of the union-of-top-k build without
+    its sort and dedup of N(N-1) entries. Row i lists 0..i-1, each entered by
+    an earlier row, then j > i by descending aff[i, j], ties to the lower id.
+    Pair lo < hi keeps aff[hi, lo], entered later, if >= aff[lo, hi]."""
+    upper = np.triu(np.ones((n, n), bool), 1)
+    # -inf puts the lower ids first, in id order; +inf puts i itself last.
+    scores = np.where(upper, np.negative(aff), -np.inf)
+    scores.flat[::n + 1] = np.inf
+    indices = np.argsort(scores, axis=1, kind="stable")[:, :-1]
+    pair = np.where(aff.T >= aff, aff.T, aff)   # right above the diagonal
+    weights = np.take_along_axis(np.where(upper, pair, pair.T), indices, axis=1)
+    return SpeakerGraph._adopt(np.arange(n + 1) * (n - 1), indices.ravel(), weights.ravel(),
+                               np.zeros(n))
 
 
 @dataclass
@@ -256,7 +300,7 @@ class SubGraph:
 def build_subgraph(aff: np.ndarray, emb: EmbeddingSet, pivots, k: int) -> SubGraph:
     """The stacked sub-graphs of the given 1-D array of pivots, in that
     order, each of a pivot and its top-min(k, N-1) neighbors."""
-    n = aff.shape[0]
+    n = _square(aff)
     pivots = np.asarray(pivots)
     if pivots.ndim != 1 or pivots.dtype.kind not in "iu":
         raise ValueError(f"pivots must be a 1-d integer array, got {pivots.ndim}-d {pivots.dtype}")

@@ -16,18 +16,18 @@ gamma the resolution. Degrees, m and m_c are all weighted; self-loops
 (from aggregation) count once in m_c and twice in a node's degree. An
 edgeless graph has Q defined as 0.
 
-Local moving, refinement and aggregation each run as one C call per level
-(`_sweeps.c`, built on first use by `_kernel.py`); Python keeps the random
-draws and the input checks, and the kernels own their scratch. Each sweep
-sums the K_c it needs from the labels and ends by compacting its labels by
-first appearance, so its result needs no `Partition.from_labels`;
-aggregation emits the finished CSR of the aggregate graph. Refinement is
-greedy: a node joins the part of largest gain, the zero-temperature limit
-of Traag et al.'s randomized merge. The sweeps are bit-exact with the
-per-node loops the tests keep as oracles, and aggregation with the numpy
-code they keep: the same visit order, sums from 0.0 in CSR row or
-edge-stream order, every gain in the same operand order, the smallest label
-among equal best gains (what an ascending scan picks), and
+Local moving, refinement and aggregation run as one C call per level each,
+the quality sums as one per `quality` call (`_sweeps.c`, built on first use
+by `_kernel.py`), reading a graph's arrays at addresses its `Pinned` holders
+checked once; Python keeps the random draws and input checks. Each sweep and
+each level's lift compact labels by first appearance, so a climb's flat
+labels go to `quality` and the next climb as they are, and `leiden` calls
+`Partition.from_labels` once, for its answer. Refinement is greedy: a node
+joins the part of largest gain, the zero-temperature limit of Traag et al.'s
+randomized merge. The kernels are bit-exact with the per-node loops and
+numpy code the tests keep as oracles: the same visit order, sums from 0.0 in
+CSR row or edge-stream order, every gain in the same operand order, the
+smallest label among equal best gains (what an ascending scan picks), and
 -ffp-contract=off, so no multiply-add is fused.
 """
 
@@ -85,8 +85,9 @@ def _community_sums(graph: SpeakerGraph, labels: np.ndarray, c: int):
     from ._kernel import load
 
     sums = np.empty((3, c))
-    load().community_sums(graph.node_count, c, graph.edge_count, labels, graph.self_loops,
-                          graph.weighted_degrees, *graph.edges, sums)
+    loops, *edges = graph.stream.addresses
+    load().community_sums(graph.node_count, c, graph.edge_count, labels, loops,
+                          graph.rows.addresses[3], *edges, sums)
     return sums[0] + sums[1], sums[2]
 
 
@@ -155,8 +156,7 @@ def local_move(graph: SpeakerGraph, partition: Partition, gamma: float, seed: in
     from ._kernel import load
 
     queue = np.random.default_rng(seed).permutation(n)
-    count = load().local_move(n, graph.indptr, graph.indices, graph.weights,
-                              graph.weighted_degrees, gamma, 2.0 * m, GAIN_TOLERANCE,
+    count = load().local_move(n, *graph.rows.addresses, gamma, 2.0 * m, GAIN_TOLERANCE,
                               partition.community_count, labels, queue)
     return Partition(labels, _counted(count, "local_move", graph))
 
@@ -187,8 +187,7 @@ def refine_partition(graph: SpeakerGraph, partition: Partition, gamma: float,
         rng.permutation(by_parent[bounds[c]:bounds[c + 1]])
         for c in np.flatnonzero(np.diff(bounds) > 1)])
     ref_labels = np.empty(n, np.int64)
-    count = load().refine_partition(n, graph.indptr, graph.indices, graph.weights,
-                                    graph.weighted_degrees, parent, gamma, 2.0 * m,
+    count = load().refine_partition(n, *graph.rows.addresses, parent, gamma, 2.0 * m,
                                     GAIN_TOLERANCE, order, order.size, ref_labels)
     return Partition(ref_labels, _counted(count, "refine_partition", graph))
 
@@ -210,25 +209,26 @@ def aggregate_graph(graph: SpeakerGraph, refined: Partition) -> SpeakerGraph:
 
     loops, indptr = np.empty(c), np.empty(c + 1, np.int64)
     indices, weights = np.empty(2 * edges, np.int64), np.empty(2 * edges)
-    pairs = _counted(load().aggregate_graph(graph.node_count, c, edges, labels, graph.self_loops,
-                                            *graph.edges, loops, indptr, indices, weights),
+    pairs = _counted(load().aggregate_graph(graph.node_count, c, edges, labels,
+                                            *graph.stream.addresses, loops, indptr, indices,
+                                            weights),
                      "aggregate_graph", graph)
     # Copies trimmed to the pairs, so the aggregate pins no parent-sized buffer.
     return SpeakerGraph._adopt(indptr, indices[:2 * pairs].copy(), weights[:2 * pairs].copy(),
                                loops)
 
 
-def _hierarchy_pass(graph: SpeakerGraph, flat_labels: np.ndarray, gamma: float,
-                    rng) -> np.ndarray:
+def _hierarchy_pass(graph: SpeakerGraph, partition: Partition, gamma: float,
+                    rng) -> Partition:
     """One local-move / refine / aggregate cascade, starting from the given
     flat partition and climbing levels until aggregation stops shrinking.
 
     The partition of each aggregated graph starts from the communities the
     merged nodes held before refinement, not from singletons. Returns the
-    resulting flat labels on the original node set.
+    flat partition of the original nodes, compact as it comes: every level
+    is, and its nodes keep the order of their first original node.
     """
-    level_graph = graph
-    level_partition = Partition.from_labels(graph, flat_labels)
+    level_graph, level_partition = graph, partition
     node_map = np.arange(graph.node_count, dtype=np.int64)
     while True:
         move_seed = int(rng.integers(2**32))
@@ -249,7 +249,7 @@ def _hierarchy_pass(graph: SpeakerGraph, flat_labels: np.ndarray, gamma: float,
         node_map = refined.labels[node_map]
         # Compact as lifted: parts nest in parents, both compacted by first node.
         level_partition = Partition(lifted, level_partition.community_count)
-    return level_partition.labels[node_map]
+    return Partition(level_partition.labels[node_map], level_partition.community_count)
 
 
 def leiden(graph: SpeakerGraph, config: LeidenConfig | None = None) -> Partition:
@@ -273,18 +273,17 @@ def leiden(graph: SpeakerGraph, config: LeidenConfig | None = None) -> Partition
     _check_total_weight(graph)
 
     rng = np.random.default_rng(config.seed)
-    best_labels = None
-    best_q = -np.inf
+    best_labels, best_q = None, -np.inf
     for _ in range(RESTARTS):
-        flat = np.arange(graph.node_count, dtype=np.int64)
+        flat = Partition(np.arange(graph.node_count, dtype=np.int64), graph.node_count)
         prev_q = -np.inf
         for _ in range(MAX_ITERATIONS):
             flat = _hierarchy_pass(graph, flat, config.gamma, rng)
-            q = quality(graph, Partition.from_labels(graph, flat), config.gamma)
+            q = quality(graph, flat, config.gamma)
             if q - prev_q < GAIN_TOLERANCE:
                 break
             prev_q = q
         if q > best_q:
             best_q = q
-            best_labels = flat
+            best_labels = flat.labels
     return Partition.from_labels(graph, best_labels)

@@ -50,12 +50,21 @@ def reference_subgraph_members(aff, pivot, k):
     return np.concatenate(([pivot], reference_top_neighbors(aff, pivot, min(k, len(aff) - 1))))
 
 
-@given(n=st.integers(1, 30), k=st.integers(1, 40), levels=st.integers(1, 4),
-       seed=st.integers(0, 10_000))
-def test_top_neighbors_match_per_row_lexsort(n, k, levels, seed):
+@given(n=st.integers(1, 60), k=st.integers(1, 40), complete=st.booleans(),
+       symmetric=st.booleans(), levels=st.integers(1, 4), seed=st.integers(0, 10_000))
+def test_top_neighbors_match_per_row_lexsort(n, k, complete, symmetric, levels, seed):
+    """Few affinity levels give many ties. An asymmetric matrix with random
+    signs holds both +0.0 and -0.0, so a pair's two entries can differ, in
+    sign alone too. At k >= N - 1 knn_graph lays out the complete graph
+    without the union-of-top-k build, which stays the oracle."""
     rng = np.random.default_rng(seed)
+    if complete:
+        k = max(1, n - 1 + k % 3)
     raw = rng.uniform(-1.0, 1.0, (n, n))
-    aff = np.round((raw + raw.T) / 2.0 * levels) / levels   # few levels: many ties
+    if symmetric:
+        aff = np.round((raw + raw.T) / 2.0 * levels) / levels
+    else:
+        aff = np.round(raw * levels) / levels * rng.choice([-1.0, 1.0], (n, n))
     np.fill_diagonal(aff, 1.0)
     k_eff = min(k, n - 1)
     expected = np.array([reference_top_neighbors(aff, i, k_eff) for i in range(n)])
@@ -68,8 +77,9 @@ def test_top_neighbors_match_per_row_lexsort(n, k, levels, seed):
     heads = np.repeat(np.arange(n), k_eff)
     tails = expected.reshape(-1)
     oracle = SpeakerGraph(n, heads, tails, aff[heads, tails])
-    for a, b in zip((graph.indptr, graph.indices, graph.weights),
-                    (oracle.indptr, oracle.indices, oracle.weights)):
+    arrays = lambda g: (g.indptr, g.indices, g.weights, g.weighted_degrees, *g.edges,
+                        np.float64(g.total_weight))
+    for a, b in zip(arrays(graph), arrays(oracle), strict=True):
         assert same_bits(a, b)
 
 

@@ -12,13 +12,17 @@ loops over the former dict-of-dicts graph did; RTTM output depends on
 those last bits.
 """
 
+import copy
+import gc
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from cdgcn.graphs import SpeakerGraph, merge_subgraphs
-from cdgcn.leiden import Partition, _community_sums, aggregate_graph, quality
+from cdgcn.graphs import Pinned, SpeakerGraph, cosine_affinity, knn_graph, merge_subgraphs
+from cdgcn.leiden import LeidenConfig, Partition, _community_sums, aggregate_graph, leiden, quality
 from cdgcn.osd import belonging_coefficients
 from helpers import (
     edge_dict,
@@ -227,6 +231,34 @@ def test_graph_arrays_are_read_only():
     for array in (graph.indices, graph.weights, graph.weighted_degrees, graph.edges[2]):
         with pytest.raises(ValueError):
             array[0] = 1.0
+
+
+@pytest.mark.parametrize("array", [np.zeros(3, np.int32), np.zeros(3, np.float32),
+                                   np.zeros(6)[::2]], ids=["int32", "float32", "strided"])
+def test_pinned_refuses_what_the_kernels_cannot_read(array):
+    with pytest.raises(ValueError, match="^a kernel array must be int64 or float64 in C order, "
+                                         "got ") as caught:
+        Pinned(np.zeros(2, np.int64), array)
+    assert "\n" not in str(caught.value)
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda graph: pickle.loads(pickle.dumps(graph))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_copies_pin_their_own_arrays(clone, four_speaker_session):
+    """The kernels read a graph's arrays at its pinned addresses, so a copy
+    must pin the arrays it holds, and they must outlive the original."""
+    graph = knn_graph(cosine_affinity(four_speaker_session.embeddings), 20)
+    expected = leiden(graph, LeidenConfig(seed=3)).labels
+    twin = clone(graph)
+    del graph
+    gc.collect()
+    for pinned, arrays in ((twin.rows, (twin.indptr, twin.indices, twin.weights,
+                                        twin.weighted_degrees)),
+                           (twin.stream, (twin.self_loops, *twin.edges))):
+        assert pinned.addresses == tuple(a.ctypes.data for a in arrays)
+        assert not any(a.flags.writeable for a in arrays)
+    assert leiden(twin, LeidenConfig(seed=3)).labels.tolist() == expected.tolist()
 
 
 def test_non_finite_weight_rejected():

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -165,6 +166,27 @@ class TestKnnGraph:
     def test_single_node(self):
         g = knn_graph(np.ones((1, 1)), 5)
         assert g.node_count == 1 and g.edge_count == 0
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_non_finite_affinity_rejected(self, rng, k, bad):
+        """At every k, also where no row ranks the entry among its top k
+        (-inf and NaN at k = 1), and at k >= N - 1, where the complete graph
+        is laid out directly; the diagonal is never read."""
+        aff = cosine_affinity(random_embeddings(rng, 4))
+        aff[0, 0] = np.nan
+        assert knn_graph(aff, k).node_count == 4
+        aff[3, 1] = bad
+        with pytest.raises(ValueError, match="^edge weights must be finite$"):
+            knn_graph(aff, k)
+
+    @pytest.mark.parametrize("shape", [(5, 3), (3, 5), (4,), (2, 2, 2)])
+    def test_non_square_affinity_is_one_line_error(self, rng, shape):
+        aff, emb = np.full(shape, 0.5), random_embeddings(rng, 5)
+        message = f"^affinity must be a square matrix, got shape {re.escape(str(shape))}$"
+        for build in (lambda: knn_graph(aff, 2), lambda: build_subgraph(aff, emb, [0], 2)):
+            with pytest.raises(ValueError, match=message):
+                build()
 
 
 class TestBuildSubgraph:

@@ -228,6 +228,34 @@ def test_lifted_labels_are_already_compact(seed, kind, start, gamma):
                           Partition.from_labels(SpeakerGraph(lifted.size), lifted))
 
 
+@given(seed=st.integers(0, 10**6), kind=st.sampled_from(KINDS), start=st.sampled_from(STARTS),
+       gamma=st.sampled_from([0.3, 1.0, 2.5]))
+def test_hierarchy_pass_labels_are_already_compact(seed, kind, start, gamma):
+    """leiden hands each pass's flat partition to quality and to the next
+    pass as it is: its labels equal their own compaction by first
+    appearance, and its count is the largest label plus one."""
+    rng = np.random.default_rng(seed)
+    graph = sweep_graph(rng, kind)
+    partition = start_partition(rng, graph, start, gamma)
+    flat = leiden_module._hierarchy_pass(graph, partition, gamma, np.random.default_rng(seed))
+    assert same_partition(flat, Partition.from_labels(graph, flat.labels))
+    assert flat.community_count == flat.labels.max() + 1
+
+
+def test_hierarchy_pass_corpus_meets_negative_degrees():
+    """The graph kinds above include graphs with negative node degrees, on
+    which the climb's flat labels are compact too."""
+    negative = 0
+    for seed in range(12):
+        for kind in KINDS:
+            rng = np.random.default_rng([seed, KINDS.index(kind)])
+            graph = sweep_graph(rng, kind)
+            negative += bool((graph.weighted_degrees < 0.0).any())
+            flat = leiden_module._hierarchy_pass(graph, singletons(graph), 1.0, rng)
+            assert same_partition(flat, Partition.from_labels(graph, flat.labels))
+    assert negative > 0
+
+
 def leiden_with_reference_sweeps(monkeypatch, graph, config) -> Partition:
     monkeypatch.setattr(leiden_module, "local_move", reference_local_move)
     monkeypatch.setattr(leiden_module, "refine_partition", reference_refine_partition)
@@ -319,6 +347,8 @@ def test_malformed_partition_is_one_line_error(phase, name):
 
 
 def test_kernel_arguments_reject_wrong_dtype_and_strides():
+    """A graph's arrays go in as addresses pinned by graphs.Pinned, so an
+    array there is refused; arrays made per call keep ndpointer's checks."""
     from cdgcn._kernel import load
 
     graph = SpeakerGraph(4, [0, 1, 2, 0], [1, 2, 3, 3], [1.0, 0.5, 1.0, 0.25])
@@ -326,6 +356,10 @@ def test_kernel_arguments_reject_wrong_dtype_and_strides():
     for indptr in (graph.indptr.astype(float), np.repeat(graph.indptr, 2)[::2]):
         with pytest.raises(ctypes.ArgumentError, match="argument 2"):
             load().local_move(4, indptr, *[None] * 15)
+    queue = np.arange(4)
+    for labels in (np.zeros(4), np.zeros(4, np.int32), np.zeros(8, np.int64)[::2]):
+        with pytest.raises(ctypes.ArgumentError, match="argument 10"):
+            load().local_move(4, *graph.rows.addresses, 1.0, 2.0, 0.0, 4, labels, queue)
 
 
 def test_kernels_return_minus_one_when_scratch_cannot_be_had():
@@ -334,11 +368,13 @@ def test_kernels_return_minus_one_when_scratch_cannot_be_had():
     from cdgcn._kernel import load
 
     ids, reals, huge = np.zeros(1, np.int64), np.zeros(1), 2**62
-    assert load().local_move(huge, ids, ids, reals, reals, 1.0, 2.0, 0.0, 1, ids, ids) == -1
-    assert load().refine_partition(huge, ids, ids, reals, reals, ids, 1.0, 2.0, 0.0, ids, 1,
-                                   ids) == -1
-    assert load().aggregate_graph(1, 1, huge, ids, reals, ids, ids, reals, reals, ids, ids,
-                                  reals) == -1
+    at_ids, at_reals = ids.ctypes.data, reals.ctypes.data   # the graph positions
+    assert load().local_move(huge, at_ids, at_ids, at_reals, at_reals, 1.0, 2.0, 0.0, 1, ids,
+                             ids) == -1
+    assert load().refine_partition(huge, at_ids, at_ids, at_reals, at_reals, ids, 1.0, 2.0, 0.0,
+                                   ids, 1, ids) == -1
+    assert load().aggregate_graph(1, 1, huge, ids, at_reals, at_ids, at_ids, at_reals, reals,
+                                  ids, ids, reals) == -1
     assert load().build_graph(huge, 0, ids, ids, reals, ids, ids, reals) == -1
 
 
