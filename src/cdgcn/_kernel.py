@@ -68,19 +68,20 @@ def load() -> ctypes.CDLL:
     if not target.exists():
         _build(target)
     lib = ctypes.CDLL(str(target))
-    idx, real, addr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    idx, real, addr, seed = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p, ctypes.c_uint32
     ints, reals = (np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
                    for dtype in (np.int64, np.float64))
     graph = [addr] * 4   # SpeakerGraph.rows or .stream, checked once by graphs.Pinned
-    # Each kernel but community_sums returns a count, or -1 if it lacks scratch.
-    lib.local_move.restype = idx
-    lib.local_move.argtypes = [idx, *graph, real, real, real, idx, ints, ints]
-    lib.refine_partition.restype = idx
-    lib.refine_partition.argtypes = [idx, *graph, ints, real, real, real, ints, idx, ints]
-    lib.aggregate_graph.restype = idx
-    lib.aggregate_graph.argtypes = [idx, idx, idx, ints, *graph, reals, ints, ints, reals]
-    lib.community_sums.restype = None
-    lib.community_sums.argtypes = [idx, idx, idx, ints, addr, *graph, reals]   # loops, k, edges
-    lib.build_graph.restype = idx
-    lib.build_graph.argtypes = [idx, idx, ints, ints, reals, ints, ints, reals]
+    # Each kernel but permutation and seal_graph returns a count, or -1 if it
+    # lacks scratch; the Leiden kernels -2 or -3 for labels they cannot take.
+    for name, restype, argtypes in (
+            ("local_move", idx, [idx, *graph, real, real, real, idx, ints, seed]),
+            ("refine_partition", idx, [idx, *graph, ints, real, real, real, idx, seed, ints]),
+            ("aggregate_graph", idx, [idx, idx, idx, ints, *graph, reals, ints, ints, reals]),
+            ("community_sums", idx, [idx, idx, idx, ints, addr, *graph, reals]),   # loops, k, edges
+            ("build_graph", idx, [idx, idx, ints, ints, reals, ints, ints, reals]),
+            ("complete_graph", idx, [idx, reals, ints, ints, reals]),
+            ("seal_graph", None, [idx, *graph, *graph]),   # rows, then stream, filled
+            ("permutation", None, [idx, seed, ints])):
+        getattr(lib, name).restype, getattr(lib, name).argtypes = restype, argtypes
     return lib

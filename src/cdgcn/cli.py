@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -96,6 +97,7 @@ def cmd_score(args) -> int:
     return 0
 
 
+@functools.cache   # built once: parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cdgcn",
                                      description="Graph-based speaker clustering toolkit")

@@ -107,9 +107,11 @@ def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    """Softmax over a last axis of 2, bit-exact with max and sum over it: the
+    maximum of two values is exact, and numpy sums two with one addition."""
+    shifted = logits - np.maximum(logits[..., 0], logits[..., 1])[..., None]
     e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / (e[..., 0] + e[..., 1])[..., None]
 
 
 def _forward(h: np.ndarray, a_hat: np.ndarray, weights: GcnWeights):

@@ -183,23 +183,21 @@ class SpeakerGraph:
         self._seal()
 
     def _seal(self) -> None:
-        """Derives weighted_degrees, edges, edge_count and m from the rows
-        and self-loops, and pins every array read-only for the kernels."""
-        n = self.node_count
-        rows = np.repeat(np.arange(n), np.diff(self.indptr))
-        # Each row is summed from 0.0 in row order.
-        self.weighted_degrees = 2.0 * self.self_loops + np.bincount(
-            rows, weights=self.weights, minlength=n)
-        # A pair's head < tail entry sits in the row of its low end.
-        upper = rows < self.indices
-        self.edges = (rows[upper], self.indices[upper], self.weights[upper])
-        self.edge_count = len(self.edges[0])
-        # cumsum adds in stream order, as the per-edge sums elsewhere do.
-        pair = np.cumsum(self.edges[2])[-1] if self.edge_count else 0.0
-        self.total_weight = float(pair + self.self_loops.sum())
+        """Derives weighted_degrees, edges, edge_count and m from the rows and
+        self-loops, one kernel call filling arrays pinned read-only for it."""
+        from ._kernel import load
+
+        self.edge_count = self.indices.size // 2   # each pair sits in two rows
+        self.weighted_degrees = np.empty(self.node_count)
+        self.edges = (np.empty(self.edge_count, np.int64), np.empty(self.edge_count, np.int64),
+                      np.empty(self.edge_count))
         # The kernels' graph arguments, in their parameter order.
         self.rows = Pinned(self.indptr, self.indices, self.weights, self.weighted_degrees)
         self.stream = Pinned(self.self_loops, *self.edges)
+        load().seal_graph(self.node_count, *self.rows.addresses, *self.stream.addresses)
+        # cumsum adds in stream order, as the per-edge sums elsewhere do.
+        pair = np.cumsum(self.edges[2])[-1] if self.edge_count else 0.0
+        self.total_weight = float(pair + self.self_loops.sum())
 
     @classmethod
     def _adopt(cls, indptr, indices, weights, self_loops) -> "SpeakerGraph":
@@ -254,7 +252,7 @@ def knn_graph(aff: np.ndarray, k: int) -> SpeakerGraph:
     if not finite.all():
         raise ValueError("edge weights must be finite")
     if k >= n - 1:
-        return _complete_graph(np.asarray(aff, dtype=np.float64), n)
+        return _complete_graph(np.ascontiguousarray(aff, dtype=np.float64), n)
     tails = np.concatenate([top_neighbors(aff, k, np.arange(start, min(n, start + BLOCK)))
                             for start in range(0, n, BLOCK)]).ravel()
     heads = np.repeat(np.arange(n), k)
@@ -262,19 +260,15 @@ def knn_graph(aff: np.ndarray, k: int) -> SpeakerGraph:
 
 
 def _complete_graph(aff: np.ndarray, n: int) -> SpeakerGraph:
-    """knn_graph at k >= N - 1: the rows of the union-of-top-k build without
-    its sort and dedup of N(N-1) entries. Row i lists 0..i-1, each entered by
-    an earlier row, then j > i by descending aff[i, j], ties to the lower id.
-    Pair lo < hi keeps aff[hi, lo], entered later, if >= aff[lo, hi]."""
-    upper = np.triu(np.ones((n, n), bool), 1)
-    # -inf puts the lower ids first, in id order; +inf puts i itself last.
-    scores = np.where(upper, np.negative(aff), -np.inf)
-    scores.flat[::n + 1] = np.inf
-    indices = np.argsort(scores, axis=1, kind="stable")[:, :-1]
-    pair = np.where(aff.T >= aff, aff.T, aff)   # right above the diagonal
-    weights = np.take_along_axis(np.where(upper, pair, pair.T), indices, axis=1)
-    return SpeakerGraph._adopt(np.arange(n + 1) * (n - 1), indices.ravel(), weights.ravel(),
-                               np.zeros(n))
+    """knn_graph at k >= N - 1: the rows of the union-of-top-k build, laid out
+    by the complete_graph kernel without its sort and dedup of N(N-1) entries."""
+    from ._kernel import load
+
+    indptr, entries = np.empty(n + 1, np.int64), n * (n - 1)
+    indices, weights = np.empty(entries, np.int64), np.empty(entries)
+    if load().complete_graph(n, aff, indptr, indices, weights) < 0:
+        raise MemoryError(f"complete_graph: cannot allocate scratch for a graph of {n} nodes")
+    return SpeakerGraph._adopt(indptr, indices, weights, np.zeros(n))
 
 
 @dataclass

@@ -19,20 +19,22 @@ edgeless graph has Q defined as 0.
 Local moving, refinement and aggregation run as one C call per level each,
 the quality sums as one per `quality` call (`_sweeps.c`, built on first use
 by `_kernel.py`), reading a graph's arrays at addresses its `Pinned` holders
-checked once; Python keeps the random draws and input checks. Each sweep and
-each level's lift compact labels by first appearance, so a climb's flat
-labels go to `quality` and the next climb as they are, and `leiden` calls
-`Partition.from_labels` once, for its answer. Refinement is greedy: a node
-joins the part of largest gain, the zero-temperature limit of Traag et al.'s
-randomized merge. The kernels are bit-exact with the per-node loops and
-numpy code the tests keep as oracles: the same visit order, sums from 0.0 in
-CSR row or edge-stream order, every gain in the same operand order, the
-smallest label among equal best gains (what an ascending scan picks), and
--ffp-contract=off, so no multiply-add is fused.
+checked once. The kernels check their labels and draw the sweeps' orders
+from numpy's generator, reproduced in C, seeded per level by `leiden`. Each
+sweep and each level's lift compact labels by first appearance, so a
+climb's flat labels go to `quality` and the next climb as they are, and
+`leiden` calls `Partition.from_labels` once, for its answer. Refinement is
+greedy: a node joins the part of largest gain, the zero-temperature limit
+of Traag et al.'s randomized merge. The kernels are bit-exact with the
+per-node loops and numpy code the tests keep as oracles: the same visit
+order, sums from 0.0 in CSR row or edge-stream order, every gain in the same
+operand order, the smallest label among equal best gains (what an ascending
+scan picks), and -ffp-contract=off, so no multiply-add is fused.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,8 +88,9 @@ def _community_sums(graph: SpeakerGraph, labels: np.ndarray, c: int):
 
     sums = np.empty((3, c))
     loops, *edges = graph.stream.addresses
-    load().community_sums(graph.node_count, c, graph.edge_count, labels, loops,
-                          graph.rows.addresses[3], *edges, sums)
+    _counted(load().community_sums(graph.node_count, c, graph.edge_count, labels, loops,
+                                   graph.rows.addresses[3], *edges, sums),
+             "community_sums", graph, c)
     return sums[0] + sums[1], sums[2]
 
 
@@ -96,9 +99,9 @@ def quality(graph: SpeakerGraph, partition: Partition, gamma: float) -> float:
     if partition.labels.shape != (graph.node_count,):
         raise ValueError("partition does not cover the graph")
     labels, m = _checked_labels(graph, partition), graph.total_weight
+    internal, degree = _community_sums(graph, labels, partition.community_count)   # checks labels
     if m == 0.0:
         return 0.0
-    internal, degree = _community_sums(graph, labels, partition.community_count)
     return float(internal.sum() - gamma * np.sum(degree**2) / (4.0 * m))
 
 
@@ -110,18 +113,13 @@ def _check_total_weight(graph: SpeakerGraph) -> None:
 
 
 def _valid_labels(graph: SpeakerGraph, partition: Partition) -> np.ndarray:
-    """The labels as a fresh int64 array, once what the compiled kernels index
-    by is checked: n integer labels in 0..C-1, none unused."""
-    labels, c = partition.labels, partition.community_count
+    """The labels as a fresh int64 array, once they are n integers; the
+    kernels check that they lie in 0..C-1 with none unused."""
+    labels = partition.labels
     if labels.shape != (graph.node_count,) or labels.dtype.kind not in "iu":
         raise ValueError(f"partition needs {graph.node_count} integer labels, "
                          f"got {labels.dtype} labels of shape {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= c):
-        raise ValueError(f"partition labels must lie in 0..{c - 1}")
-    labels = labels.astype(np.int64)
-    if np.bincount(labels, minlength=c).min(initial=1) == 0:
-        raise ValueError("partition has an empty community")
-    return labels
+    return labels.astype(np.int64)
 
 
 def _checked_labels(graph: SpeakerGraph, partition: Partition) -> np.ndarray:
@@ -130,8 +128,20 @@ def _checked_labels(graph: SpeakerGraph, partition: Partition) -> np.ndarray:
     return _valid_labels(graph, partition)
 
 
-def _counted(count: int, kernel: str, graph: SpeakerGraph) -> int:
-    """A kernel's returned count; -1 means it could not allocate its scratch."""
+def _seed(seed) -> int:
+    """A sweep's seed, which the kernels' generator reads as one 32-bit word."""
+    if not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**32:
+        raise ValueError(f"seed must be an integer in 0..2**32-1, got {seed!r}")
+    return int(seed)
+
+
+def _counted(count: int, kernel: str, graph: SpeakerGraph, c: int) -> int:
+    """A kernel's returned count; -1 means it lacked scratch, -2 and -3 that
+    its labels for c communities left 0..c-1 or left a community empty."""
+    if count == -2:
+        raise ValueError(f"partition labels must lie in 0..{c - 1}")
+    if count == -3:
+        raise ValueError("partition has an empty community")
     if count < 0:
         raise MemoryError(f"{kernel}: cannot allocate scratch for a graph of "
                           f"{graph.node_count} nodes and {graph.edge_count} edges")
@@ -142,23 +152,20 @@ def local_move(graph: SpeakerGraph, partition: Partition, gamma: float, seed: in
     """Queue-driven single-node moves to the neighboring community (or a
     fresh singleton) with maximal quality gain.
 
-    Nodes start queued in seeded random order; an accepted move re-queues
-    the moved node's neighbors outside its new community. Gains must
-    exceed GAIN_TOLERANCE, so the quality is non-decreasing and the queue
-    drains in finite time. Ties go to the smallest community label, with a
-    fresh singleton considered last. Labels are compacted on return.
+    Nodes start queued as np.random.default_rng(seed).permutation orders
+    them (seed in 0..2**32-1); an accepted move re-queues the moved node's
+    neighbors outside its new community. Gains must exceed GAIN_TOLERANCE,
+    so the quality is non-decreasing and the queue drains in finite time.
+    Ties go to the smallest community label, with a fresh singleton
+    considered last. Labels are compacted on return.
     """
-    labels = _checked_labels(graph, partition)
-    n, m = graph.node_count, graph.total_weight
-    if n == 0 or m == 0.0:
-        return Partition.from_labels(graph, labels)
+    labels, c = _checked_labels(graph, partition), partition.community_count
 
     from ._kernel import load
 
-    queue = np.random.default_rng(seed).permutation(n)
-    count = load().local_move(n, *graph.rows.addresses, gamma, 2.0 * m, GAIN_TOLERANCE,
-                              partition.community_count, labels, queue)
-    return Partition(labels, _counted(count, "local_move", graph))
+    count = load().local_move(graph.node_count, *graph.rows.addresses, gamma,
+                              2.0 * graph.total_weight, GAIN_TOLERANCE, c, labels, _seed(seed))
+    return Partition(labels, _counted(count, "local_move", graph, c))
 
 
 def refine_partition(graph: SpeakerGraph, partition: Partition, gamma: float,
@@ -167,29 +174,22 @@ def refine_partition(graph: SpeakerGraph, partition: Partition, gamma: float,
 
     Starts from singletons and only merges nodes into sub-communities of
     their own original community, so the result always refines the input.
-    A node is only merged while still alone, and only when both it and the
-    target are well connected inside the original community; it merges
-    greedily into the best-gain target, ties going to the smallest label.
+    Communities of two or more members are visited in random orders drawn
+    in label order from one np.random.default_rng(seed) (seed in
+    0..2**32-1). A node is only merged while still alone, and only when both
+    it and the target are well connected inside the original community; it
+    merges greedily into the best-gain target, ties going to the smallest
+    label.
     """
-    parent = _checked_labels(graph, partition)
-    n, m = graph.node_count, graph.total_weight
-    if n == 0 or m == 0.0:
-        return Partition.from_labels(graph, np.arange(n))
+    parent, c = _checked_labels(graph, partition), partition.community_count
 
     from ._kernel import load
 
-    # Each community of two or more members is visited in its own random
-    # order, the orders drawn in label order and handed over back to back.
-    rng = np.random.default_rng(seed)
-    by_parent = np.argsort(parent, kind="stable")
-    bounds = np.searchsorted(parent[by_parent], np.arange(partition.community_count + 1))
-    order = np.concatenate([np.empty(0, np.int64)] + [
-        rng.permutation(by_parent[bounds[c]:bounds[c + 1]])
-        for c in np.flatnonzero(np.diff(bounds) > 1)])
-    ref_labels = np.empty(n, np.int64)
-    count = load().refine_partition(n, *graph.rows.addresses, parent, gamma, 2.0 * m,
-                                    GAIN_TOLERANCE, order, order.size, ref_labels)
-    return Partition(ref_labels, _counted(count, "refine_partition", graph))
+    ref_labels = np.empty(graph.node_count, np.int64)
+    count = load().refine_partition(graph.node_count, *graph.rows.addresses, parent, gamma,
+                                    2.0 * graph.total_weight, GAIN_TOLERANCE, c, _seed(seed),
+                                    ref_labels)
+    return Partition(ref_labels, _counted(count, "refine_partition", graph, c))
 
 
 def aggregate_graph(graph: SpeakerGraph, refined: Partition) -> SpeakerGraph:
@@ -212,7 +212,7 @@ def aggregate_graph(graph: SpeakerGraph, refined: Partition) -> SpeakerGraph:
     pairs = _counted(load().aggregate_graph(graph.node_count, c, edges, labels,
                                             *graph.stream.addresses, loops, indptr, indices,
                                             weights),
-                     "aggregate_graph", graph)
+                     "aggregate_graph", graph, c)
     # Copies trimmed to the pairs, so the aggregate pins no parent-sized buffer.
     return SpeakerGraph._adopt(indptr, indices[:2 * pairs].copy(), weights[:2 * pairs].copy(),
                                loops)

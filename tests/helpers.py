@@ -461,6 +461,36 @@ def reference_graph_rows(n: int, heads, tails, weights):
             np.repeat(largest[by_position], 2)[rows])
 
 
+def reference_graph_arrays(graph: SpeakerGraph):
+    """(weighted_degrees, edges, total_weight) of a graph derived from its
+    rows and self-loops by numpy: the bit-for-bit oracle of the seal_graph
+    kernel. Each row is summed from 0.0 in row order; a pair's head < tail
+    entry sits in the row of its low end; cumsum adds in stream order."""
+    n = graph.node_count
+    rows = np.repeat(np.arange(n), np.diff(graph.indptr))
+    degrees = 2.0 * graph.self_loops + np.bincount(rows, weights=graph.weights, minlength=n)
+    upper = rows < graph.indices
+    edges = (rows[upper], graph.indices[upper], graph.weights[upper])
+    pair = np.cumsum(edges[2])[-1] if edges[0].size else 0.0
+    return degrees, edges, float(pair + graph.self_loops.sum())
+
+
+def reference_complete_graph(aff: np.ndarray):
+    """(indptr, indices, weights) of knn_graph(aff, N - 1) by numpy sorts:
+    the bit-for-bit oracle of the complete_graph kernel. Row i lists 0..i-1,
+    then j > i by descending aff[i, j], ties to the lower id, from one stable
+    argsort; pair lo < hi keeps aff[hi, lo] if >= aff[lo, hi]."""
+    n = aff.shape[0]
+    upper = np.triu(np.ones((n, n), bool), 1)
+    # -inf puts the lower ids first, in id order; +inf puts i itself last.
+    scores = np.where(upper, np.negative(aff), -np.inf)
+    scores.flat[::n + 1] = np.inf
+    indices = np.argsort(scores, axis=1, kind="stable")[:, :-1]
+    pair = np.where(aff.T >= aff, aff.T, aff)   # right above the diagonal
+    weights = np.take_along_axis(np.where(upper, pair, pair.T), indices, axis=1)
+    return np.arange(n + 1) * (n - 1), indices.ravel(), weights.ravel()
+
+
 def reference_community_sums(graph: SpeakerGraph, labels: np.ndarray, c: int):
     """(m_c, K_c) for labels in 0..c-1 by numpy bincounts, each summed from
     0.0 in input order: the bit-for-bit oracle of the compiled kernel."""

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import cdgcn
-from cdgcn.cli import main
+from cdgcn.cli import build_parser, main
 from cdgcn.gcn import GcnWeights, load_weights, save_weights, train
 from cdgcn.graphs import EMBEDDING_MAGIC, EmbeddingSet, read_embeddings, write_embeddings
 from cdgcn.osd import write_overlap_mask
@@ -339,6 +339,33 @@ class TestScoreCommand:
         assert code == 1
         assert (capsys.readouterr().err
                 == f"cdgcn: collar must be finite and non-negative, got {bad}\n")
+
+
+def test_successive_calls_behave_as_fresh_ones(session_dir, capsys):
+    """main builds its parser once; cluster, then score, then an argv the
+    parser refuses each give the code, output and file that a call with a
+    freshly built parser gives."""
+    hyp = session_dir / "hyp.rttm"
+    calls = [["cluster", "--embeddings", str(session_dir / "e2e.emb"), "--mode", "knn_leiden",
+              "--knn-k", "20", "--out", str(hyp)],
+             ["score", "--ref", str(session_dir / "ref.rttm"), "--hyp", str(hyp), "--counts"],
+             ["score", "--ref", str(session_dir / "ref.rttm"), "--collar"]]
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse's exit on an argv it refuses
+            code = exc.code
+        return code, tuple(capsys.readouterr()), hyp.read_bytes()
+
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(call(argv))
+    build_parser.cache_clear()
+    assert [call(argv) for argv in calls] == fresh
+    assert build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in fresh] == [0, 0, 2]
 
 
 class TestSyntheticScript:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cdgcn.gcn import (
     WEIGHTS_MAGIC,
     GcnWeights,
+    _softmax,
     bce_loss,
     gcn_forward,
     load_weights,
@@ -18,6 +19,7 @@ from cdgcn.gcn import (
     train,
 )
 from cdgcn.graphs import SubGraph
+from helpers import _softmax as reference_softmax
 from helpers import one_line_error_in_small_memory
 
 
@@ -155,6 +157,23 @@ class TestForward:
         probs = gcn_forward(sub, GcnWeights.glorot(4, seed=9))
         assert probs.shape == (1, 7)
         assert (probs >= 0.0).all() and (probs <= 1.0).all()
+
+
+@given(seed=st.integers(0, 2**32 - 1), dtype=st.sampled_from([np.float32, np.float64]),
+       shape=st.sampled_from([(1, 2), (9, 2), (4, 7, 2), (2, 3, 5, 2)]),
+       scale=st.sampled_from([1e-3, 1.0, 30.0, 1e3]))
+def test_two_column_softmax_equals_the_reductions(seed, dtype, shape, scale):
+    """Random blocks in which about a third of the rows tie and a tenth of
+    the logits are +0.0 or -0.0 give the general softmax's bits."""
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(scale=scale, size=shape)
+    logits[..., 1] = np.where(rng.random(shape[:-1]) < 0.3, logits[..., 0], logits[..., 1])
+    logits = np.where(rng.random(shape) < 0.1, rng.choice([0.0, -0.0], shape), logits)
+    logits = logits.astype(dtype)
+    got = _softmax(logits)
+    expected = reference_softmax(logits.reshape(-1, 2)).reshape(shape)
+    assert got.dtype == expected.dtype == dtype
+    assert got.tobytes() == expected.tobytes()
 
 
 class TestBceLoss:

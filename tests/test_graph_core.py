@@ -31,6 +31,8 @@ from helpers import (
     neighbors,
     one_line_error_in_small_memory,
     quality_of_blocks,
+    reference_complete_graph,
+    reference_graph_arrays,
     reference_graph_rows,
 )
 
@@ -61,17 +63,18 @@ def graphs_and_labels(draw):
 
 
 @st.composite
-def entry_streams(draw):
+def entry_streams(draw, finite=st.floats(allow_nan=False, allow_infinity=False)):
     """(n, heads, tails, weights) over up to 40 nodes: pairs drawn from a
     small pool, so they repeat, either way round, with arbitrary finite
-    weights, signed zeros or both; sometimes an empty stream."""
+    weights (or those of `finite`), signed zeros or both; sometimes an
+    empty stream."""
     n = draw(st.integers(0, 40))
     if n < 2 or draw(st.integers(0, 9)) == 0:
         return n, [], [], []
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
         lambda p: p[0] != p[1])
     pool = draw(st.lists(pair, min_size=1, max_size=n))
-    finite, zero = st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([0.0, -0.0])
+    zero = st.sampled_from([0.0, -0.0])
     weight = draw(st.sampled_from([finite, zero, finite | zero]))
     stream = draw(st.lists(st.tuples(st.sampled_from(pool), st.booleans(), weight),
                            max_size=120))
@@ -303,3 +306,49 @@ def test_failed_build_is_one_line_memory_error(monkeypatch):
     message = one_line_error_in_small_memory(SpeakerGraph, 3, [0, 1], [1, 2], [0.5, 0.25],
                                              error=MemoryError)
     assert message == "build_graph: cannot allocate scratch for a graph of 3 nodes and 2 edges"
+
+
+def same_bits(got: np.ndarray, expected: np.ndarray) -> bool:
+    return got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+# Weights no sum of which overflows, signed zeros among them.
+bounded = st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0])
+
+
+@example((2, [0, 1], [1, 0], [-0.0, -0.0]), [-0.0, -0.0], [0, 0])
+@given(entry_streams(finite=bounded), st.lists(bounded, min_size=40, max_size=40),
+       st.lists(st.integers(0, 3), min_size=40, max_size=40))
+def test_derived_arrays_match_numpy_bit_for_bit(case, loops, labels):
+    """The degrees, edge stream and m the seal_graph kernel derives, from the
+    rows of a build and of an aggregation, equal the numpy derivation's."""
+    n, heads, tails, weights = case
+    graph = SpeakerGraph(n, heads, tails, weights, self_loops=loops[:n])
+    for built in (graph, aggregate_graph(graph, Partition.from_labels(graph, labels[:n]))):
+        degrees, edges, m = reference_graph_arrays(built)
+        assert same_bits(built.weighted_degrees, degrees)
+        assert all(same_bits(a, b) for a, b in zip(built.edges, edges, strict=True))
+        assert built.edge_count == edges[0].size
+        assert np.float64(built.total_weight).tobytes() == np.float64(m).tobytes()
+
+
+@given(n=st.integers(0, 40), seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(
+    ["real", "quarters", "symmetric quarters", "signed zeros"]))
+def test_complete_layout_matches_numpy_bit_for_bit(n, seed, kind):
+    """knn_graph at k = N - 1 equals the numpy layout on affinities with many
+    ties, either way round or both, and signed zeros; the NaN diagonal is
+    never read."""
+    rng = np.random.default_rng(seed)
+    aff = rng.uniform(-1.0, 1.0, (n, n))
+    if kind != "real":
+        aff = np.round(aff * 4.0) / 4.0
+    if kind == "symmetric quarters":
+        aff = np.triu(aff, 1) + np.triu(aff, 1).T
+    if kind == "signed zeros":
+        aff = np.where(rng.random((n, n)) < 0.5, rng.choice([0.0, -0.0], (n, n)), aff)
+    aff[np.diag_indices(n)] = np.nan
+    graph = knn_graph(aff, max(n - 1, 1))
+    indptr, indices, weights = reference_complete_graph(aff)
+    assert same_bits(graph.indptr, indptr)
+    assert same_bits(graph.indices, indices)
+    assert same_bits(graph.weights, weights)

@@ -22,6 +22,7 @@ from cdgcn.leiden import (
     aggregate_graph,
     leiden,
     local_move,
+    quality,
     refine_partition,
 )
 from cdgcn.synthetic import make_session
@@ -108,7 +109,7 @@ def start_partition(rng, graph: SpeakerGraph, start: str, gamma: float) -> Parti
     return Partition.from_labels(graph, np.minimum(np.arange(n), n - 2))
 
 
-@given(seed=st.integers(0, 10**6), kind=st.sampled_from(KINDS), start=st.sampled_from(STARTS),
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(KINDS), start=st.sampled_from(STARTS),
        gamma=st.sampled_from([0.3, 1.0, 2.5]))
 def test_local_move_matches_reference(seed, kind, start, gamma):
     rng = np.random.default_rng(seed)
@@ -118,7 +119,7 @@ def test_local_move_matches_reference(seed, kind, start, gamma):
                           reference_local_move(graph, partition, gamma, seed))
 
 
-@given(seed=st.integers(0, 10**6), kind=st.sampled_from(KINDS), start=st.sampled_from(STARTS),
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(KINDS), start=st.sampled_from(STARTS),
        gamma=st.sampled_from([0.3, 1.0, 2.5]))
 def test_refine_partition_matches_reference(seed, kind, start, gamma):
     rng = np.random.default_rng(seed)
@@ -326,6 +327,27 @@ def test_degenerate_graphs_match_reference_sweeps(monkeypatch, name):
                           leiden_with_reference_sweeps(monkeypatch, graph, config))
 
 
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 3000))
+def test_permutation_kernel_draws_as_numpy(seed, n):
+    """The kernels' generator and shuffle give np.random.default_rng(seed)
+    .permutation(n), which the sweeps' visit orders are drawn by."""
+    from cdgcn._kernel import load
+
+    order = np.empty(n, np.int64)
+    load().permutation(n, seed, order)
+    assert order.tolist() == np.random.default_rng(seed).permutation(n).tolist()
+
+
+@pytest.mark.parametrize("phase", [local_move, refine_partition])
+@pytest.mark.parametrize("seed", [-1, 2**32, 1.5])
+def test_seed_outside_one_word_is_one_line_error(phase, seed):
+    """The kernels' generator reads a seed as one 32-bit word."""
+    graph = SpeakerGraph(4, [0, 1, 2, 0], [1, 2, 3, 3], [1.0, 0.5, 1.0, 0.25])
+    with pytest.raises(ValueError) as caught:
+        phase(graph, singletons(graph), 1.0, seed)
+    assert str(caught.value) == f"seed must be an integer in 0..2**32-1, got {seed!r}"
+
+
 def malformed_partition(name: str) -> Partition:
     """A partition of a four-node graph that breaks one rule the sweeps
     index by."""
@@ -335,15 +357,41 @@ def malformed_partition(name: str) -> Partition:
     return Partition(np.array(labels), 3)
 
 
+MALFORMED = {"label past the last community": "partition labels must lie in 0..2",
+             "negative label": "partition labels must lie in 0..2",
+             "float labels": "partition needs 4 integer labels, got float64 labels of shape (4,)",
+             "too few labels": "partition needs 4 integer labels, got int64 labels of shape (3,)",
+             "empty community": "partition has an empty community"}
+
+
 @pytest.mark.parametrize("phase", [local_move, refine_partition, aggregate_graph])
 @pytest.mark.parametrize("name", ["label past the last community", "negative label",
                                   "float labels", "too few labels", "empty community"])
 def test_malformed_partition_is_one_line_error(phase, name):
+    """Shape and dtype are checked in Python, the label range and empty
+    communities by the kernels, each with the same one line."""
     graph = SpeakerGraph(4, [0, 1, 2, 0], [1, 2, 3, 3], [1.0, 0.5, 1.0, 0.25])
     gamma = () if phase is aggregate_graph else (1.0,)
     with pytest.raises(ValueError) as caught:
         phase(graph, malformed_partition(name), *gamma)
-    assert "\n" not in str(caught.value)
+    assert str(caught.value) == MALFORMED[name]
+
+
+@pytest.mark.parametrize("name", ["label past the last community", "negative label",
+                                  "empty community"])
+@pytest.mark.parametrize("weights", [[1.0, 0.5, 1.0, 0.25], [0.0] * 4], ids=["m > 0", "m = 0"])
+def test_kernels_check_labels_at_any_total_weight(weights, name):
+    """Every Leiden kernel refuses labels it cannot take, also on a graph of
+    total weight 0, where the sweeps move nothing and quality is 0."""
+    graph = SpeakerGraph(4, [0, 1, 2, 0], [1, 2, 3, 3], weights)
+    for phase, args in ((local_move, (1.0,)), (refine_partition, (1.0,)), (aggregate_graph, ()),
+                        (quality, (1.0,))):
+        with pytest.raises(ValueError) as caught:
+            phase(graph, malformed_partition(name), *args)
+        assert str(caught.value) == MALFORMED[name]
+    more_communities_than_nodes = Partition(np.arange(4), 5)
+    with pytest.raises(ValueError, match="^partition has an empty community$"):
+        local_move(graph, more_communities_than_nodes, 1.0)
 
 
 def test_kernel_arguments_reject_wrong_dtype_and_strides():
@@ -356,10 +404,9 @@ def test_kernel_arguments_reject_wrong_dtype_and_strides():
     for indptr in (graph.indptr.astype(float), np.repeat(graph.indptr, 2)[::2]):
         with pytest.raises(ctypes.ArgumentError, match="argument 2"):
             load().local_move(4, indptr, *[None] * 15)
-    queue = np.arange(4)
     for labels in (np.zeros(4), np.zeros(4, np.int32), np.zeros(8, np.int64)[::2]):
         with pytest.raises(ctypes.ArgumentError, match="argument 10"):
-            load().local_move(4, *graph.rows.addresses, 1.0, 2.0, 0.0, 4, labels, queue)
+            load().local_move(4, *graph.rows.addresses, 1.0, 2.0, 0.0, 4, labels, 0)
 
 
 def test_kernels_return_minus_one_when_scratch_cannot_be_had():
@@ -370,9 +417,9 @@ def test_kernels_return_minus_one_when_scratch_cannot_be_had():
     ids, reals, huge = np.zeros(1, np.int64), np.zeros(1), 2**62
     at_ids, at_reals = ids.ctypes.data, reals.ctypes.data   # the graph positions
     assert load().local_move(huge, at_ids, at_ids, at_reals, at_reals, 1.0, 2.0, 0.0, 1, ids,
-                             ids) == -1
+                             0) == -1
     assert load().refine_partition(huge, at_ids, at_ids, at_reals, at_reals, ids, 1.0, 2.0, 0.0,
-                                   ids, 1, ids) == -1
+                                   1, 0, ids) == -1
     assert load().aggregate_graph(1, 1, huge, ids, at_reals, at_ids, at_ids, at_reals, reals,
                                   ids, ids, reals) == -1
     assert load().build_graph(huge, 0, ids, ids, reals, ids, ids, reals) == -1
