@@ -7,7 +7,9 @@ processes never load a partial one. The compiler is the one Python was built
 with or, if that cannot run or fails (conda and standalone builds record
 their build machine's), `cc`. A graph's own arrays are passed by address,
 checked once per graph by `graphs.Pinned`; arrays made per call pass through
-ctypes' dtype and order checks.
+ctypes' dtype and order checks. `climb` also takes numpy's own typed C
+function pointer, a bit generator's `ctypes.next_uint32`, and calls it on
+the generator's `ctypes.state_address`.
 """
 
 from __future__ import annotations
@@ -72,16 +74,19 @@ def load() -> ctypes.CDLL:
     ints, reals = (np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
                    for dtype in (np.int64, np.float64))
     graph = [addr] * 4   # SpeakerGraph.rows or .stream, checked once by graphs.Pinned
-    # Each kernel but permutation and seal_graph returns a count, or -1 if it
-    # lacks scratch; the Leiden kernels -2 or -3 for labels they cannot take.
+    draw = ctypes.CFUNCTYPE(ctypes.c_uint32, ctypes.c_void_p)   # as numpy types next_uint32
+    # Each kernel but permutation and seal_graph (which returns m) returns a
+    # count, or -1 if it lacks scratch; the Leiden kernels -2 or -3 for labels
+    # they cannot take, climb -4 for an aggregate of non-finite m.
     for name, restype, argtypes in (
             ("local_move", idx, [idx, *graph, real, real, real, idx, ints, seed]),
             ("refine_partition", idx, [idx, *graph, ints, real, real, real, idx, seed, ints]),
             ("aggregate_graph", idx, [idx, idx, idx, ints, *graph, reals, ints, ints, reals]),
+            ("climb", idx, [idx, idx, *graph, *graph, real, real, real, idx, ints, draw, addr]),
             ("community_sums", idx, [idx, idx, idx, ints, addr, *graph, reals]),   # loops, k, edges
             ("build_graph", idx, [idx, idx, ints, ints, reals, ints, ints, reals]),
             ("complete_graph", idx, [idx, reals, ints, ints, reals]),
-            ("seal_graph", None, [idx, *graph, *graph]),   # rows, then stream, filled
+            ("seal_graph", real, [idx, *graph, *graph]),   # rows, then stream, filled
             ("permutation", None, [idx, seed, ints])):
         getattr(lib, name).restype, getattr(lib, name).argtypes = restype, argtypes
     return lib

@@ -1,13 +1,16 @@
 /* The compiled kernels: build_graph, which lays out the CSR rows of every
  * SpeakerGraph (cdgcn/graphs.py), complete_graph, which lays out the rows of
  * the complete cosine graph directly, and seal_graph, which derives a
- * graph's degrees and edge stream from its rows; and Leiden's per-level
- * phases (cdgcn/leiden.py), one call each per level: the sequential sweeps
- * local_move and refine_partition, and aggregate_graph; and community_sums
- * for its quality function. Each kernel that needs scratch allocates and
- * frees its own, and returns -1, before writing any output, if it cannot.
- * Each Leiden kernel checks the labels it is given in its first pass over
- * them, and returns BAD_LABEL or EMPTY_COMMUNITY before writing any output.
+ * graph's degrees, edge stream and total weight from its rows; and Leiden's
+ * phases (cdgcn/leiden.py): the sequential sweeps local_move and
+ * refine_partition, and aggregate_graph, one call per phase; climb, which
+ * runs them level after level in one call, on aggregates that never leave
+ * C; and community_sums for its quality function. Each kernel that needs
+ * scratch allocates and frees its own, once per call, and returns -1,
+ * before writing any output, if it cannot. The scratch is not cleared on
+ * allocation: each phase clears what it reads, as it starts. Each Leiden
+ * kernel checks the labels it is given in its first pass over them, and
+ * returns BAD_LABEL or EMPTY_COMMUNITY before writing any output.
  *
  * The sweeps draw their visit orders from numpy's generator, reproduced
  * here: np.random.default_rng(seed) for a seed below 2**32 and its shuffle,
@@ -25,15 +28,19 @@
  * without diagonal, k its weighted degrees; ids are below n. */
 #include <stddef.h>
 #include <stdint.h>
+#include <math.h>
 #include <stdlib.h>
+#include <string.h>
 
 typedef int64_t idx;
 
-/* What a Leiden kernel returns for labels it cannot take (-1: no scratch). */
-enum { BAD_LABEL = -2, EMPTY_COMMUNITY = -3 };
+/* What a Leiden kernel returns for labels it cannot take (-1: no scratch),
+ * and climb for an aggregate whose total weight is not finite. */
+enum { BAD_LABEL = -2, EMPTY_COMMUNITY = -3, NON_FINITE_WEIGHT = -4 };
 
-/* Zeroed per-node scratch: reals doubles, ids ids and flags bytes for each
- * of n nodes, one block per type (never empty, so an empty graph gets one).
+/* Per-node scratch: reals doubles, ids ids and flags bytes for each of n
+ * nodes, one block per type (never empty, so an empty graph gets one),
+ * left uninitialised: each kernel clears what it reads before writing it.
  * Fails, with every pointer NULL or allocated, if a block cannot be had. */
 typedef struct {
     double *real;
@@ -47,9 +54,9 @@ static int scratch_alloc(scratch *s, idx n, idx reals, idx ids, idx flags) {
     s->flag = NULL;
     if (n < 0 || n > PTRDIFF_MAX / 64)   /* the block sizes would overflow */
         return 0;
-    s->real = calloc((size_t)(n * reals + 1), sizeof *s->real);
-    s->id = calloc((size_t)(n * ids + 1), sizeof *s->id);
-    s->flag = calloc((size_t)(n * flags + 1), sizeof *s->flag);
+    s->real = malloc((size_t)(n * reals + 1) * sizeof *s->real);
+    s->id = malloc((size_t)(n * ids + 1) * sizeof *s->id);
+    s->flag = malloc((size_t)(n * flags + 1) * sizeof *s->flag);
     return s->real && s->id && s->flag;
 }
 
@@ -58,6 +65,9 @@ static void scratch_free(scratch *s) {
     free(s->id);
     free(s->flag);
 }
+
+/* Sets count entries of array to zero (0.0 for doubles). */
+#define CLEAR(array, count) memset(array, 0, (size_t)(count) * sizeof *(array))
 
 /* 0 if the n labels lie in 0..communities-1 and none of those is empty,
  * else BAD_LABEL or EMPTY_COMMUNITY. Counts each community's members into
@@ -217,22 +227,21 @@ static idx gather(const idx *ptr, const idx *nbr, const double *w, const idx *la
  * np.random.default_rng(seed).permutation(n) gives and serves as a ring
  * buffer, with a flag barring duplicates. A moved node's neighbours outside
  * its new community are queued in row order. labels are updated in place,
- * then compacted. A graph of total weight 0 (two_m = 0) moves no node. */
-idx local_move(idx n, const idx *ptr, const idx *nbr, const double *w, const double *k,
-               double gamma, double two_m, double tol, idx fresh, idx *labels, uint32_t seed) {
-    scratch s;
-    if (!scratch_alloc(&s, n, 2, 4, 2)) {
-        scratch_free(&s);
-        return -1;
-    }
-    double *running = s.real, *w_to = s.real + n;   /* K_c as nodes move */
-    idx *comm_size = s.id, *touched = s.id + n, *first = s.id + 2 * n, *queue = s.id + 3 * n;
-    uint8_t *in_queue = s.flag, *seen = s.flag + n;
+ * then compacted. A graph of total weight 0 (two_m = 0) moves no node.
+ * Scratch: 2 reals, 4 ids and 2 flags per node. */
+static idx move_nodes(idx n, const idx *ptr, const idx *nbr, const double *w, const double *k,
+                      double gamma, double two_m, double tol, idx fresh, idx *labels,
+                      uint32_t seed, const scratch *s) {
+    double *running = s->real, *w_to = s->real + n;   /* K_c as nodes move */
+    idx *comm_size = s->id, *touched = s->id + n, *first = s->id + 2 * n;
+    idx *queue = s->id + 3 * n;
+    uint8_t *in_queue = s->flag, *seen = s->flag + n;
+    CLEAR(running, 2 * n);   /* and w_to */
+    CLEAR(comm_size, n);
+    CLEAR(seen, n);
     idx status = check_labels(n, labels, fresh, comm_size);
-    if (status) {
-        scratch_free(&s);
+    if (status)
         return status;
-    }
     for (idx i = 0; i < n; i++) {
         running[labels[i]] += k[i];
         in_queue[i] = 1;
@@ -289,7 +298,14 @@ idx local_move(idx n, const idx *ptr, const idx *nbr, const double *w, const dou
             }
         }
     }
-    idx count = compact(n, labels, first);
+    return compact(n, labels, first);
+}
+
+idx local_move(idx n, const idx *ptr, const idx *nbr, const double *w, const double *k,
+               double gamma, double two_m, double tol, idx fresh, idx *labels, uint32_t seed) {
+    scratch s;
+    idx count = scratch_alloc(&s, n, 2, 4, 2)
+        ? move_nodes(n, ptr, nbr, w, k, gamma, two_m, tol, fresh, labels, seed, &s) : -1;
     scratch_free(&s);
     return count;
 }
@@ -309,25 +325,22 @@ static uint8_t well_connected(double cross, double degree, double k_total, doubl
  * connected, joins the well-connected part of c with largest gain above
  * tol. Per-part state is indexed by the part's founding node. The parts are
  * written to ref_labels (n entries), compacted. On a graph of total weight
- * 0 (two_m = 0) every node stays alone. */
-idx refine_partition(idx n, const idx *ptr, const idx *nbr, const double *w, const double *k,
-                     const idx *parent, double gamma, double two_m, double tol,
-                     idx communities, uint32_t seed, idx *ref_labels) {
-    scratch s;
-    if (!scratch_alloc(&s, n, 4, 5, 2)) {
-        scratch_free(&s);
-        return -1;
-    }
-    double *ref_degree = s.real, *cross = s.real + n, *w_to = s.real + 2 * n;
-    double *parent_degree = s.real + 3 * n;
-    idx *ref_size = s.id, *cands = s.id + n, *first = s.id + 2 * n, *order = s.id + 3 * n;
-    idx *end = s.id + 4 * n;   /* communities + 1 entries; end[c + 1] counts c first */
-    uint8_t *connected = s.flag, *seen = s.flag + n;
+ * 0 (two_m = 0) every node stays alone. Scratch: 4 reals, 5 ids and 2 flags
+ * per node. */
+static idx refine_parts(idx n, const idx *ptr, const idx *nbr, const double *w, const double *k,
+                        const idx *parent, double gamma, double two_m, double tol,
+                        idx communities, uint32_t seed, idx *ref_labels, const scratch *s) {
+    double *ref_degree = s->real, *cross = s->real + n, *w_to = s->real + 2 * n;
+    double *parent_degree = s->real + 3 * n;
+    idx *ref_size = s->id, *cands = s->id + n, *first = s->id + 2 * n, *order = s->id + 3 * n;
+    idx *end = s->id + 4 * n;   /* communities + 1 entries; end[c + 1] counts c first */
+    uint8_t *connected = s->flag, *seen = s->flag + n;
+    CLEAR(cross, 3 * n);   /* and w_to, parent_degree */
+    CLEAR(end, n + 1);
+    CLEAR(seen, n);
     idx status = check_labels(n, parent, communities, end + 1);
-    if (status) {
-        scratch_free(&s);
+    if (status)
         return status;
-    }
     for (idx i = 0; i < n; i++) {
         ref_labels[i] = i;
         ref_size[i] = 1;
@@ -382,7 +395,16 @@ idx refine_partition(idx n, const idx *ptr, const idx *nbr, const double *w, con
             }
         }
     }
-    idx count = compact(n, ref_labels, first);
+    return compact(n, ref_labels, first);
+}
+
+idx refine_partition(idx n, const idx *ptr, const idx *nbr, const double *w, const double *k,
+                     const idx *parent, double gamma, double two_m, double tol,
+                     idx communities, uint32_t seed, idx *ref_labels) {
+    scratch s;
+    idx count = scratch_alloc(&s, n, 4, 5, 2)
+        ? refine_parts(n, ptr, nbr, w, k, parent, gamma, two_m, tol, communities, seed,
+                       ref_labels, &s) : -1;
     scratch_free(&s);
     return count;
 }
@@ -423,6 +445,8 @@ idx build_graph(idx n, idx entries, const idx *heads, const idx *tails, const do
     double *pair_w = s.real;
     uint8_t *placed = s.flag;
     idx pairs = 0;
+    CLEAR(count, n + 1);
+    CLEAR(placed, entries);
     for (idx e = 0; e < entries; e++)
         count[(heads[e] < tails[e] ? heads[e] : tails[e]) + 1]++;
     for (idx v = 1; v < n; v++)
@@ -530,13 +554,50 @@ idx complete_graph(idx n, const double *aff, idx *ptr, idx *indices, double *csr
     return n * (n - 1) / 2;
 }
 
+/* numpy's pairwise sum of x[0..count), the order np.sum adds a contiguous
+ * float64 array in: below 8 entries one by one from 0.0; up to 128 entries
+ * in 8 accumulators, added as a tree, then the rest one by one; above that,
+ * the halves summed apart, split at a multiple of 8. */
+static double pairwise_sum(const double *x, idx count) {
+    if (count < 8) {
+        double sum = 0.0;
+        for (idx i = 0; i < count; i++)
+            sum += x[i];
+        return sum;
+    }
+    if (count <= 128) {
+        double r[8];
+        idx i = 8;
+        for (int j = 0; j < 8; j++)
+            r[j] = x[j];
+        for (; i < count - count % 8; i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += x[i + j];
+        double sum = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < count; i++)
+            sum += x[i];
+        return sum;
+    }
+    idx half = count / 2;
+    half -= half % 8;
+    return pairwise_sum(x, half) + pairwise_sum(x + half, count - half);
+}
+
 /* A graph's derived arrays from its rows and self-loops: each node's
  * weighted degree k, twice its self-loop plus its row summed from 0.0 in
  * row order, and the stream (heads, tails, weights) of its pair edges with
- * head < tail, in row order, which has room for half the row entries. */
-void seal_graph(idx n, const idx *ptr, const idx *nbr, const double *w, double *k,
-                const double *self_loops, idx *heads, idx *tails, double *weights) {
-    for (idx i = 0, out = 0; i < n; i++) {
+ * head < tail, in row order, which has room for half the row entries.
+ * Returns m bit for bit as np.cumsum(stream weights)[-1] (0.0 for an empty
+ * stream) + np.sum(self_loops) gives it: the stream's weights summed from
+ * 0.0 in stream order, plus the self-loops' pairwise sum. A sum from 0.0 is
+ * never -0.0, so starting there rather than at the first weight, and
+ * leaving out the 0.0 that np.sum adds to its pairwise sum, change at most
+ * the sign of a zero term, which the last addition does not show. */
+double seal_graph(idx n, const idx *ptr, const idx *nbr, const double *w, double *k,
+                  const double *self_loops, idx *heads, idx *tails, double *weights) {
+    double pair = 0.0;
+    idx out = 0;
+    for (idx i = 0; i < n; i++) {
         double row = 0.0;
         for (idx e = ptr[i]; e < ptr[i + 1]; e++) {
             row += w[e];
@@ -544,10 +605,12 @@ void seal_graph(idx n, const idx *ptr, const idx *nbr, const double *w, double *
                 heads[out] = i;
                 tails[out] = nbr[e];
                 weights[out++] = w[e];
+                pair += w[e];
             }
         }
         k[i] = 2.0 * self_loops[i] + row;
     }
+    return pair + pairwise_sum(self_loops, n);
 }
 
 /* The slot of pair (lo, hi) in a table of mask + 1 slots: a splitmix64 mix. */
@@ -558,47 +621,67 @@ static uint64_t pair_hash(idx lo, idx hi, uint64_t mask) {
     return (z ^ (z >> 31)) & mask;
 }
 
+/* The distinct pairs `edges` stream entries can give between communities
+ * of C: at most min(edges, C(C-1)/2). */
+static idx most_pairs(idx communities, idx edges) {
+    idx most = communities < (idx)1 << 31 ? communities * (communities - 1) / 2 : edges;
+    return most < edges ? most : edges;
+}
+
+/* The slots of a table for up to `most` pairs: a power of two, at load at
+ * most one half. */
+static idx table_size(idx most) {
+    idx size = 1;
+    while (size < 2 * most)
+        size *= 2;
+    return size;
+}
+
+/* Aggregation's scratch for up to `nodes` communities and `most` pairs:
+ * table, one id per slot and nodes + 1 counts; pair, per pair its summed
+ * weight and 4 ids. Neither is cleared here. */
+typedef struct {
+    scratch table, pair;
+} pair_scratch;
+
+static int pair_scratch_alloc(pair_scratch *s, idx nodes, idx most) {
+    int ok = scratch_alloc(&s->table, table_size(most) + nodes + 1, 0, 1, 0);
+    return scratch_alloc(&s->pair, most, 1, 4, 0) && ok;
+}
+
+static void pair_scratch_free(pair_scratch *s) {
+    scratch_free(&s->table);
+    scratch_free(&s->pair);
+}
+
 /* Collapses community c of labels (0..C-1, none empty) into node c of a
  * graph of C nodes, from the pair-edge stream (heads, tails, weights) of
  * `edges` entries. Node c's self-loop sums its members' old self-loops in
  * node order, then its inside edges in stream order. Each cross pair
  * (lo, hi) takes a slot of an open-addressing table the first time one of
  * its edges is seen and sums its edges from 0.0 in stream order; the table
- * holds min(edges, C(C-1)/2) pairs, a bound known before the one pass over
- * the stream, at load at most one half. The distinct pairs are ordered by
- * a stable counting sort by hi, then by lo, and build_graph lays out the
- * rows, each listing its pairs in that order. indices and csr_w have room
- * for twice `edges` entries. Returns the pair count. */
-idx aggregate_graph(idx n, idx communities, idx edges, const idx *labels,
-                    const double *self_loops, const idx *heads, const idx *tails,
-                    const double *weights, double *loops, idx *ptr, idx *indices,
-                    double *csr_w) {
-    if (edges > PTRDIFF_MAX / 64)   /* no stream this long fits in memory */
-        return -1;
-    idx most = communities < (idx)1 << 31 ? communities * (communities - 1) / 2 : edges;
-    idx pairs = 0, size = 1;
-    most = most < edges ? most : edges;
-    while (size < 2 * most)
-        size *= 2;
-    /* t: per slot, its pair's id + 1 (0 while free), then the sort's counts;
-     * s: per pair, its ends, summed weight and sort order, then its sorted
-     * high end and weight (the sorted low ends go to by_high). */
-    scratch t, s;
-    int ok = scratch_alloc(&t, size + communities + 1, 0, 1, 0);
-    if (!(scratch_alloc(&s, most, 2, 5, 0) && ok)) {
-        scratch_free(&t);
-        scratch_free(&s);
-        return -1;
-    }
-    idx *table = t.id, *count = t.id + size, *lo = s.id, *hi = lo + most, *order = hi + most;
-    idx *by_high = order + most, *sorted_hi = by_high + most;
-    double *pair_w = s.real, *sorted_w = s.real + most;
+ * holds most_pairs(C, edges), a bound known before the one pass over the
+ * stream, and only its slots and the counts are cleared. The distinct
+ * pairs are ordered by a stable counting sort by hi, then by lo, and each
+ * row lists its pairs in that order, as build_graph lays out distinct
+ * pairs. indices and csr_w have room for twice the pairs. Returns the pair
+ * count. */
+static idx aggregate(idx n, idx communities, idx edges, const idx *labels,
+                     const double *self_loops, const idx *heads, const idx *tails,
+                     const double *weights, double *loops, idx *ptr, idx *indices,
+                     double *csr_w, const pair_scratch *s) {
+    idx most = most_pairs(communities, edges), size = table_size(most), pairs = 0;
+    /* table: per slot, its pair's id + 1 (0 while free); count: the sorts'
+     * counts, then each row's next free entry; spare: the first sort's
+     * result. */
+    idx *table = s->table.id, *count = table + size;
+    idx *lo = s->pair.id, *hi = lo + most, *order = hi + most, *spare = order + most;
+    double *pair_w = s->pair.real;
+    CLEAR(table, size);
+    CLEAR(count, communities + 1);
     idx status = check_labels(n, labels, communities, count);
-    if (status) {
-        scratch_free(&t);
-        scratch_free(&s);
+    if (status)
         return status;
-    }
     for (idx c = 0; c < communities; c++)
         loops[c] = 0.0;
     for (idx i = 0; i < n; i++)
@@ -622,17 +705,147 @@ idx aggregate_graph(idx n, idx communities, idx edges, const idx *labels,
     }
     for (idx p = 0; p < pairs; p++)
         order[p] = p;
-    sort_by(hi, communities, order, by_high, pairs, count);
-    sort_by(lo, communities, by_high, order, pairs, count);
-    for (idx x = 0; x < pairs; x++) {
-        by_high[x] = lo[order[x]];
-        sorted_hi[x] = hi[order[x]];
-        sorted_w[x] = pair_w[order[x]];
+    sort_by(hi, communities, order, spare, pairs, count);
+    sort_by(lo, communities, spare, order, pairs, count);
+    CLEAR(ptr, communities + 1);
+    for (idx p = 0; p < pairs; p++) {
+        ptr[lo[p] + 1]++;
+        ptr[hi[p] + 1]++;
     }
-    idx built = build_graph(communities, pairs, by_high, sorted_hi, sorted_w, ptr, indices, csr_w);
-    scratch_free(&t);
-    scratch_free(&s);
-    return built;
+    for (idx c = 0; c < communities; c++) {
+        ptr[c + 1] += ptr[c];
+        count[c] = ptr[c];
+    }
+    for (idx x = 0; x < pairs; x++) {
+        idx p = order[x];
+        indices[count[lo[p]]] = hi[p];
+        csr_w[count[lo[p]]++] = pair_w[p];
+        indices[count[hi[p]]] = lo[p];
+        csr_w[count[hi[p]]++] = pair_w[p];
+    }
+    return pairs;
+}
+
+idx aggregate_graph(idx n, idx communities, idx edges, const idx *labels,
+                    const double *self_loops, const idx *heads, const idx *tails,
+                    const double *weights, double *loops, idx *ptr, idx *indices,
+                    double *csr_w) {
+    if (edges > PTRDIFF_MAX / 64)   /* no stream this long fits in memory */
+        return -1;
+    pair_scratch s;
+    idx pairs = pair_scratch_alloc(&s, communities, most_pairs(communities, edges))
+        ? aggregate(n, communities, edges, labels, self_loops, heads, tails, weights, loops,
+                    ptr, indices, csr_w, &s) : -1;
+    pair_scratch_free(&s);
+    return pairs;
+}
+
+/* A graph as the Leiden kernels read it: its rows with their degrees k, its
+ * self-loops and pair-edge stream, and its total weight m. */
+typedef struct {
+    idx n, edges;
+    const idx *ptr, *nbr;
+    const double *w, *k, *loops;
+    const idx *heads, *tails;
+    const double *weights;
+    double m;
+} level;
+
+/* Aggregates g by parts (0..C-1, none empty), sealed, into the room of b,
+ * which holds (nodes + most + 1) * (3 reals, 4 ids) for C <= nodes and
+ * most_pairs(C, g->edges) <= most; s has room for the same. */
+static level aggregate_level(const level *g, idx communities, const idx *parts,
+                             const scratch *b, const pair_scratch *s) {
+    idx most = most_pairs(communities, g->edges);
+    idx *ptr = b->id, *nbr = ptr + communities + 1, *heads = nbr + 2 * most;
+    idx *tails = heads + most;
+    double *w = b->real, *k = w + 2 * most, *loops = k + communities, *weights = loops + communities;
+    idx pairs = aggregate(g->n, communities, g->edges, parts, g->loops, g->heads, g->tails,
+                          g->weights, loops, ptr, nbr, w, s);
+    double m = seal_graph(communities, ptr, nbr, w, k, loops, heads, tails, weights);
+    level next = {communities, pairs, ptr, nbr, w, k, loops, heads, tails, weights, m};
+    return next;
+}
+
+/* A bit generator's next 32-bit draw: numpy's next_uint32 on its state. */
+typedef uint32_t (*draw32)(void *state);
+
+/* climb's levels; nodes holds the sweeps' scratch (refine_partition's, the
+ * larger) and three ids per node of g, the level-0 graph. The level graphs
+ * and the pair table are allocated into graphs and table (NULL until then)
+ * for the first aggregate, which bounds every later one. */
+static idx climb_levels(level g, double gamma, double tol, idx count, idx *labels,
+                        draw32 next_uint32, void *state, const scratch *nodes,
+                        scratch *graphs, pair_scratch *table) {
+    idx n = g.n, *parts = nodes->id, *node_map = parts + n, *lifted = node_map + n;
+    idx *moved = labels;   /* the level's moved labels */
+    scratch sweep = {nodes->real, lifted + n, nodes->flag};
+    for (idx i = 0; i < n; i++)
+        node_map[i] = i;
+    for (idx depth = 0;; depth++) {
+        if (depth)
+            count = move_nodes(g.n, g.ptr, g.nbr, g.w, g.k, gamma, 2.0 * g.m, tol, count,
+                               moved, next_uint32(state), &sweep);
+        idx refined = refine_parts(g.n, g.ptr, g.nbr, g.w, g.k, moved, gamma, 2.0 * g.m, tol,
+                                   count, next_uint32(state), parts, &sweep);
+        if (refined < 0)
+            return refined;
+        if (refined == g.n)   /* aggregation would be the identity */
+            break;
+        if (!graphs[0].id) {
+            idx most = most_pairs(refined, g.edges);
+            if (!(scratch_alloc(&graphs[0], refined + most + 1, 3, 4, 0)
+                  && scratch_alloc(&graphs[1], refined + most + 1, 3, 4, 0)
+                  && pair_scratch_alloc(table, refined, most)))
+                return -1;
+        }
+        level next = aggregate_level(&g, refined, parts, &graphs[depth % 2], table);
+        if (next.m < 0.0)   /* a near-zero m, summed anew, rounded below 0 */
+            break;
+        if (!isfinite(next.m))
+            return NON_FINITE_WEIGHT;
+        /* Each part inherits the community its members were moved to. Parts
+         * are compact by first appearance, so parts[i] <= i, and lifting in
+         * place overwrites only the entries already read. */
+        for (idx i = 0; i < g.n; i++)
+            lifted[parts[i]] = moved[i];
+        for (idx i = 0; i < n; i++)
+            node_map[i] = parts[node_map[i]];
+        moved = lifted;
+        g = next;
+    }
+    if (moved != labels)
+        for (idx i = 0; i < n; i++)
+            labels[i] = moved[node_map[i]];
+    return count;
+}
+
+/* leiden's pass after level 0's local move, in one call: labels are that
+ * move's labels (0..communities-1, none empty) of the graph g of n nodes.
+ * Each level refines its moved labels; unless that leaves every node alone,
+ * aggregates the parts into the next level's graph, whose nodes start in
+ * the community their members were moved to, and moves its nodes. The
+ * climb stops when refinement leaves every node alone or an aggregate's m
+ * rounds below 0, and returns NON_FINITE_WEIGHT for an aggregate whose m is
+ * not finite. Each level draws its seeds by next_uint32(state), as
+ * rng.integers(2**32) draws them: the move's, then the refinement's; level
+ * 0 draws only the refinement's. Writes the flat labels of g's nodes, the
+ * last level's moved labels, over labels and returns their count. */
+idx climb(idx n, idx edges, const idx *ptr, const idx *nbr, const double *w, const double *k,
+          const double *self_loops, const idx *heads, const idx *tails, const double *weights,
+          double gamma, double m, double tol, idx communities, idx *labels,
+          draw32 next_uint32, void *state) {
+    level g = {n, edges, ptr, nbr, w, k, self_loops, heads, tails, weights, m};
+    scratch nodes, graphs[2] = {{NULL, NULL, NULL}, {NULL, NULL, NULL}};
+    pair_scratch table = {{NULL, NULL, NULL}, {NULL, NULL, NULL}};
+    idx count = scratch_alloc(&nodes, n, 4, 8, 2)
+        ? climb_levels(g, gamma, tol, communities, labels, next_uint32, state, &nodes, graphs,
+                       &table) : -1;
+    scratch_free(&nodes);
+    scratch_free(&graphs[0]);
+    scratch_free(&graphs[1]);
+    pair_scratch_free(&table);
+    return count;
 }
 
 /* The sums of the quality function for labels (0..C-1, none empty), each
@@ -648,6 +861,7 @@ idx community_sums(idx n, idx communities, idx edges, const idx *labels,
         scratch_free(&s);
         return -1;
     }
+    CLEAR(s.id, communities < n ? communities : n);
     idx status = check_labels(n, labels, communities, s.id);
     scratch_free(&s);
     if (status)

@@ -184,7 +184,9 @@ class SpeakerGraph:
 
     def _seal(self) -> None:
         """Derives weighted_degrees, edges, edge_count and m from the rows and
-        self-loops, one kernel call filling arrays pinned read-only for it."""
+        self-loops, one kernel call filling arrays pinned read-only for it; m
+        is the stream's weights summed in stream order plus np.sum of the
+        self-loops, each bit for bit as numpy sums them."""
         from ._kernel import load
 
         self.edge_count = self.indices.size // 2   # each pair sits in two rows
@@ -194,10 +196,8 @@ class SpeakerGraph:
         # The kernels' graph arguments, in their parameter order.
         self.rows = Pinned(self.indptr, self.indices, self.weights, self.weighted_degrees)
         self.stream = Pinned(self.self_loops, *self.edges)
-        load().seal_graph(self.node_count, *self.rows.addresses, *self.stream.addresses)
-        # cumsum adds in stream order, as the per-edge sums elsewhere do.
-        pair = np.cumsum(self.edges[2])[-1] if self.edge_count else 0.0
-        self.total_weight = float(pair + self.self_loops.sum())
+        self.total_weight = load().seal_graph(self.node_count, *self.rows.addresses,
+                                              *self.stream.addresses)
 
     @classmethod
     def _adopt(cls, indptr, indices, weights, self_loops) -> "SpeakerGraph":

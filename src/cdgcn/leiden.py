@@ -16,20 +16,24 @@ gamma the resolution. Degrees, m and m_c are all weighted; self-loops
 (from aggregation) count once in m_c and twice in a node's degree. An
 edgeless graph has Q defined as 0.
 
-Local moving, refinement and aggregation run as one C call per level each,
-the quality sums as one per `quality` call (`_sweeps.c`, built on first use
-by `_kernel.py`), reading a graph's arrays at addresses its `Pinned` holders
-checked once. The kernels check their labels and draw the sweeps' orders
-from numpy's generator, reproduced in C, seeded per level by `leiden`. Each
-sweep and each level's lift compact labels by first appearance, so a
-climb's flat labels go to `quality` and the next climb as they are, and
-`leiden` calls `Partition.from_labels` once, for its answer. Refinement is
-greedy: a node joins the part of largest gain, the zero-temperature limit
-of Traag et al.'s randomized merge. The kernels are bit-exact with the
-per-node loops and numpy code the tests keep as oracles: the same visit
-order, sums from 0.0 in CSR row or edge-stream order, every gain in the same
-operand order, the smallest label among equal best gains (what an ascending
-scan picks), and -ffp-contract=off, so no multiply-add is fused.
+Each cascade is two C calls (`_sweeps.c`, built on first use by
+`_kernel.py`): level 0's local move, then `climb`, which runs level 0's
+refinement and every level after it in one loop whose aggregates never
+leave C; each `quality` is one more. The exported phases run one phase each
+through the same C code. The kernels read a graph's arrays at addresses its
+`Pinned` holders checked once, check their labels, and draw the sweeps'
+orders from numpy's generator, reproduced in C and seeded per level from
+`leiden`'s own generator, which the climb draws from through numpy's
+`next_uint32`. Each sweep and each level's lift compact labels by first
+appearance, so a climb's flat labels go to `quality` and the next climb as
+they are, and `leiden` calls `Partition.from_labels` once, for its answer.
+Refinement is greedy: a node joins the part of largest gain, the
+zero-temperature limit of Traag et al.'s randomized merge. The kernels are
+bit-exact with the per-node loops and numpy code the tests keep as
+oracles, the climb with the level-by-level pass: the same visit order, sums
+from 0.0 in CSR row or edge-stream order, every gain in the same operand
+order, the smallest label among equal best gains (what an ascending scan
+picks), and -ffp-contract=off, so no multiply-add is fused.
 """
 
 from __future__ import annotations
@@ -137,7 +141,10 @@ def _seed(seed) -> int:
 
 def _counted(count: int, kernel: str, graph: SpeakerGraph, c: int) -> int:
     """A kernel's returned count; -1 means it lacked scratch, -2 and -3 that
-    its labels for c communities left 0..c-1 or left a community empty."""
+    its labels for c communities left 0..c-1 or left a community empty, -4
+    that the climb met an aggregate whose total weight is not finite."""
+    if count == -4:
+        raise ValueError("an aggregate graph has non-finite total weight m")
     if count == -2:
         raise ValueError(f"partition labels must lie in 0..{c - 1}")
     if count == -3:
@@ -218,38 +225,34 @@ def aggregate_graph(graph: SpeakerGraph, refined: Partition) -> SpeakerGraph:
                                loops)
 
 
+def climb(graph: SpeakerGraph, moved: Partition, gamma: float, rng) -> Partition:
+    """The rest of a local-move / refine / aggregate cascade after level 0's
+    local move gave `moved`, in one kernel call: refine, aggregate the parts
+    into nodes that start in their members' moved community, move, and so
+    on until aggregation would be the identity or an aggregate's m rounds
+    below 0. Draws each level's seeds from rng as rng.integers(2**32) does,
+    the move's, then the refinement's (level 0 only the refinement's).
+    Returns the flat partition of the original nodes, compact as it comes:
+    every level is, and its nodes keep the order of their first original
+    node."""
+    labels, c = _checked_labels(graph, moved), moved.community_count
+
+    from ._kernel import load
+
+    bits = rng.bit_generator
+    with bits.lock:
+        count = load().climb(graph.node_count, graph.edge_count, *graph.rows.addresses,
+                             *graph.stream.addresses, gamma, graph.total_weight, GAIN_TOLERANCE,
+                             c, labels, bits.ctypes.next_uint32, bits.ctypes.state_address)
+    return Partition(labels, _counted(count, "climb", graph, c))
+
+
 def _hierarchy_pass(graph: SpeakerGraph, partition: Partition, gamma: float,
                     rng) -> Partition:
-    """One local-move / refine / aggregate cascade, starting from the given
-    flat partition and climbing levels until aggregation stops shrinking.
-
-    The partition of each aggregated graph starts from the communities the
-    merged nodes held before refinement, not from singletons. Returns the
-    flat partition of the original nodes, compact as it comes: every level
-    is, and its nodes keep the order of their first original node.
-    """
-    level_graph, level_partition = graph, partition
-    node_map = np.arange(graph.node_count, dtype=np.int64)
-    while True:
-        move_seed = int(rng.integers(2**32))
-        refine_seed = int(rng.integers(2**32))
-        level_partition = local_move(level_graph, level_partition, gamma, move_seed)
-        refined = refine_partition(level_graph, level_partition, gamma, refine_seed)
-        if refined.community_count == level_graph.node_count:
-            # Aggregation would be the identity; this level has converged.
-            break
-        # Each refined community becomes a node that inherits the community
-        # its members held before refinement (all of them held the same one).
-        lifted = np.empty(refined.community_count, np.int64)
-        lifted[refined.labels] = level_partition.labels
-        aggregate = aggregate_graph(level_graph, refined)
-        if aggregate.total_weight < 0.0:   # a near-zero m, summed anew, rounded below 0
-            break
-        level_graph = aggregate
-        node_map = refined.labels[node_map]
-        # Compact as lifted: parts nest in parents, both compacted by first node.
-        level_partition = Partition(lifted, level_partition.community_count)
-    return Partition(level_partition.labels[node_map], level_partition.community_count)
+    """One cascade from the given flat partition: level 0's local move, then
+    the climb over it and every level after it."""
+    moved = local_move(graph, partition, gamma, int(rng.integers(2**32)))
+    return climb(graph, moved, gamma, rng)
 
 
 def leiden(graph: SpeakerGraph, config: LeidenConfig | None = None) -> Partition:

@@ -15,7 +15,13 @@ import pytest
 import cdgcn
 from cdgcn.gcn import PROB_EPSILON, GcnWeights
 from cdgcn.graphs import SpeakerGraph, SubGraph
-from cdgcn.leiden import GAIN_TOLERANCE, Partition
+from cdgcn.leiden import (
+    GAIN_TOLERANCE,
+    Partition,
+    aggregate_graph,
+    local_move,
+    refine_partition,
+)
 from cdgcn.pipeline import _EPS
 from cdgcn.timeline import FRAME_DURATION, RttmRecord
 
@@ -433,6 +439,41 @@ def reference_refine_partition(graph: SpeakerGraph, partition: Partition, gamma:
     return Partition.from_labels(graph, ref_labels)
 
 
+def reference_hierarchy_pass(graph: SpeakerGraph, partition: Partition, gamma: float, rng,
+                             move=local_move, refine=refine_partition,
+                             aggregate=aggregate_graph) -> Partition:
+    """leiden's pass one level at a time through the per-phase entry points
+    (or the given stand-ins): the oracle of the compiled climb, labels,
+    count and draws from rng alike.
+
+    Each level draws its move seed, then its refinement seed, moves, and
+    refines; it stops when aggregation would be the identity or when an
+    aggregate's m rounds below 0. The partition of each aggregated graph
+    starts from the communities the merged nodes held before refinement.
+    """
+    level_graph, level_partition = graph, partition
+    node_map = np.arange(graph.node_count, dtype=np.int64)
+    while True:
+        move_seed = int(rng.integers(2**32))
+        refine_seed = int(rng.integers(2**32))
+        level_partition = move(level_graph, level_partition, gamma, move_seed)
+        refined = refine(level_graph, level_partition, gamma, refine_seed)
+        if refined.community_count == level_graph.node_count:
+            break
+        # Each refined community becomes a node that inherits the community
+        # its members held before refinement (all of them held the same one).
+        lifted = np.empty(refined.community_count, np.int64)
+        lifted[refined.labels] = level_partition.labels
+        coarse = aggregate(level_graph, refined)
+        if coarse.total_weight < 0.0:   # a near-zero m, summed anew, rounded below 0
+            break
+        level_graph = coarse
+        node_map = refined.labels[node_map]
+        # Compact as lifted: parts nest in parents, both compacted by first node.
+        level_partition = Partition(lifted, level_partition.community_count)
+    return Partition(level_partition.labels[node_map], level_partition.community_count)
+
+
 def reference_graph_rows(n: int, heads, tails, weights):
     """(indptr, indices, weights) of SpeakerGraph(n, heads, tails, weights)
     by numpy sorts: the bit-for-bit oracle of the compiled build_graph.
@@ -468,11 +509,12 @@ def reference_graph_arrays(graph: SpeakerGraph):
     entry sits in the row of its low end; cumsum adds in stream order."""
     n = graph.node_count
     rows = np.repeat(np.arange(n), np.diff(graph.indptr))
-    degrees = 2.0 * graph.self_loops + np.bincount(rows, weights=graph.weights, minlength=n)
     upper = rows < graph.indices
     edges = (rows[upper], graph.indices[upper], graph.weights[upper])
-    pair = np.cumsum(edges[2])[-1] if edges[0].size else 0.0
-    return degrees, edges, float(pair + graph.self_loops.sum())
+    with np.errstate(over="ignore", invalid="ignore"):   # finite weights may sum past the range
+        degrees = 2.0 * graph.self_loops + np.bincount(rows, weights=graph.weights, minlength=n)
+        pair = np.cumsum(edges[2])[-1] if edges[0].size else 0.0
+        return degrees, edges, float(pair + graph.self_loops.sum())
 
 
 def reference_complete_graph(aff: np.ndarray):

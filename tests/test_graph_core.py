@@ -278,6 +278,8 @@ def test_non_finite_self_loop_rejected(loop):
 # One pair given nine zeros, the last one -0.0: np.maximum.reduceat alone
 # keeps 0.0 here where its vectorized loop runs.
 @example((2, [0, 1, 0] * 3, [1, 0, 1] * 3, [-0.0, 0.0, 0.0] + [-0.0] * 6))
+# Two finite pair weights whose sum, m, overflows: no warning, m = inf.
+@example((11, [0, 0], [1, 2], [8.98846567431158e+307, 8.988465674311579e+307]))
 @example((0, [], [], []))
 @example((1, [], [], []))
 @given(entry_streams())
@@ -352,3 +354,35 @@ def test_complete_layout_matches_numpy_bit_for_bit(n, seed, kind):
     assert same_bits(graph.indptr, indptr)
     assert same_bits(graph.indices, indices)
     assert same_bits(graph.weights, weights)
+
+
+LOOP_COUNTS = [0, 1, 7, 8, 9, 127, 128, 129, 255, 256, 257]
+LOOP_KINDS = ["reals", "signed zeros", "negative zeros", "near the float range"]
+
+
+@given(count=st.sampled_from(LOOP_COUNTS) | st.integers(0, 3000), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(LOOP_KINDS))
+def test_total_weight_sums_as_numpy(count, seed, kind):
+    """The seal_graph kernel's m equals cumsum of the stream plus numpy's
+    pairwise np.sum of the self-loops, bit for bit, on either side of each
+    block edge of that sum (8 and 128 entries, halved at a multiple of 8
+    above): over reals of sixteen decades, whose sum depends on its order,
+    signed zeros, all -0.0 (pair weights too), or a few entries of +-1e308
+    among the reals."""
+    rng = np.random.default_rng(seed)
+    loops = rng.normal(size=count) * 10.0 ** rng.uniform(-8, 8, count)
+    if kind == "signed zeros":
+        loops = rng.choice([0.0, -0.0], count)
+    elif kind == "negative zeros":   # pair weights too, so m is -0.0 + the loops' sum
+        loops = np.full(count, -0.0)
+    elif kind == "near the float range":
+        loops = np.where(rng.random(count) < 0.02, rng.choice([1e308, -1e308], count), loops)
+    heads = rng.integers(0, max(count, 1), 2 * count)
+    tails = (heads + rng.integers(1, max(count, 2), heads.size)) % max(count, 1)
+    keep = heads != tails
+    weights = rng.normal(size=keep.sum()) if kind != "negative zeros" else -np.zeros(keep.sum())
+    built = SpeakerGraph(count, heads[keep], tails[keep], weights, self_loops=loops)
+    adopted = SpeakerGraph._adopt(built.indptr, built.indices, built.weights, loops)
+    m = reference_graph_arrays(adopted)[2]
+    for graph in (built, adopted):
+        assert np.float64(graph.total_weight).tobytes() == np.float64(m).tobytes()

@@ -1,3 +1,4 @@
+import functools
 import importlib
 
 import numpy as np
@@ -25,6 +26,7 @@ from helpers import (
     matrix_from_graph,
     quality_of_blocks,
     random_weight_matrix,
+    reference_hierarchy_pass,
     singletons,
 )
 
@@ -238,11 +240,32 @@ class TestLeiden:
             aggregated_m.append(aggregate.total_weight)
             return aggregate
 
-        monkeypatch.setattr(leiden_module, "aggregate_graph", recording_aggregate)
+        reference_pass = functools.partial(reference_hierarchy_pass,
+                                           aggregate=recording_aggregate)
         for seed in range(4):
-            p = leiden(g, LeidenConfig(gamma=1.0, seed=seed))
+            config = LeidenConfig(gamma=1.0, seed=seed)
+            p = leiden(g, config)
             assert quality(g, p, 1.0) == 1.0
+            with monkeypatch.context() as patched:
+                patched.setattr(leiden_module, "_hierarchy_pass", reference_pass)
+                expected = leiden(g, config)
+            assert p.labels.tolist() == expected.labels.tolist()
+            assert p.community_count == expected.community_count
+        # The reference pass met the aggregate of m < 0 and stopped there.
         assert min(aggregated_m) < 0.0
+
+    def test_aggregate_of_non_finite_m_is_one_line_error(self, monkeypatch):
+        # m = 8e307 summed in stream order; the aggregate of the three pairs
+        # holds self-loops of 8e307 each, whose sum overflows to inf.
+        w = 8e307
+        g = graph_from_edges(6, [(0, 1, w), (1, 2, -w), (2, 3, w), (3, 4, -w), (4, 5, w)])
+        assert g.total_weight == w
+        config = LeidenConfig(gamma=1.0, seed=0)
+        with pytest.raises(ValueError, match="^an aggregate graph has non-finite total weight m$"):
+            leiden(g, config)
+        monkeypatch.setattr(leiden_module, "_hierarchy_pass", reference_hierarchy_pass)
+        with pytest.raises(ValueError, match="^graph has non-finite total weight m = inf$"):
+            leiden(g, config)
 
     def test_negative_degrees_allowed(self):
         # m = 2.5 > 0 while node 3 has weighted degree -0.5.

@@ -3,10 +3,13 @@ dict loops of tests/helpers.py, on signed, real, wide-range, tie-heavy,
 aggregated and degenerate graphs from singleton, mid-way, converged and
 nearly-singleton start partitions; of the compiled aggregation and
 community sums against the numpy oracles there, on the same graphs and on
-graphs of negative total weight or signed zero weights; and the checks
-that keep malformed partitions away from the compiled code."""
+graphs of negative total weight or signed zero weights; of the compiled
+climb against the pass that climbs one level at a time through the
+per-phase entry points; and the checks that keep malformed partitions away
+from the compiled code."""
 
 import ctypes
+import functools
 import importlib
 
 import numpy as np
@@ -20,6 +23,7 @@ from cdgcn.leiden import (
     Partition,
     _community_sums,
     aggregate_graph,
+    climb,
     leiden,
     local_move,
     quality,
@@ -30,6 +34,7 @@ from helpers import (
     graph_from_edges,
     reference_aggregate_graph,
     reference_community_sums,
+    reference_hierarchy_pass,
     reference_local_move,
     reference_refine_partition,
     singletons,
@@ -243,23 +248,70 @@ def test_hierarchy_pass_labels_are_already_compact(seed, kind, start, gamma):
     assert flat.community_count == flat.labels.max() + 1
 
 
+def climb_graph(rng, kind: str, zeros: bool) -> SpeakerGraph:
+    """A sweep graph, with signed zeros among its weights if asked; negated
+    if the zeros left its m negative."""
+    graph = sweep_graph(rng, kind)
+    if zeros:
+        graph = with_signed_zeros(rng, graph)
+    return negated(graph) if graph.total_weight < 0.0 else graph
+
+
 def test_hierarchy_pass_corpus_meets_negative_degrees():
-    """The graph kinds above include graphs with negative node degrees, on
-    which the climb's flat labels are compact too."""
-    negative = 0
-    for seed in range(12):
+    """A fixed sweep over every graph kind and start, with and without
+    signed zeros: it meets graphs with negative node degrees and passes
+    that aggregate two and more times, and on every pass the climb's flat
+    labels are compact and equal the level-by-level pass's, which leaves
+    the generator in the same state."""
+    aggregations, negative = [], 0
+
+    def counted_aggregate(graph, refined):
+        aggregations[-1] += 1
+        return aggregate_graph(graph, refined)
+
+    oracle = functools.partial(reference_hierarchy_pass, aggregate=counted_aggregate)
+    for seed in range(8):
         for kind in KINDS:
-            rng = np.random.default_rng([seed, KINDS.index(kind)])
-            graph = sweep_graph(rng, kind)
-            negative += bool((graph.weighted_degrees < 0.0).any())
-            flat = leiden_module._hierarchy_pass(graph, singletons(graph), 1.0, rng)
-            assert same_partition(flat, Partition.from_labels(graph, flat.labels))
+            for start in STARTS:
+                for zeros in (False, True):
+                    rng = np.random.default_rng([seed, KINDS.index(kind), STARTS.index(start),
+                                                 zeros])
+                    graph = climb_graph(rng, kind, zeros)
+                    negative += bool((graph.weighted_degrees < 0.0).any())
+                    gamma = (0.3, 1.0, 2.5)[seed % 3]
+                    partition = start_partition(rng, graph, start, gamma)
+                    got_rng, expected_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                    flat = leiden_module._hierarchy_pass(graph, partition, gamma, got_rng)
+                    assert same_partition(flat, Partition.from_labels(graph, flat.labels))
+                    aggregations.append(0)
+                    assert same_partition(flat, oracle(graph, partition, gamma, expected_rng))
+                    assert got_rng.bit_generator.state == expected_rng.bit_generator.state
     assert negative > 0
+    assert max(aggregations) >= 2
+
+
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(KINDS), start=st.sampled_from(STARTS),
+       gamma=st.sampled_from([0.3, 1.0, 2.5]), zeros=st.booleans())
+def test_hierarchy_pass_matches_reference(seed, kind, start, gamma, zeros):
+    """leiden's pass (level 0's local move, then the compiled climb) gives
+    the labels and count of the pass that climbs one level at a time, and
+    leaves the generator in the same state: the climb draws each seed from
+    it as rng.integers(2**32) does."""
+    rng = np.random.default_rng(seed)
+    graph = climb_graph(rng, kind, zeros)
+    partition = start_partition(rng, graph, start, gamma)
+    got_rng, expected_rng = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+    got = leiden_module._hierarchy_pass(graph, partition, gamma, got_rng)
+    assert same_partition(got, reference_hierarchy_pass(graph, partition, gamma, expected_rng))
+    assert got_rng.bit_generator.state == expected_rng.bit_generator.state
 
 
 def leiden_with_reference_sweeps(monkeypatch, graph, config) -> Partition:
-    monkeypatch.setattr(leiden_module, "local_move", reference_local_move)
-    monkeypatch.setattr(leiden_module, "refine_partition", reference_refine_partition)
+    """leiden with each pass climbed one level at a time by the per-node
+    sweeps and the numpy aggregation of tests/helpers.py."""
+    monkeypatch.setattr(leiden_module, "_hierarchy_pass", functools.partial(
+        reference_hierarchy_pass, move=reference_local_move, refine=reference_refine_partition,
+        aggregate=reference_aggregate_graph))
     try:
         return leiden(graph, config)
     finally:
@@ -364,16 +416,22 @@ MALFORMED = {"label past the last community": "partition labels must lie in 0..2
              "empty community": "partition has an empty community"}
 
 
-@pytest.mark.parametrize("phase", [local_move, refine_partition, aggregate_graph])
+def phase_args(phase) -> tuple:
+    """What a phase takes after the graph and the partition."""
+    if phase is aggregate_graph:
+        return ()
+    return (1.0, np.random.default_rng(0)) if phase is climb else (1.0,)
+
+
+@pytest.mark.parametrize("phase", [local_move, refine_partition, aggregate_graph, climb])
 @pytest.mark.parametrize("name", ["label past the last community", "negative label",
                                   "float labels", "too few labels", "empty community"])
 def test_malformed_partition_is_one_line_error(phase, name):
     """Shape and dtype are checked in Python, the label range and empty
     communities by the kernels, each with the same one line."""
     graph = SpeakerGraph(4, [0, 1, 2, 0], [1, 2, 3, 3], [1.0, 0.5, 1.0, 0.25])
-    gamma = () if phase is aggregate_graph else (1.0,)
     with pytest.raises(ValueError) as caught:
-        phase(graph, malformed_partition(name), *gamma)
+        phase(graph, malformed_partition(name), *phase_args(phase))
     assert str(caught.value) == MALFORMED[name]
 
 
@@ -384,10 +442,9 @@ def test_kernels_check_labels_at_any_total_weight(weights, name):
     """Every Leiden kernel refuses labels it cannot take, also on a graph of
     total weight 0, where the sweeps move nothing and quality is 0."""
     graph = SpeakerGraph(4, [0, 1, 2, 0], [1, 2, 3, 3], weights)
-    for phase, args in ((local_move, (1.0,)), (refine_partition, (1.0,)), (aggregate_graph, ()),
-                        (quality, (1.0,))):
+    for phase in (local_move, refine_partition, aggregate_graph, climb, quality):
         with pytest.raises(ValueError) as caught:
-            phase(graph, malformed_partition(name), *args)
+            phase(graph, malformed_partition(name), *phase_args(phase))
         assert str(caught.value) == MALFORMED[name]
     more_communities_than_nodes = Partition(np.arange(4), 5)
     with pytest.raises(ValueError, match="^partition has an empty community$"):
@@ -423,9 +480,13 @@ def test_kernels_return_minus_one_when_scratch_cannot_be_had():
     assert load().aggregate_graph(1, 1, huge, ids, at_reals, at_ids, at_ids, at_reals, reals,
                                   ids, ids, reals) == -1
     assert load().build_graph(huge, 0, ids, ids, reals, ids, ids, reals) == -1
+    bits = np.random.default_rng(0).bit_generator
+    assert load().climb(huge, 0, at_ids, at_ids, at_reals, at_reals, at_reals, at_ids, at_ids,
+                        at_reals, 1.0, 1.0, 0.0, 1, ids, bits.ctypes.next_uint32,
+                        bits.ctypes.state_address) == -1
 
 
-@pytest.mark.parametrize("phase", [local_move, refine_partition, aggregate_graph])
+@pytest.mark.parametrize("phase", [local_move, refine_partition, aggregate_graph, climb])
 def test_failed_allocation_is_one_line_memory_error(monkeypatch, phase):
     from cdgcn import _kernel
 
@@ -435,9 +496,8 @@ def test_failed_allocation_is_one_line_memory_error(monkeypatch, phase):
 
     graph = SpeakerGraph(4, [0, 1, 2, 0], [1, 2, 3, 3], [1.0, 0.5, 1.0, 0.25])
     monkeypatch.setattr(_kernel, "load", OutOfMemory)
-    gamma = () if phase is aggregate_graph else (1.0,)
     with pytest.raises(MemoryError, match=f"^{phase.__name__}: cannot allocate") as caught:
-        phase(graph, singletons(graph), *gamma)
+        phase(graph, singletons(graph), *phase_args(phase))
     assert "\n" not in str(caught.value)
 
 
