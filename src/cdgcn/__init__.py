@@ -5,14 +5,7 @@ local linkages, Leiden community detection assigns primary speakers, and
 belonging coefficients add second speakers on overlapped frames.
 """
 
-from .gcn import (
-    GcnWeights,
-    gcn_forward,
-    load_weights,
-    loss_and_gradients,
-    save_weights,
-    train,
-)
+from .gcn import GcnWeights, gcn_forward, load_weights, save_weights, train
 from .graphs import (
     EmbeddingSet,
     SpeakerGraph,
@@ -24,15 +17,7 @@ from .graphs import (
     read_embeddings,
     write_embeddings,
 )
-from .leiden import (
-    LeidenConfig,
-    Partition,
-    aggregate_graph,
-    leiden,
-    local_move,
-    quality,
-    refine_partition,
-)
+from .leiden import LeidenConfig, Partition, leiden
 from .osd import (
     OverlapMask,
     apply_overlap,

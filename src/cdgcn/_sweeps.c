@@ -24,8 +24,8 @@
  * compacting its labels by first appearance, returning the community count.
  * The other kernels are bit-exact with the numpy code the tests keep as
  * their oracles. Built with -ffp-contract=off and no fast-math, so nothing
- * is contracted or reassociated. The graph is symmetric CSR (ptr, nbr, w)
- * without diagonal, k its weighted degrees; ids are below n. */
+ * is contracted or reassociated. Every kernel that reads a graph takes it as
+ * one `graph *`, whose layout cdgcn/_kernel.py mirrors as `Graph`. */
 #include <stddef.h>
 #include <stdint.h>
 #include <math.h>
@@ -33,6 +33,20 @@
 #include <string.h>
 
 typedef int64_t idx;
+
+/* A graph of n nodes: symmetric CSR rows (ptr, nbr, w) without diagonal,
+ * ids below n; its weighted degrees k and self-loops; the stream (heads,
+ * tails, weights) of its `edges` pair edges with head < tail, in row order;
+ * and its total weight m. seal_graph derives k, the stream and m from the
+ * rows and self-loops. The sweeps read 2m as 2.0 * m. */
+typedef struct {
+    idx n, edges;
+    idx *ptr, *nbr;
+    double *w, *k, *loops;
+    idx *heads, *tails;
+    double *weights;
+    double m;
+} graph;
 
 /* What a Leiden kernel returns for labels it cannot take (-1: no scratch),
  * and climb for an aggregate whose total weight is not finite. */
@@ -204,10 +218,12 @@ static idx compact(idx n, idx *labels, idx *first) {
 
 /* Sums v's row weights into w_to by neighbour label, skipping neighbours
  * outside community comm if parent is given; lists the labels in touched. */
-static idx gather(const idx *ptr, const idx *nbr, const double *w, const idx *labels,
-                  const idx *parent, idx comm, idx v, double *w_to, uint8_t *seen, idx *touched) {
+static idx gather(const graph *g, const idx *labels, const idx *parent, idx comm, idx v,
+                  double *w_to, uint8_t *seen, idx *touched) {
+    const idx *nbr = g->nbr;
+    const double *w = g->w;
     idx found = 0;
-    for (idx e = ptr[v]; e < ptr[v + 1]; e++) {
+    for (idx e = g->ptr[v]; e < g->ptr[v + 1]; e++) {
         idx c = labels[nbr[e]];
         if (parent && parent[nbr[e]] != comm)
             continue;
@@ -227,11 +243,13 @@ static idx gather(const idx *ptr, const idx *nbr, const double *w, const idx *la
  * np.random.default_rng(seed).permutation(n) gives and serves as a ring
  * buffer, with a flag barring duplicates. A moved node's neighbours outside
  * its new community are queued in row order. labels are updated in place,
- * then compacted. A graph of total weight 0 (two_m = 0) moves no node.
- * Scratch: 2 reals, 4 ids and 2 flags per node. */
-static idx move_nodes(idx n, const idx *ptr, const idx *nbr, const double *w, const double *k,
-                      double gamma, double two_m, double tol, idx fresh, idx *labels,
+ * then compacted. A graph of total weight 0 moves no node. Scratch: 2
+ * reals, 4 ids and 2 flags per node. */
+static idx move_nodes(const graph *g, double gamma, double tol, idx fresh, idx *labels,
                       uint32_t seed, const scratch *s) {
+    idx n = g->n;
+    const idx *ptr = g->ptr, *nbr = g->nbr;
+    const double *k = g->k, two_m = 2.0 * g->m;
     double *running = s->real, *w_to = s->real + n;   /* K_c as nodes move */
     idx *comm_size = s->id, *touched = s->id + n, *first = s->id + 2 * n;
     idx *queue = s->id + 3 * n;
@@ -247,17 +265,17 @@ static idx move_nodes(idx n, const idx *ptr, const idx *nbr, const double *w, co
         in_queue[i] = 1;
         queue[i] = i;
     }
-    generator g;
-    seed_generator(&g, seed);
+    generator draws;
+    seed_generator(&draws, seed);
     idx waiting = two_m == 0.0 ? 0 : n;
-    shuffle(&g, queue, waiting);
+    shuffle(&draws, queue, waiting);
 
     idx head = 0, lowest = fresh;   /* no empty community below lowest */
     while (waiting-- > 0) {
         idx i = queue[head], a = labels[i], best = -2;   /* -2: none, -1: fresh */
         head = (head + 1) % n;
         in_queue[i] = 0;
-        idx found = gather(ptr, nbr, w, labels, NULL, 0, i, w_to, seen, touched);
+        idx found = gather(g, labels, NULL, 0, i, w_to, seen, touched);
         double k_i = k[i], g_k = gamma * k_i, best_gain = 0.0;
         /* Gain of staying relative to sitting alone in an empty community. */
         double stay = w_to[a] - g_k * (running[a] - k_i) / two_m;
@@ -301,11 +319,10 @@ static idx move_nodes(idx n, const idx *ptr, const idx *nbr, const double *w, co
     return compact(n, labels, first);
 }
 
-idx local_move(idx n, const idx *ptr, const idx *nbr, const double *w, const double *k,
-               double gamma, double two_m, double tol, idx fresh, idx *labels, uint32_t seed) {
+idx local_move(const graph *g, double gamma, double tol, idx fresh, idx *labels, uint32_t seed) {
     scratch s;
-    idx count = scratch_alloc(&s, n, 2, 4, 2)
-        ? move_nodes(n, ptr, nbr, w, k, gamma, two_m, tol, fresh, labels, seed, &s) : -1;
+    idx count = scratch_alloc(&s, g->n, 2, 4, 2)
+        ? move_nodes(g, gamma, tol, fresh, labels, seed, &s) : -1;
     scratch_free(&s);
     return count;
 }
@@ -325,11 +342,12 @@ static uint8_t well_connected(double cross, double degree, double k_total, doubl
  * connected, joins the well-connected part of c with largest gain above
  * tol. Per-part state is indexed by the part's founding node. The parts are
  * written to ref_labels (n entries), compacted. On a graph of total weight
- * 0 (two_m = 0) every node stays alone. Scratch: 4 reals, 5 ids and 2 flags
- * per node. */
-static idx refine_parts(idx n, const idx *ptr, const idx *nbr, const double *w, const double *k,
-                        const idx *parent, double gamma, double two_m, double tol,
+ * 0 every node stays alone. Scratch: 4 reals, 5 ids and 2 flags per node. */
+static idx refine_parts(const graph *g, const idx *parent, double gamma, double tol,
                         idx communities, uint32_t seed, idx *ref_labels, const scratch *s) {
+    idx n = g->n;
+    const idx *ptr = g->ptr, *nbr = g->nbr;
+    const double *w = g->w, *k = g->k, two_m = 2.0 * g->m;
     double *ref_degree = s->real, *cross = s->real + n, *w_to = s->real + 2 * n;
     double *parent_degree = s->real + 3 * n;
     idx *ref_size = s->id, *cands = s->id + n, *first = s->id + 2 * n, *order = s->id + 3 * n;
@@ -352,13 +370,13 @@ static idx refine_parts(idx n, const idx *ptr, const idx *nbr, const double *w, 
     for (idx i = 0; i < n; i++)   /* end[c] moves from c's first slot to its last + 1 */
         order[end[parent[i]]++] = i;
 
-    generator g;
-    seed_generator(&g, seed);
+    generator draws;
+    seed_generator(&draws, seed);
     for (idx comm = 0, start = 0; comm < communities && two_m != 0.0; start = end[comm++]) {
         double k_total = parent_degree[comm];
         if (end[comm] - start < 2)
             continue;
-        shuffle(&g, order + start, end[comm] - start);
+        shuffle(&draws, order + start, end[comm] - start);
         for (idx t = start; t < end[comm]; t++) {
             idx v = order[t];
             for (idx e = ptr[v]; e < ptr[v + 1]; e++)
@@ -370,7 +388,7 @@ static idx refine_parts(idx n, const idx *ptr, const idx *nbr, const double *w, 
             idx v = order[t], target = -1;
             if (ref_size[v] != 1 || !connected[v])
                 continue;
-            idx found = gather(ptr, nbr, w, ref_labels, parent, comm, v, w_to, seen, cands);
+            idx found = gather(g, ref_labels, parent, comm, v, w_to, seen, cands);
             double best_gain = tol, w_target = 0.0;
             for (idx f = 0; f < found; f++) {
                 idx c = cands[f];
@@ -398,13 +416,11 @@ static idx refine_parts(idx n, const idx *ptr, const idx *nbr, const double *w, 
     return compact(n, ref_labels, first);
 }
 
-idx refine_partition(idx n, const idx *ptr, const idx *nbr, const double *w, const double *k,
-                     const idx *parent, double gamma, double two_m, double tol,
+idx refine_partition(const graph *g, const idx *parent, double gamma, double tol,
                      idx communities, uint32_t seed, idx *ref_labels) {
     scratch s;
-    idx count = scratch_alloc(&s, n, 4, 5, 2)
-        ? refine_parts(n, ptr, nbr, w, k, parent, gamma, two_m, tol, communities, seed,
-                       ref_labels, &s) : -1;
+    idx count = scratch_alloc(&s, g->n, 4, 5, 2)
+        ? refine_parts(g, parent, gamma, tol, communities, seed, ref_labels, &s) : -1;
     scratch_free(&s);
     return count;
 }
@@ -583,34 +599,36 @@ static double pairwise_sum(const double *x, idx count) {
     return pairwise_sum(x, half) + pairwise_sum(x + half, count - half);
 }
 
-/* A graph's derived arrays from its rows and self-loops: each node's
+/* Fills g's derived fields from its rows and self-loops: each node's
  * weighted degree k, twice its self-loop plus its row summed from 0.0 in
- * row order, and the stream (heads, tails, weights) of its pair edges with
- * head < tail, in row order, which has room for half the row entries.
- * Returns m bit for bit as np.cumsum(stream weights)[-1] (0.0 for an empty
- * stream) + np.sum(self_loops) gives it: the stream's weights summed from
- * 0.0 in stream order, plus the self-loops' pairwise sum. A sum from 0.0 is
- * never -0.0, so starting there rather than at the first weight, and
- * leaving out the 0.0 that np.sum adds to its pairwise sum, change at most
- * the sign of a zero term, which the last addition does not show. */
-double seal_graph(idx n, const idx *ptr, const idx *nbr, const double *w, double *k,
-                  const double *self_loops, idx *heads, idx *tails, double *weights) {
+ * row order; the stream and its length `edges`, which has room for half the
+ * row entries; and m, bit for bit as np.cumsum(stream weights)[-1] (0.0 for
+ * an empty stream) + np.sum(self-loops) gives it: the stream's weights
+ * summed from 0.0 in stream order, plus the self-loops' pairwise sum. A sum
+ * from 0.0 is never -0.0, so starting there rather than at the first
+ * weight, and leaving out the 0.0 that np.sum adds to its pairwise sum,
+ * change at most the sign of a zero term, which the last addition does not
+ * show. */
+void seal_graph(graph *g) {
+    const idx *ptr = g->ptr, *nbr = g->nbr;
+    const double *w = g->w;
     double pair = 0.0;
     idx out = 0;
-    for (idx i = 0; i < n; i++) {
+    for (idx i = 0; i < g->n; i++) {
         double row = 0.0;
         for (idx e = ptr[i]; e < ptr[i + 1]; e++) {
             row += w[e];
             if (nbr[e] > i) {
-                heads[out] = i;
-                tails[out] = nbr[e];
-                weights[out++] = w[e];
+                g->heads[out] = i;
+                g->tails[out] = nbr[e];
+                g->weights[out++] = w[e];
                 pair += w[e];
             }
         }
-        k[i] = 2.0 * self_loops[i] + row;
+        g->k[i] = 2.0 * g->loops[i] + row;
     }
-    return pair + pairwise_sum(self_loops, n);
+    g->edges = out;
+    g->m = pair + pairwise_sum(g->loops, g->n);
 }
 
 /* The slot of pair (lo, hi) in a table of mask + 1 slots: a splitmix64 mix. */
@@ -655,22 +673,23 @@ static void pair_scratch_free(pair_scratch *s) {
 }
 
 /* Collapses community c of labels (0..C-1, none empty) into node c of a
- * graph of C nodes, from the pair-edge stream (heads, tails, weights) of
- * `edges` entries. Node c's self-loop sums its members' old self-loops in
- * node order, then its inside edges in stream order. Each cross pair
- * (lo, hi) takes a slot of an open-addressing table the first time one of
- * its edges is seen and sums its edges from 0.0 in stream order; the table
- * holds most_pairs(C, edges), a bound known before the one pass over the
- * stream, and only its slots and the counts are cleared. The distinct
- * pairs are ordered by a stable counting sort by hi, then by lo, and each
- * row lists its pairs in that order, as build_graph lays out distinct
- * pairs. indices and csr_w have room for twice the pairs. Returns the pair
- * count. */
-static idx aggregate(idx n, idx communities, idx edges, const idx *labels,
-                     const double *self_loops, const idx *heads, const idx *tails,
-                     const double *weights, double *loops, idx *ptr, idx *indices,
-                     double *csr_w, const pair_scratch *s) {
-    idx most = most_pairs(communities, edges), size = table_size(most), pairs = 0;
+ * graph of C nodes, from g's self-loops and pair-edge stream, into the
+ * self-loops loops and the rows (ptr, indices, csr_w). Node c's self-loop
+ * sums its members' old self-loops in node order, then its inside edges in
+ * stream order. Each cross pair (lo, hi) takes a slot of an open-addressing
+ * table the first time one of its edges is seen and sums its edges from 0.0
+ * in stream order; the table holds most_pairs(C, edges), a bound known
+ * before the one pass over the stream, and only its slots and the counts
+ * are cleared. The distinct pairs are ordered by a stable counting sort by
+ * hi, then by lo, and each row lists its pairs in that order, as
+ * build_graph lays out distinct pairs. indices and csr_w have room for
+ * twice the pairs. Returns the pair count. */
+static idx aggregate(const graph *g, idx communities, const idx *labels, double *loops,
+                     idx *ptr, idx *indices, double *csr_w, const pair_scratch *s) {
+    const idx *heads = g->heads, *tails = g->tails;
+    const double *weights = g->weights;
+    idx edges = g->edges, most = most_pairs(communities, edges), size = table_size(most);
+    idx pairs = 0;
     /* table: per slot, its pair's id + 1 (0 while free); count: the sorts'
      * counts, then each row's next free entry; spare: the first sort's
      * result. */
@@ -679,13 +698,13 @@ static idx aggregate(idx n, idx communities, idx edges, const idx *labels,
     double *pair_w = s->pair.real;
     CLEAR(table, size);
     CLEAR(count, communities + 1);
-    idx status = check_labels(n, labels, communities, count);
+    idx status = check_labels(g->n, labels, communities, count);
     if (status)
         return status;
     for (idx c = 0; c < communities; c++)
         loops[c] = 0.0;
-    for (idx i = 0; i < n; i++)
-        loops[labels[i]] += self_loops[i];
+    for (idx i = 0; i < g->n; i++)
+        loops[labels[i]] += g->loops[i];
     for (idx e = 0; e < edges; e++) {
         idx a = labels[heads[e]], b = labels[tails[e]], l = a < b ? a : b, h = a < b ? b : a;
         if (a == b) {
@@ -726,44 +745,29 @@ static idx aggregate(idx n, idx communities, idx edges, const idx *labels,
     return pairs;
 }
 
-idx aggregate_graph(idx n, idx communities, idx edges, const idx *labels,
-                    const double *self_loops, const idx *heads, const idx *tails,
-                    const double *weights, double *loops, idx *ptr, idx *indices,
-                    double *csr_w) {
-    if (edges > PTRDIFF_MAX / 64)   /* no stream this long fits in memory */
+idx aggregate_graph(const graph *g, idx communities, const idx *labels, double *loops,
+                    idx *ptr, idx *indices, double *csr_w) {
+    if (g->edges > PTRDIFF_MAX / 64)   /* no stream this long fits in memory */
         return -1;
     pair_scratch s;
-    idx pairs = pair_scratch_alloc(&s, communities, most_pairs(communities, edges))
-        ? aggregate(n, communities, edges, labels, self_loops, heads, tails, weights, loops,
-                    ptr, indices, csr_w, &s) : -1;
+    idx pairs = pair_scratch_alloc(&s, communities, most_pairs(communities, g->edges))
+        ? aggregate(g, communities, labels, loops, ptr, indices, csr_w, &s) : -1;
     pair_scratch_free(&s);
     return pairs;
 }
 
-/* A graph as the Leiden kernels read it: its rows with their degrees k, its
- * self-loops and pair-edge stream, and its total weight m. */
-typedef struct {
-    idx n, edges;
-    const idx *ptr, *nbr;
-    const double *w, *k, *loops;
-    const idx *heads, *tails;
-    const double *weights;
-    double m;
-} level;
-
 /* Aggregates g by parts (0..C-1, none empty), sealed, into the room of b,
  * which holds (nodes + most + 1) * (3 reals, 4 ids) for C <= nodes and
  * most_pairs(C, g->edges) <= most; s has room for the same. */
-static level aggregate_level(const level *g, idx communities, const idx *parts,
+static graph aggregate_level(const graph *g, idx communities, const idx *parts,
                              const scratch *b, const pair_scratch *s) {
     idx most = most_pairs(communities, g->edges);
     idx *ptr = b->id, *nbr = ptr + communities + 1, *heads = nbr + 2 * most;
-    idx *tails = heads + most;
-    double *w = b->real, *k = w + 2 * most, *loops = k + communities, *weights = loops + communities;
-    idx pairs = aggregate(g->n, communities, g->edges, parts, g->loops, g->heads, g->tails,
-                          g->weights, loops, ptr, nbr, w, s);
-    double m = seal_graph(communities, ptr, nbr, w, k, loops, heads, tails, weights);
-    level next = {communities, pairs, ptr, nbr, w, k, loops, heads, tails, weights, m};
+    double *w = b->real, *k = w + 2 * most, *loops = k + communities;
+    graph next = {communities, 0, ptr, nbr, w, k, loops, heads, heads + most,   /* tails, */
+                  loops + communities, 0.0};   /* weights: the last of each block */
+    aggregate(g, communities, parts, loops, ptr, nbr, w, s);
+    seal_graph(&next);
     return next;
 }
 
@@ -774,7 +778,7 @@ typedef uint32_t (*draw32)(void *state);
  * larger) and three ids per node of g, the level-0 graph. The level graphs
  * and the pair table are allocated into graphs and table (NULL until then)
  * for the first aggregate, which bounds every later one. */
-static idx climb_levels(level g, double gamma, double tol, idx count, idx *labels,
+static idx climb_levels(graph g, double gamma, double tol, idx count, idx *labels,
                         draw32 next_uint32, void *state, const scratch *nodes,
                         scratch *graphs, pair_scratch *table) {
     idx n = g.n, *parts = nodes->id, *node_map = parts + n, *lifted = node_map + n;
@@ -784,10 +788,9 @@ static idx climb_levels(level g, double gamma, double tol, idx count, idx *label
         node_map[i] = i;
     for (idx depth = 0;; depth++) {
         if (depth)
-            count = move_nodes(g.n, g.ptr, g.nbr, g.w, g.k, gamma, 2.0 * g.m, tol, count,
-                               moved, next_uint32(state), &sweep);
-        idx refined = refine_parts(g.n, g.ptr, g.nbr, g.w, g.k, moved, gamma, 2.0 * g.m, tol,
-                                   count, next_uint32(state), parts, &sweep);
+            count = move_nodes(&g, gamma, tol, count, moved, next_uint32(state), &sweep);
+        idx refined = refine_parts(&g, moved, gamma, tol, count, next_uint32(state), parts,
+                                   &sweep);
         if (refined < 0)
             return refined;
         if (refined == g.n)   /* aggregation would be the identity */
@@ -799,7 +802,7 @@ static idx climb_levels(level g, double gamma, double tol, idx count, idx *label
                   && pair_scratch_alloc(table, refined, most)))
                 return -1;
         }
-        level next = aggregate_level(&g, refined, parts, &graphs[depth % 2], table);
+        graph next = aggregate_level(&g, refined, parts, &graphs[depth % 2], table);
         if (next.m < 0.0)   /* a near-zero m, summed anew, rounded below 0 */
             break;
         if (!isfinite(next.m))
@@ -821,7 +824,7 @@ static idx climb_levels(level g, double gamma, double tol, idx count, idx *label
 }
 
 /* leiden's pass after level 0's local move, in one call: labels are that
- * move's labels (0..communities-1, none empty) of the graph g of n nodes.
+ * move's labels (0..communities-1, none empty) of the graph g.
  * Each level refines its moved labels; unless that leaves every node alone,
  * aggregates the parts into the next level's graph, whose nodes start in
  * the community their members were moved to, and moves its nodes. The
@@ -831,15 +834,12 @@ static idx climb_levels(level g, double gamma, double tol, idx count, idx *label
  * rng.integers(2**32) draws them: the move's, then the refinement's; level
  * 0 draws only the refinement's. Writes the flat labels of g's nodes, the
  * last level's moved labels, over labels and returns their count. */
-idx climb(idx n, idx edges, const idx *ptr, const idx *nbr, const double *w, const double *k,
-          const double *self_loops, const idx *heads, const idx *tails, const double *weights,
-          double gamma, double m, double tol, idx communities, idx *labels,
+idx climb(const graph *g, double gamma, double tol, idx communities, idx *labels,
           draw32 next_uint32, void *state) {
-    level g = {n, edges, ptr, nbr, w, k, self_loops, heads, tails, weights, m};
     scratch nodes, graphs[2] = {{NULL, NULL, NULL}, {NULL, NULL, NULL}};
     pair_scratch table = {{NULL, NULL, NULL}, {NULL, NULL, NULL}};
-    idx count = scratch_alloc(&nodes, n, 4, 8, 2)
-        ? climb_levels(g, gamma, tol, communities, labels, next_uint32, state, &nodes, graphs,
+    idx count = scratch_alloc(&nodes, g->n, 4, 8, 2)
+        ? climb_levels(*g, gamma, tol, communities, labels, next_uint32, state, &nodes, graphs,
                        &table) : -1;
     scratch_free(&nodes);
     scratch_free(&graphs[0]);
@@ -848,14 +848,13 @@ idx climb(idx n, idx edges, const idx *ptr, const idx *nbr, const double *w, con
     return count;
 }
 
-/* The sums of the quality function for labels (0..C-1, none empty), each
- * from 0.0 in input order as np.bincount sums them, into the rows of sums
- * (3 x C): per community, the weights of its inside stream edges in stream
- * order, then its members' self-loops and their weighted degrees k in node
- * order. Returns C. */
-idx community_sums(idx n, idx communities, idx edges, const idx *labels,
-                   const double *self_loops, const double *k, const idx *heads,
-                   const idx *tails, const double *weights, double *sums) {
+/* The sums of the quality function for labels of g's nodes (0..C-1, none
+ * empty), each from 0.0 in input order as np.bincount sums them, into the
+ * rows of sums (3 x C): per community, the weights of its inside stream
+ * edges in stream order, then its members' self-loops and their weighted
+ * degrees k in node order. Returns C. */
+idx community_sums(const graph *g, idx communities, const idx *labels, double *sums) {
+    idx n = g->n;
     scratch s;
     if (!scratch_alloc(&s, communities < n ? communities : n, 0, 1, 0)) {
         scratch_free(&s);
@@ -869,12 +868,12 @@ idx community_sums(idx n, idx communities, idx edges, const idx *labels,
     double *inside = sums, *loop = sums + communities, *degree = loop + communities;
     for (idx c = 0; c < 3 * communities; c++)
         sums[c] = 0.0;
-    for (idx e = 0; e < edges; e++)
-        if (labels[heads[e]] == labels[tails[e]])
-            inside[labels[heads[e]]] += weights[e];
+    for (idx e = 0; e < g->edges; e++)
+        if (labels[g->heads[e]] == labels[g->tails[e]])
+            inside[labels[g->heads[e]]] += g->weights[e];
     for (idx i = 0; i < n; i++) {
-        loop[labels[i]] += self_loops[i];
-        degree[labels[i]] += k[i];
+        loop[labels[i]] += g->loops[i];
+        degree[labels[i]] += g->k[i];
     }
     return communities;
 }

@@ -119,22 +119,6 @@ def cosine_affinity(emb: EmbeddingSet) -> np.ndarray:
     return scores
 
 
-class Pinned:
-    """Arrays the kernels take by address, checked once to be int64 or float64
-    in C order, made read-only and kept alive; copies re-pin their own."""
-
-    def __init__(self, *arrays: np.ndarray):
-        for array in arrays:
-            if array.dtype not in (np.int64, np.float64) or not array.flags.c_contiguous:
-                raise ValueError(f"a kernel array must be int64 or float64 in C order, "
-                                 f"got {array.dtype} with strides {array.strides}")
-            array.flags.writeable = False
-        self.arrays, self.addresses = arrays, tuple(array.ctypes.data for array in arrays)
-
-    def __reduce__(self):
-        return Pinned, self.arrays
-
-
 class SpeakerGraph:
     """Immutable weighted undirected graph over segment nodes, in CSR form.
 
@@ -144,8 +128,9 @@ class SpeakerGraph:
     aggregated graphs and live in the self_loops vector; a self-loop counts
     twice in a node's weighted degree. Derived once from the rows and
     self-loops: weighted_degrees, total_weight (m) and edges, the (heads,
-    tails, weights) stream of pair edges with head < tail in row order.
-    The kernels take them by address, pinned as rows and stream by _seal.
+    tails, weights) stream of pair edges with head < tail in row order,
+    edge_count long. All are held by handle, the `_kernel.Graph` that the
+    kernels take, which _seal makes.
     """
 
     def __init__(self, node_count: int, heads=(), tails=(), weights=(), self_loops=None):
@@ -183,21 +168,18 @@ class SpeakerGraph:
         self._seal()
 
     def _seal(self) -> None:
-        """Derives weighted_degrees, edges, edge_count and m from the rows and
-        self-loops, one kernel call filling arrays pinned read-only for it; m
-        is the stream's weights summed in stream order plus np.sum of the
-        self-loops, each bit for bit as numpy sums them."""
-        from ._kernel import load
+        """Makes the handle, which derives the degrees, stream and m from the
+        rows and self-loops in one kernel call; m is the stream's weights
+        summed in stream order plus np.sum of the self-loops, each bit for
+        bit as numpy sums them."""
+        from ._kernel import Graph
 
-        self.edge_count = self.indices.size // 2   # each pair sits in two rows
-        self.weighted_degrees = np.empty(self.node_count)
-        self.edges = (np.empty(self.edge_count, np.int64), np.empty(self.edge_count, np.int64),
-                      np.empty(self.edge_count))
-        # The kernels' graph arguments, in their parameter order.
-        self.rows = Pinned(self.indptr, self.indices, self.weights, self.weighted_degrees)
-        self.stream = Pinned(self.self_loops, *self.edges)
-        self.total_weight = load().seal_graph(self.node_count, *self.rows.addresses,
-                                              *self.stream.addresses)
+        self.handle = Graph(self.indptr, self.indices, self.weights, self.self_loops)
+
+    weighted_degrees = property(lambda self: self.handle.arrays[3])
+    edges = property(lambda self: self.handle.arrays[5:])
+    edge_count = property(lambda self: self.handle.edges)
+    total_weight = property(lambda self: self.handle.m)
 
     @classmethod
     def _adopt(cls, indptr, indices, weights, self_loops) -> "SpeakerGraph":

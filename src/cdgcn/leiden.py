@@ -20,8 +20,9 @@ Each cascade is two C calls (`_sweeps.c`, built on first use by
 `_kernel.py`): level 0's local move, then `climb`, which runs level 0's
 refinement and every level after it in one loop whose aggregates never
 leave C; each `quality` is one more. The exported phases run one phase each
-through the same C code. The kernels read a graph's arrays at addresses its
-`Pinned` holders checked once, check their labels, and draw the sweeps'
+through the same C code. Every call passes the graph as its one handle, the
+`_kernel.Graph` whose arrays were checked when it was made; the kernels
+check their labels, derive 2m from m themselves, and draw the sweeps'
 orders from numpy's generator, reproduced in C and seeded per level from
 `leiden`'s own generator, which the climb draws from through numpy's
 `next_uint32`. Each sweep and each level's lift compact labels by first
@@ -91,10 +92,7 @@ def _community_sums(graph: SpeakerGraph, labels: np.ndarray, c: int):
     from ._kernel import load
 
     sums = np.empty((3, c))
-    loops, *edges = graph.stream.addresses
-    _counted(load().community_sums(graph.node_count, c, graph.edge_count, labels, loops,
-                                   graph.rows.addresses[3], *edges, sums),
-             "community_sums", graph, c)
+    _counted(load().community_sums(graph.handle, c, labels, sums), "community_sums", graph, c)
     return sums[0] + sums[1], sums[2]
 
 
@@ -170,8 +168,7 @@ def local_move(graph: SpeakerGraph, partition: Partition, gamma: float, seed: in
 
     from ._kernel import load
 
-    count = load().local_move(graph.node_count, *graph.rows.addresses, gamma,
-                              2.0 * graph.total_weight, GAIN_TOLERANCE, c, labels, _seed(seed))
+    count = load().local_move(graph.handle, gamma, GAIN_TOLERANCE, c, labels, _seed(seed))
     return Partition(labels, _counted(count, "local_move", graph, c))
 
 
@@ -193,8 +190,7 @@ def refine_partition(graph: SpeakerGraph, partition: Partition, gamma: float,
     from ._kernel import load
 
     ref_labels = np.empty(graph.node_count, np.int64)
-    count = load().refine_partition(graph.node_count, *graph.rows.addresses, parent, gamma,
-                                    2.0 * graph.total_weight, GAIN_TOLERANCE, c, _seed(seed),
+    count = load().refine_partition(graph.handle, parent, gamma, GAIN_TOLERANCE, c, _seed(seed),
                                     ref_labels)
     return Partition(ref_labels, _counted(count, "refine_partition", graph, c))
 
@@ -216,10 +212,8 @@ def aggregate_graph(graph: SpeakerGraph, refined: Partition) -> SpeakerGraph:
 
     loops, indptr = np.empty(c), np.empty(c + 1, np.int64)
     indices, weights = np.empty(2 * edges, np.int64), np.empty(2 * edges)
-    pairs = _counted(load().aggregate_graph(graph.node_count, c, edges, labels,
-                                            *graph.stream.addresses, loops, indptr, indices,
-                                            weights),
-                     "aggregate_graph", graph, c)
+    pairs = _counted(load().aggregate_graph(graph.handle, c, labels, loops, indptr, indices,
+                                            weights), "aggregate_graph", graph, c)
     # Copies trimmed to the pairs, so the aggregate pins no parent-sized buffer.
     return SpeakerGraph._adopt(indptr, indices[:2 * pairs].copy(), weights[:2 * pairs].copy(),
                                loops)
@@ -241,9 +235,8 @@ def climb(graph: SpeakerGraph, moved: Partition, gamma: float, rng) -> Partition
 
     bits = rng.bit_generator
     with bits.lock:
-        count = load().climb(graph.node_count, graph.edge_count, *graph.rows.addresses,
-                             *graph.stream.addresses, gamma, graph.total_weight, GAIN_TOLERANCE,
-                             c, labels, bits.ctypes.next_uint32, bits.ctypes.state_address)
+        count = load().climb(graph.handle, gamma, GAIN_TOLERANCE, c, labels,
+                             bits.ctypes.next_uint32, bits.ctypes.state_address)
     return Partition(labels, _counted(count, "climb", graph, c))
 
 

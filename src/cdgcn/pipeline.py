@@ -175,6 +175,9 @@ def run_pipeline(emb: EmbeddingSet, mode: str, weights: GcnWeights | None = None
         raise ValueError(f"mode {mode} requires GCN weights")
     if mode == "cdgcn" and mask is None:
         raise ValueError("mode cdgcn requires an overlap mask")
+    leiden_config = LeidenConfig(gamma=cfg.gamma, seed=cfg.seed)   # checked before the graph work
+    if mode != "raw_leiden" and cfg.knn_k < 1:
+        raise ValueError("k must be >= 1")
 
     aff = cosine_affinity(emb)
     if mode == "raw_leiden":
@@ -184,7 +187,7 @@ def run_pipeline(emb: EmbeddingSet, mode: str, weights: GcnWeights | None = None
     else:
         graph = refine_graph(emb, aff, weights, cfg.knn_k)
 
-    partition = leiden(graph, LeidenConfig(gamma=cfg.gamma, seed=cfg.seed))
+    partition = leiden(graph, leiden_config)
     primary, frame_segment = _frame_attribution(emb.segments, partition.labels, vad_regions)
     if mode == "cdgcn":
         belonging = belonging_coefficients(graph, partition)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import cdgcn
+from cdgcn import cli
 from cdgcn.cli import build_parser, main
 from cdgcn.gcn import GcnWeights, load_weights, save_weights, train
 from cdgcn.graphs import EMBEDDING_MAGIC, EmbeddingSet, read_embeddings, write_embeddings
@@ -189,6 +190,28 @@ class TestClusterCommand:
                      "--mode", "raw_leiden", "--out", str(session_dir / "x.rttm")])
         assert code == 1
         assert "cdgcn:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, patched", [("cluster", "run_pipeline"),
+                                               ("score", "der")])
+def test_memory_error_is_one_line_error(session_dir, monkeypatch, capsys, command, patched):
+    """An allocation that fails ends the command with one line, as an
+    allocation numpy refuses reports it. A real far-off record does not test
+    this: a host that overcommits memory may grant the allocation."""
+    message = ("Unable to allocate 931. GiB for an array with shape (124999999999,) "
+               "and data type float64")
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, patched, out_of_memory)
+    ref, out = str(session_dir / "ref.rttm"), session_dir / "x.rttm"
+    args = {"cluster": ["--embeddings", str(session_dir / "e2e.emb"), "--mode", "raw_leiden",
+                        "--out", str(out)],
+            "score": ["--ref", ref, "--hyp", ref]}[command]
+    assert main([command, *args]) == 1
+    assert capsys.readouterr().err == f"cdgcn: {message}\n"
+    assert not out.exists()
 
 
 class TestTrainCommand:

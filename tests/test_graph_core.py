@@ -21,7 +21,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from cdgcn.graphs import Pinned, SpeakerGraph, cosine_affinity, knn_graph, merge_subgraphs
+from cdgcn._kernel import Graph
+from cdgcn.graphs import SpeakerGraph, cosine_affinity, knn_graph, merge_subgraphs
 from cdgcn.leiden import LeidenConfig, Partition, _community_sums, aggregate_graph, leiden, quality
 from cdgcn.osd import belonging_coefficients
 from helpers import (
@@ -241,7 +242,7 @@ def test_graph_arrays_are_read_only():
 def test_pinned_refuses_what_the_kernels_cannot_read(array):
     with pytest.raises(ValueError, match="^a kernel array must be int64 or float64 in C order, "
                                          "got ") as caught:
-        Pinned(np.zeros(2, np.int64), array)
+        Graph(np.zeros(2, np.int64), array, np.zeros(3), np.zeros(1))
     assert "\n" not in str(caught.value)
 
 
@@ -249,18 +250,19 @@ def test_pinned_refuses_what_the_kernels_cannot_read(array):
                                    lambda graph: pickle.loads(pickle.dumps(graph))],
                          ids=["copy", "deepcopy", "pickle"])
 def test_copies_pin_their_own_arrays(clone, four_speaker_session):
-    """The kernels read a graph's arrays at its pinned addresses, so a copy
-    must pin the arrays it holds, and they must outlive the original."""
+    """The kernels read a graph's arrays at the addresses its handle holds,
+    so a copy's handle must hold the arrays the copy holds, and they must
+    outlive the original."""
     graph = knn_graph(cosine_affinity(four_speaker_session.embeddings), 20)
     expected = leiden(graph, LeidenConfig(seed=3)).labels
     twin = clone(graph)
     del graph
     gc.collect()
-    for pinned, arrays in ((twin.rows, (twin.indptr, twin.indices, twin.weights,
-                                        twin.weighted_degrees)),
-                           (twin.stream, (twin.self_loops, *twin.edges))):
-        assert pinned.addresses == tuple(a.ctypes.data for a in arrays)
-        assert not any(a.flags.writeable for a in arrays)
+    fields = ("ptr", "nbr", "w", "k", "loops", "heads", "tails", "weights")
+    arrays = (twin.indptr, twin.indices, twin.weights, twin.weighted_degrees, twin.self_loops,
+              *twin.edges)
+    assert [getattr(twin.handle, f) for f in fields] == [a.ctypes.data for a in arrays]
+    assert not any(a.flags.writeable for a in arrays)
     assert leiden(twin, LeidenConfig(seed=3)).labels.tolist() == expected.tolist()
 
 

@@ -1,4 +1,8 @@
-"""Building, caching and loading the compiled kernels."""
+"""Building, caching and loading the compiled kernels, and their ctypes
+declarations against the C source."""
+
+import ctypes
+import re
 
 import numpy as np
 import pytest
@@ -56,3 +60,29 @@ def test_unwritable_cache_is_one_line_error(empty_cache):
     with pytest.raises(OSError, match="cache/cdgcn") as caught:
         leiden(clique_pair_graph(4), LeidenConfig(seed=0))
     assert "\n" not in str(caught.value)
+
+
+def test_argtypes_match_every_kernel_signature():
+    """ctypes cannot read C prototypes, so a declaration that no longer
+    matches its kernel would misread arguments without a word. Every
+    non-static function of _sweeps.c is declared, with one argtype per
+    parameter."""
+    source = _kernel.SOURCE.read_text()
+    kernels = re.findall(r"^(?!static\b)\w[\w ]*?[\s*](\w+)\(([^)]*)\)\s*\{", source, re.M)
+    assert {"local_move", "refine_partition", "aggregate_graph", "climb", "community_sums",
+            "seal_graph", "build_graph", "complete_graph", "permutation"} == {
+        name for name, _ in kernels}
+    lib = _kernel.load()
+    for name, parameters in kernels:
+        argtypes = getattr(lib, name).argtypes
+        assert argtypes is not None, name
+        assert len(argtypes) == parameters.count(",") + 1, name
+
+
+def test_graph_mirrors_the_c_struct():
+    """_kernel.Graph lists the C graph's fields in order, pointers as
+    pointers."""
+    source = _kernel.SOURCE.read_text()
+    body = re.search(r"typedef struct \{([^}]*)\} graph;", source).group(1)
+    fields = [(name, star == "*") for star, name in re.findall(r"(\*?)(\w+)\s*[,;]", body)]
+    assert fields == [(name, kind is ctypes.c_void_p) for name, kind in _kernel.Graph._fields_]

@@ -4,11 +4,13 @@ from helpers import reference_frame_attribution, reference_records, reference_re
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cdgcn import pipeline
 from cdgcn.gcn import GcnWeights
 from cdgcn.graphs import EmbeddingSet
 from cdgcn.osd import OverlapMask
 from cdgcn.pipeline import (
     _EPS,
+    MODES,
     SHIFT,
     WINDOW,
     PipelineConfig,
@@ -245,6 +247,35 @@ class TestRunPipeline:
         session = self.two_cluster_embeddings()
         with pytest.raises(ValueError, match="mode"):
             run_pipeline(session.embeddings, "kmeans")
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("setting, message", [
+        ({"gamma": float("nan")}, "gamma must be finite and positive, got nan"),
+        ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+        ({"knn_k": 0}, "k must be >= 1")], ids=["gamma", "seed", "knn_k"])
+    def test_settings_are_refused_before_the_graph_work(self, monkeypatch, mode, setting,
+                                                        message):
+        """A setting that Leiden or the KNN build would refuse is refused
+        before cosine_affinity runs; raw_leiden never reads knn_k."""
+        class GraphWork(Exception):
+            pass
+
+        def cosine_affinity(emb):
+            raise GraphWork
+
+        monkeypatch.setattr(pipeline, "cosine_affinity", cosine_affinity)
+        session = self.two_cluster_embeddings()
+        mask = OverlapMask(np.zeros(10, bool))
+        config = PipelineConfig(**{"knn_k": 8, **setting})
+        run = lambda: run_pipeline(session.embeddings, mode, weights=GcnWeights.glorot(8),
+                                   mask=mask, config=config)
+        if mode == "raw_leiden" and "knn_k" in setting:
+            with pytest.raises(GraphWork):
+                run()
+        else:
+            with pytest.raises(ValueError) as caught:
+                run()
+            assert str(caught.value) == message
 
     def test_single_segment(self):
         emb = EmbeddingSet(np.ones((1, 4)), np.array([(0.25, 1.5)]))

@@ -452,37 +452,34 @@ def test_kernels_check_labels_at_any_total_weight(weights, name):
 
 
 def test_kernel_arguments_reject_wrong_dtype_and_strides():
-    """A graph's arrays go in as addresses pinned by graphs.Pinned, so an
-    array there is refused; arrays made per call keep ndpointer's checks."""
+    """A graph goes in as its one _kernel.Graph handle, so an array there is
+    refused; arrays made per call keep ndpointer's checks."""
     from cdgcn._kernel import load
 
     graph = SpeakerGraph(4, [0, 1, 2, 0], [1, 2, 3, 3], [1.0, 0.5, 1.0, 0.25])
     # The first bad argument stops the call before any later one is read.
     for indptr in (graph.indptr.astype(float), np.repeat(graph.indptr, 2)[::2]):
-        with pytest.raises(ctypes.ArgumentError, match="argument 2"):
-            load().local_move(4, indptr, *[None] * 15)
+        with pytest.raises(ctypes.ArgumentError, match="argument 1"):
+            load().local_move(indptr, *[None] * 5)
     for labels in (np.zeros(4), np.zeros(4, np.int32), np.zeros(8, np.int64)[::2]):
-        with pytest.raises(ctypes.ArgumentError, match="argument 10"):
-            load().local_move(4, *graph.rows.addresses, 1.0, 2.0, 0.0, 4, labels, 0)
+        with pytest.raises(ctypes.ArgumentError, match="argument 5"):
+            load().local_move(graph.handle, 1.0, 0.0, 4, labels, 0)
 
 
 def test_kernels_return_minus_one_when_scratch_cannot_be_had():
     """Scratch for 2**62 nodes (or edges) overflows; each kernel gives up
     before it reads an argument array."""
-    from cdgcn._kernel import load
+    from cdgcn._kernel import Graph, load
 
     ids, reals, huge = np.zeros(1, np.int64), np.zeros(1), 2**62
-    at_ids, at_reals = ids.ctypes.data, reals.ctypes.data   # the graph positions
-    assert load().local_move(huge, at_ids, at_ids, at_reals, at_reals, 1.0, 2.0, 0.0, 1, ids,
-                             0) == -1
-    assert load().refine_partition(huge, at_ids, at_ids, at_reals, at_reals, ids, 1.0, 2.0, 0.0,
-                                   1, 0, ids) == -1
-    assert load().aggregate_graph(1, 1, huge, ids, at_reals, at_ids, at_ids, at_reals, reals,
-                                  ids, ids, reals) == -1
+    nodes, edges = Graph.__new__(Graph), Graph.__new__(Graph)   # every array NULL
+    nodes.n, edges.n, edges.edges = huge, 1, huge
+    assert load().local_move(nodes, 1.0, 0.0, 1, ids, 0) == -1
+    assert load().refine_partition(nodes, ids, 1.0, 0.0, 1, 0, ids) == -1
+    assert load().aggregate_graph(edges, 1, ids, reals, ids, ids, reals) == -1
     assert load().build_graph(huge, 0, ids, ids, reals, ids, ids, reals) == -1
     bits = np.random.default_rng(0).bit_generator
-    assert load().climb(huge, 0, at_ids, at_ids, at_reals, at_reals, at_reals, at_ids, at_ids,
-                        at_reals, 1.0, 1.0, 0.0, 1, ids, bits.ctypes.next_uint32,
+    assert load().climb(nodes, 1.0, 0.0, 1, ids, bits.ctypes.next_uint32,
                         bits.ctypes.state_address) == -1
 
 
