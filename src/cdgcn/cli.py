@@ -15,7 +15,7 @@ from .osd import read_overlap_mask
 from .pipeline import MODES, PipelineConfig, read_vad_regions, run_pipeline
 from .scoring import der, rttm_speaker_counts, speaker_count_mse
 from .synthetic import labelled_subgraphs, rotate_batches
-from .timeline import read_rttm, write_rttm
+from .timeline import check_rttm_field, read_rttm, write_rttm
 
 
 def _read_speakers(path, expected: int) -> np.ndarray:
@@ -41,12 +41,16 @@ def _read_speakers(path, expected: int) -> np.ndarray:
 
 
 def cmd_cluster(args) -> int:
+    file_id = Path(args.embeddings).stem if args.file_id is None else args.file_id
+    try:
+        check_rttm_field("file id", file_id)
+    except ValueError as exc:
+        raise ValueError(f"{exc}; name the file with --file-id") from None
     emb = read_embeddings(args.embeddings)
     weights = load_weights(Path(args.weights).read_bytes()) if args.weights else None
     mask = read_overlap_mask(args.mask) if args.mask else None
     vad = read_vad_regions(args.vad) if args.vad else None
     config = PipelineConfig(knn_k=args.knn_k, gamma=args.gamma, seed=args.seed)
-    file_id = args.file_id or Path(args.embeddings).stem
     _, records = run_pipeline(emb, args.mode, weights=weights, mask=mask,
                               config=config, vad_regions=vad, file_id=file_id)
     Path(args.out).write_text(write_rttm(records))

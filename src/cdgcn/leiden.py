@@ -60,6 +60,8 @@ class LeidenConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.gamma, numbers.Real):
+            raise ValueError(f"gamma must be a real number, got {self.gamma!r}")
         if not 0 < self.gamma < np.inf:
             raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
         seeded_rng(self.seed)   # refuses a seed leiden could not draw from

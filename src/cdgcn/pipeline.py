@@ -8,6 +8,7 @@ second-speaker labels gated by an overlap mask.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from .graphs import (BLOCK, EmbeddingSet, build_subgraph, cosine_affinity, knn_g
                      merge_subgraphs)
 from .leiden import LeidenConfig, leiden
 from .osd import OverlapMask, apply_overlap, belonging_coefficients, second_community
-from .timeline import FRAME_DURATION, DiarizationTimeline
+from .timeline import FRAME_DURATION, DiarizationTimeline, check_rttm_field
 
 MODES = ("raw_leiden", "knn_leiden", "cdgcn_no_osd", "cdgcn")
 
@@ -176,8 +177,11 @@ def run_pipeline(emb: EmbeddingSet, mode: str, weights: GcnWeights | None = None
     if mode == "cdgcn" and mask is None:
         raise ValueError("mode cdgcn requires an overlap mask")
     leiden_config = LeidenConfig(gamma=cfg.gamma, seed=cfg.seed)   # checked before the graph work
+    if mode != "raw_leiden" and not isinstance(cfg.knn_k, numbers.Integral):
+        raise ValueError(f"knn_k must be an integer, got {cfg.knn_k!r}")
     if mode != "raw_leiden" and cfg.knn_k < 1:
         raise ValueError("k must be >= 1")
+    check_rttm_field("file id", file_id)
 
     aff = cosine_affinity(emb)
     if mode == "raw_leiden":

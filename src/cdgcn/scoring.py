@@ -47,9 +47,11 @@ def _speaker_masks(records, total_frames: int) -> dict[str, np.ndarray]:
     return masks
 
 
-def _score_file(ref, hyp, collar: float):
+def _score_file(file_id: str, ref, hyp, collar: float):
     """Frame counts (miss, fa, confusion, scored reference) for one file."""
     last = max((r.end for r in ref + hyp), default=0.0)
+    if not last / RESOLUTION < np.iinfo(np.intp).max:
+        raise ValueError(f"file {file_id}: a turn ends at {last:g} s, past the last frame to score")
     total_frames = _frame_index(last)
     if total_frames == 0:
         return 0, 0, 0, 0
@@ -68,7 +70,7 @@ def _score_file(ref, hyp, collar: float):
 
     n_correct = np.zeros(total_frames, dtype=np.int64)
     if ref_masks and hyp_masks:
-        # Imported here so that `import cdgcn` does not load scipy.
+        # Imported here so that clustering through cdgcn.cli does not load scipy.
         from scipy.optimize import linear_sum_assignment
         overlap = np.array([[int((rm & hm).sum()) for hm in hyp_masks] for rm in ref_masks])
         rows, cols = linear_sum_assignment(overlap, maximize=True)
@@ -90,25 +92,15 @@ def der(ref, hyp, collar: float = 0.0) -> DerBreakdown:
     """
     if not 0.0 <= collar < math.inf:
         raise ValueError(f"collar must be finite and non-negative, got {collar}")
-    ref_by_file = defaultdict(list)
-    hyp_by_file = defaultdict(list)
-    for r in ref:
-        ref_by_file[r.file_id].append(r)
-    for r in hyp:
-        hyp_by_file[r.file_id].append(r)
-    miss = fa = confusion = total = 0
-    for file_id in sorted(set(ref_by_file) | set(hyp_by_file)):
-        m, f, c, t = _score_file(ref_by_file[file_id], hyp_by_file[file_id], collar)
-        miss += m
-        fa += f
-        confusion += c
-        total += t
-    return DerBreakdown(
-        missed_seconds=miss * RESOLUTION,
-        false_alarm_seconds=fa * RESOLUTION,
-        speaker_error_seconds=confusion * RESOLUTION,
-        total_reference_seconds=total * RESOLUTION,
-    )
+    by_file = defaultdict(lambda: ([], []))   # file id -> (reference, hypothesis) records
+    for side, records in enumerate((ref, hyp)):
+        for r in records:
+            by_file[r.file_id][side].append(r)
+    counts = [0, 0, 0, 0]   # frames missed, falsely alarmed, confused, scored
+    for file_id in sorted(by_file):
+        score = _score_file(file_id, *by_file[file_id], collar)
+        counts = [total + count for total, count in zip(counts, score)]
+    return DerBreakdown(*(count * RESOLUTION for count in counts))
 
 
 def rttm_speaker_counts(records) -> dict[str, int]:

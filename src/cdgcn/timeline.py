@@ -10,6 +10,12 @@ import numpy as np
 FRAME_DURATION = 0.01
 
 
+def check_rttm_field(name: str, value) -> None:
+    """Refuse a value that RTTM text would not read back as one field."""
+    if not isinstance(value, str) or value.split() != [value]:
+        raise ValueError(f"{name} must be a non-empty string without whitespace, got {value!r}")
+
+
 @dataclass
 class RttmRecord:
     """One speaker turn: file id, onset and duration in seconds, speaker label."""
@@ -20,6 +26,8 @@ class RttmRecord:
     speaker: str
 
     def __post_init__(self):
+        check_rttm_field("file id", self.file_id)
+        check_rttm_field("speaker", self.speaker)
         if not 0 <= self.onset < np.inf:
             raise ValueError(f"onset {self.onset} must be finite and non-negative")
         if not 0 < self.duration < np.inf:

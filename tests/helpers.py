@@ -173,14 +173,17 @@ def random_fixture_graphs(fixture_seed: int, count: int):
     return [random_weight_matrix(rng, planted=(t % 2 == 0)) for t in range(count)]
 
 
-def modules_after(code: str) -> set:
-    """Names in sys.modules after running `code` in a fresh interpreter
-    that imports cdgcn from the same source tree as the tests."""
+def printed_by(code: str) -> str:
+    """What `code` prints when run in a fresh interpreter that imports cdgcn
+    from the same source tree as the tests."""
     env = dict(os.environ, PYTHONPATH=str(Path(cdgcn.__file__).resolve().parents[1]))
-    probe = code + "\nimport sys\nprint(' '.join(sys.modules))"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
-    return set(out.split())
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120).stdout
+
+
+def modules_after(code: str) -> set:
+    """Names in sys.modules after running `code` in a fresh interpreter."""
+    return set(printed_by(code + "\nimport sys\nprint(' '.join(sys.modules))").split())
 
 
 def one_line_error_in_small_memory(call, *args, error=ValueError) -> str:

@@ -117,6 +117,47 @@ class TestClusterCommand:
         assert capsys.readouterr().err == "cdgcn: segment 2 has a non-finite time\n"
         assert not (tmp_path / "x.rttm").exists()
 
+    @pytest.mark.parametrize("flags, file_id", [([], "my session"), (["--file-id", ""], ""),
+                                                (["--file-id", "a b"], "a b")])
+    def test_file_id_rttm_cannot_read_back_is_one_line_error(self, session_dir, capsys, flags,
+                                                              file_id):
+        """A file id that is empty or holds whitespace, given or taken from
+        the embeddings' name, is refused before anything is read."""
+        path = session_dir / "my session.emb"
+        path.write_bytes(b"not read")
+        out = session_dir / "x.rttm"
+        code = main(["cluster", "--embeddings", str(path), "--mode", "raw_leiden", *flags,
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == ("cdgcn: file id must be a non-empty string without "
+                                           f"whitespace, got {file_id!r}; name the file with "
+                                           "--file-id\n")
+        assert not out.exists()
+
+    def test_file_id_flag_names_a_spaced_embeddings_file(self, session_dir, capsys):
+        """Clustering "my session.emb" as my_session writes RTTM that score
+        reads back, and scores as the same session under its own name."""
+        spaced = session_dir / "my session.emb"
+        spaced.write_bytes((session_dir / "e2e.emb").read_bytes())
+        args = ["cluster", "--mode", "knn_leiden", "--knn-k", "40",
+                "--vad", str(session_dir / "e2e.vad")]
+        assert main(args + ["--embeddings", str(spaced), "--file-id", "my_session",
+                            "--out", str(session_dir / "spaced.rttm")]) == 0
+        assert main(args + ["--embeddings", str(session_dir / "e2e.emb"),
+                            "--out", str(session_dir / "e2e.rttm")]) == 0
+        ref = (session_dir / "ref.rttm").read_text()
+        (session_dir / "spaced_ref.rttm").write_text(ref.replace(" e2e ", " my_session "))
+        capsys.readouterr()
+        assert {r.file_id for r in read_rttm((session_dir / "spaced.rttm").read_text())} == {
+            "my_session"}
+        scores = []
+        for ref_name, hyp_name in (("spaced_ref", "spaced"), ("ref", "e2e")):
+            assert main(["score", "--ref", str(session_dir / f"{ref_name}.rttm"),
+                         "--hyp", str(session_dir / f"{hyp_name}.rttm")]) == 0
+            scores.append(capsys.readouterr().out)
+        assert scores[0] == scores[1]
+        assert scores[0].startswith("DER=")
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_mask_frame_duration_is_one_line_error(self, session_dir, capsys, bad):
         frames = (session_dir / "e2e.mask").read_text().split("\n", 1)[1]
@@ -354,6 +395,17 @@ class TestScoreCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"cdgcn: line 1: {name} {bad} must be finite")
         assert err.count("\n") == 1
+
+    def test_turn_past_the_last_frame_is_one_line_error(self, session_dir, capsys):
+        """A turn whose end in milliseconds no array can index names its file
+        and end; numpy refuses an array that long before allocating it."""
+        (session_dir / "far.rttm").write_text(
+            write_rttm([RttmRecord("e2e", 0.0, 1.5, "spk0"), RttmRecord("far", 1e300, 1.5, "a")]))
+        code = main(["score", "--ref", str(session_dir / "ref.rttm"),
+                     "--hyp", str(session_dir / "far.rttm")])
+        assert code == 1
+        assert capsys.readouterr().err == ("cdgcn: file far: a turn ends at 1e+300 s, past the "
+                                           "last frame to score\n")
 
     @pytest.mark.parametrize("bad", ["inf", "nan", "-0.5"])
     def test_bad_collar_is_one_line_error(self, session_dir, capsys, bad):

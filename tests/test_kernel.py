@@ -16,6 +16,8 @@ from helpers import clique_pair_graph, modules_after
 def test_import_loads_no_kernel():
     loaded = modules_after("import cdgcn")
     assert "cdgcn._kernel" not in loaded
+    assert not loaded & {f"cdgcn.{name}" for name in
+                         ("leiden", "pipeline", "osd", "scoring", "timeline", "synthetic", "cli")}
     # numpy may load ctypes itself; cdgcn adds it only with the kernel.
     assert "ctypes" not in loaded or "ctypes" in modules_after("import numpy")
 

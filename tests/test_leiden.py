@@ -1,11 +1,11 @@
 import functools
-import importlib
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cdgcn.leiden as leiden_module
 from cdgcn.graphs import SpeakerGraph
 from cdgcn.leiden import (
     GAIN_TOLERANCE,
@@ -29,10 +29,6 @@ from helpers import (
     reference_hierarchy_pass,
     singletons,
 )
-
-
-# The attribute cdgcn.leiden is the re-exported function, not the module.
-leiden_module = importlib.import_module("cdgcn.leiden")
 
 
 def triangle():

@@ -109,6 +109,17 @@ class TestRttm:
         with pytest.raises(ValueError, match="^line 2: .* must be finite"):
             read_rttm(bad)
 
+    @pytest.mark.parametrize("field", ["file_id", "speaker"])
+    @pytest.mark.parametrize("value", ["", "a b", " a", "a\n", "a\x1cb", "a\u2028b", 7])
+    def test_record_that_would_not_read_back_is_refused(self, field, value):
+        """RTTM fields are split at whitespace and lines at line breaks, so
+        an empty or spaced file id or speaker would write a line read_rttm
+        refuses or misreads."""
+        name = field.replace("_", " ")
+        with pytest.raises(ValueError, match=f"^{name} must be a non-empty string without"):
+            RttmRecord(**{"file_id": "f", "onset": 0.0, "duration": 1.5, "speaker": "s",
+                          field: value})
+
     def test_blank_lines_skipped(self):
         text = "\nSPEAKER f 1 0.000 1.500 <NA> <NA> spk0 <NA> <NA>\n\n"
         assert len(read_rttm(text)) == 1
@@ -252,7 +263,11 @@ class TestRunPipeline:
     @pytest.mark.parametrize("setting, message", [
         ({"gamma": float("nan")}, "gamma must be finite and positive, got nan"),
         ({"seed": -1}, "seed must be a non-negative integer, got -1"),
-        ({"knn_k": 0}, "k must be >= 1")], ids=["gamma", "seed", "knn_k"])
+        ({"knn_k": 0}, "k must be >= 1"),
+        ({"knn_k": 2.5}, "knn_k must be an integer, got 2.5"),
+        ({"knn_k": "3"}, "knn_k must be an integer, got '3'"),
+        ({"gamma": "0.6"}, "gamma must be a real number, got '0.6'")],
+        ids=["gamma", "seed", "knn_k", "float knn_k", "str knn_k", "str gamma"])
     def test_settings_are_refused_before_the_graph_work(self, monkeypatch, mode, setting,
                                                         message):
         """A setting that Leiden or the KNN build would refuse is refused
@@ -276,6 +291,16 @@ class TestRunPipeline:
             with pytest.raises(ValueError) as caught:
                 run()
             assert str(caught.value) == message
+
+    @pytest.mark.parametrize("file_id", ["", "my session", "tab\tid", "new\nline"])
+    def test_file_id_rttm_cannot_read_back_is_refused_before_the_graph_work(
+            self, monkeypatch, file_id):
+        monkeypatch.setattr(pipeline, "cosine_affinity", None)   # called, it would raise
+        session = self.two_cluster_embeddings()
+        with pytest.raises(ValueError) as caught:
+            run_pipeline(session.embeddings, "raw_leiden", file_id=file_id)
+        assert str(caught.value) == ("file id must be a non-empty string without whitespace, "
+                                     f"got {file_id!r}")
 
     def test_single_segment(self):
         emb = EmbeddingSet(np.ones((1, 4)), np.array([(0.25, 1.5)]))

@@ -146,3 +146,10 @@ class TestSpeakerCountMse:
 
 def test_import_cdgcn_leaves_scipy_unloaded():
     assert not any(name.split(".")[0] == "scipy" for name in modules_after("import cdgcn"))
+
+
+def test_import_cdgcn_cli_leaves_scipy_unloaded():
+    """The CLI imports this module; scipy loads on the first DER only."""
+    loaded = modules_after("import cdgcn.cli")
+    assert "cdgcn.scoring" in loaded
+    assert not any(name.split(".")[0] == "scipy" for name in loaded)

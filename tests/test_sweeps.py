@@ -10,13 +10,13 @@ from the compiled code."""
 
 import ctypes
 import functools
-import importlib
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cdgcn.leiden as leiden_module
 from cdgcn.graphs import EmbeddingSet, SpeakerGraph, cosine_affinity, knn_graph
 from cdgcn.leiden import (
     LeidenConfig,
@@ -40,8 +40,6 @@ from helpers import (
     singletons,
 )
 
-# The attribute cdgcn.leiden is the re-exported function, not the module.
-leiden_module = importlib.import_module("cdgcn.leiden")
 KINDS = ("dyadic", "real", "wide", "ties", "aggregated")
 STARTS = ("singletons", "midway", "converged", "fine")
 
