@@ -64,13 +64,17 @@ def cmd_train_gcn(args) -> int:
     emb_files = sorted(data_dir.glob("*.emb"))
     if not emb_files:
         raise ValueError(f"no .emb files in {data_dir}")
-    batches = []
+    sessions = []
     for emb_path in emb_files:
         labels_path = emb_path.with_suffix(".spk")
         if not labels_path.exists():
             raise ValueError(f"missing labels file {labels_path}")
         emb = read_embeddings(emb_path)
-        batches.append(labelled_subgraphs(emb, _read_speakers(labels_path, emb.count), args.knn_k))
+        if sessions and emb.dim != sessions[0][0].dim:
+            raise ValueError(f"{emb_path}: embedding dim {emb.dim} does not match "
+                             f"dim {sessions[0][0].dim} of {emb_files[0]}")
+        sessions.append((emb, _read_speakers(labels_path, emb.count)))
+    batches = [labelled_subgraphs(emb, speakers, args.knn_k) for emb, speakers in sessions]
     batches = rotate_batches(batches, args.rotations, seed=args.seed)
 
     feature_dim = batches[0][0].features.shape[-1]

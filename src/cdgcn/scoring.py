@@ -47,6 +47,40 @@ def _speaker_masks(records, total_frames: int) -> dict[str, np.ndarray]:
     return masks
 
 
+def _best_matching_total(overlap: np.ndarray) -> int:
+    """The largest sum of an integer matrix's entries over one-to-one pairs
+    of its rows and columns: the Hungarian method (Kuhn 1955; Munkres 1957)
+    in its potentials form, minimizing -overlap with the smaller side as the
+    rows, in O(min² · max) steps of exact integer arithmetic."""
+    w = overlap if overlap.shape[0] <= overlap.shape[1] else overlap.T
+    n, m = w.shape
+    cost = np.zeros((n + 1, m + 1), dtype=np.int64)   # row and column 0: the root
+    cost[1:, 1:] = -w
+    u, v = np.zeros(n + 1, dtype=np.int64), np.zeros(m + 1, dtype=np.int64)   # potentials
+    row_of = np.zeros(m + 1, dtype=np.intp)   # the row on each column, 0 for none
+    for i in range(1, n + 1):
+        # Grow a tree of tight edges from row i to a free column, then flip its path.
+        row_of[0], j = i, 0
+        slack = np.full(m + 1, np.iinfo(np.int64).max)
+        came_from = np.zeros(m + 1, dtype=np.intp)
+        in_tree = np.zeros(m + 1, dtype=bool)
+        while row_of[j]:
+            in_tree[j] = True
+            reduced = cost[row_of[j]] - u[row_of[j]] - v
+            closer = ~in_tree & (reduced < slack)
+            slack[closer], came_from[closer] = reduced[closer], j
+            out = np.flatnonzero(~in_tree)
+            j = out[np.argmin(slack[out])]
+            delta = slack[j]
+            u[row_of[in_tree]] += delta
+            v[in_tree] -= delta
+            slack[out] -= delta
+        while j:
+            row_of[j] = row_of[came_from[j]]
+            j = came_from[j]
+    return int(v[0])   # the least cost of -overlap is -v[0]
+
+
 def _score_file(file_id: str, ref, hyp, collar: float):
     """Frame counts (miss, fa, confusion, scored reference) for one file."""
     last = max((r.end for r in ref + hyp), default=0.0)
@@ -68,18 +102,16 @@ def _score_file(file_id: str, ref, hyp, collar: float):
     n_ref = np.sum(ref_masks, axis=0) if ref_masks else np.zeros(total_frames, dtype=np.int64)
     n_hyp = np.sum(hyp_masks, axis=0) if hyp_masks else np.zeros(total_frames, dtype=np.int64)
 
-    n_correct = np.zeros(total_frames, dtype=np.int64)
+    # A frame's correct speakers are the matched pairs both active on it, so
+    # the matched frames sum to the best matching's total.
+    matched = 0
     if ref_masks and hyp_masks:
-        # Imported here so that clustering through cdgcn.cli does not load scipy.
-        from scipy.optimize import linear_sum_assignment
-        overlap = np.array([[int((rm & hm).sum()) for hm in hyp_masks] for rm in ref_masks])
-        rows, cols = linear_sum_assignment(overlap, maximize=True)
-        for r_idx, h_idx in zip(rows, cols):
-            n_correct += ref_masks[r_idx] & hyp_masks[h_idx]
+        matched = _best_matching_total(
+            np.array([[int((rm & hm).sum()) for hm in hyp_masks] for rm in ref_masks]))
 
     miss = int(np.maximum(n_ref - n_hyp, 0).sum())
     fa = int(np.maximum(n_hyp - n_ref, 0).sum())
-    confusion = int((np.minimum(n_ref, n_hyp) - n_correct).sum())
+    confusion = int(np.minimum(n_ref, n_hyp).sum()) - matched
     return miss, fa, confusion, int(n_ref.sum())
 
 

@@ -185,12 +185,14 @@ def rotate_batches(batches, rotations: int, seed: int = 0):
     rng = seeded_rng(seed)
     if rotations == 0 or not batches:
         return list(batches)
-    from scipy.stats import ortho_group
-
     dim = batches[0][0].features.shape[-1]
     out = list(batches)
     for _ in range(rotations):
-        q = ortho_group.rvs(dim, random_state=rng)
+        # Haar-distributed: QR of a Gaussian matrix, with q's columns signed
+        # so that r's diagonal is positive (Mezzadri, math-ph/0609050).
+        q, r = np.linalg.qr(rng.normal(size=(dim, dim)))
+        d = r.diagonal()
+        q *= d / np.abs(d)
         out += [
             (SubGraph(sub.members, sub.features @ q, sub.adjacency), labels)
             for sub, labels in batches

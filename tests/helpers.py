@@ -1,6 +1,7 @@
 """Independent oracles and fixture generators shared by the tests."""
 
 import heapq
+import itertools
 import math
 import os
 import subprocess
@@ -203,6 +204,14 @@ def one_line_error_in_small_memory(call, *args, error=ValueError) -> str:
 
 
 # ------------------------------------------------- per-item reference paths
+
+def brute_force_matching_total(overlap: np.ndarray) -> int:
+    """The largest sum of entries over one-to-one row-column pairs, by trying
+    every placement of the smaller side's indices on the larger side's."""
+    w = overlap if overlap.shape[0] <= overlap.shape[1] else overlap.T
+    return max(sum(int(w[i, j]) for i, j in enumerate(cols))
+               for cols in itertools.permutations(range(w.shape[1]), w.shape[0]))
+
 
 def reference_top_neighbors(aff: np.ndarray, node: int, k: int) -> np.ndarray:
     """Top-k affinities of one row by a full lexsort, ties to lower ids."""

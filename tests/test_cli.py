@@ -18,6 +18,7 @@ from cdgcn.scoring import der
 from cdgcn.synthetic import (linkage_training_batches, make_overlap_session, make_session,
                              rotate_batches)
 from cdgcn.timeline import RttmRecord, read_rttm, write_rttm
+from helpers import printed_by
 
 
 @pytest.fixture
@@ -324,18 +325,26 @@ class TestTrainCommand:
         assert capsys.readouterr().err == f"cdgcn: {spk} line 3: speaker ids must fit in 64 bits\n"
         assert not out.exists()
 
-    def test_mixed_feature_dims_is_one_line_error(self, tmp_path, capsys):
+    def test_mixed_feature_dims_is_one_line_error(self, tmp_path, monkeypatch, capsys):
+        """Refused before any sub-graph is built, with or without rotations."""
         for name, dim in (("a", 8), ("b", 6)):
             session = make_session(num_speakers=2, segments_per_speaker=5, dim=dim, seed=1)
             write_embeddings(tmp_path / f"{name}.emb", session.embeddings)
             (tmp_path / f"{name}.spk").write_text(
                 "".join(f"{s}\n" for s in session.speakers[:, 0]))
+
+        def no_sub_graphs(*args):
+            raise AssertionError("a sub-graph was built")
+
+        monkeypatch.setattr(cli, "labelled_subgraphs", no_sub_graphs)
         out = tmp_path / "w.gcnw"
-        code = main(["train-gcn", "--data", str(tmp_path), "--out", str(out), "--knn-k", "4"])
-        assert code == 1
-        assert capsys.readouterr().err == (
-            "cdgcn: sub-graph feature dim 6 does not match weights feature dim 8\n")
-        assert not out.exists()
+        for rotations in ([], ["--rotations", "1"]):
+            code = main(["train-gcn", "--data", str(tmp_path), "--out", str(out), "--knn-k", "4",
+                         *rotations])
+            assert code == 1
+            assert capsys.readouterr().err == (f"cdgcn: {tmp_path / 'b.emb'}: embedding dim 6 "
+                                               f"does not match dim 8 of {tmp_path / 'a.emb'}\n")
+            assert not out.exists()
 
     def test_mismatched_labels_is_error(self, train_dir, capsys):
         spk = next(train_dir.glob("*.spk"))
@@ -441,6 +450,31 @@ def test_successive_calls_behave_as_fresh_ones(session_dir, capsys):
     assert [call(argv) for argv in calls] == fresh
     assert build_parser.cache_info().misses == 1
     assert [code for code, _, _ in fresh] == [0, 0, 2]
+
+
+def test_cli_runs_where_scipy_cannot_be_imported(session_dir):
+    """cluster in cdgcn mode, score with counts and train-gcn with rotations
+    each exit 0 in a fresh interpreter where `import scipy` fails."""
+    (session_dir / "w.gcnw").write_bytes(save_weights(GcnWeights.glorot(16, seed=0)))
+    train = session_dir / "train"
+    train.mkdir()
+    session = make_session(num_speakers=2, segments_per_speaker=6, dim=8, seed=4)
+    write_embeddings(train / "t.emb", session.embeddings)
+    (train / "t.spk").write_text("".join(f"{s}\n" for s in session.speakers[:, 0]))
+    hyp = session_dir / "hyp.rttm"
+    commands = [
+        ["cluster", "--embeddings", str(session_dir / "e2e.emb"), "--mode", "cdgcn",
+         "--weights", str(session_dir / "w.gcnw"), "--mask", str(session_dir / "e2e.mask"),
+         "--knn-k", "20", "--out", str(hyp)],
+        ["score", "--ref", str(session_dir / "ref.rttm"), "--hyp", str(hyp), "--counts"],
+        ["train-gcn", "--data", str(train), "--out", str(session_dir / "t.gcnw"),
+         "--epochs", "2", "--knn-k", "4", "--rotations", "1"],
+    ]
+    printed = printed_by("import sys\n"
+                         "sys.modules['scipy'] = None\n"
+                         "from cdgcn.cli import main\n"
+                         f"print(*[main(argv) for argv in {commands!r}])")
+    assert printed.splitlines()[-1] == "0 0 0"
 
 
 class TestSyntheticScript:

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from cdgcn.scoring import der, rttm_speaker_counts, speaker_count_mse
+from cdgcn.scoring import _best_matching_total, der, rttm_speaker_counts, speaker_count_mse
 from cdgcn.timeline import RttmRecord
-from helpers import modules_after
+from helpers import brute_force_matching_total
 
 
 def rec(onset, duration, speaker, file_id="f"):
@@ -144,12 +145,16 @@ class TestSpeakerCountMse:
         assert rttm_speaker_counts(records) == {"f1": 2, "f2": 1}
 
 
-def test_import_cdgcn_leaves_scipy_unloaded():
-    assert not any(name.split(".")[0] == "scipy" for name in modules_after("import cdgcn"))
+integer_matrices = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+    lambda shape: arrays(np.int64, shape, elements=st.one_of(
+        st.integers(0, 3), st.integers(-10**9, 10**9))))
 
 
-def test_import_cdgcn_cli_leaves_scipy_unloaded():
-    """The CLI imports this module; scipy loads on the first DER only."""
-    loaded = modules_after("import cdgcn.cli")
-    assert "cdgcn.scoring" in loaded
-    assert not any(name.split(".")[0] == "scipy" for name in loaded)
+@example(np.array([[0, 4, 4, 1]]))
+@example(np.array([[2], [7], [7]]))
+@example(np.zeros((5, 3), dtype=np.int64))
+@example(np.full((6, 6), 9))
+@example(np.array([[3, 3, 0], [3, 3, 0]]))
+@given(integer_matrices)
+def test_best_matching_total_equals_brute_force(overlap):
+    assert _best_matching_total(overlap) == brute_force_matching_total(overlap)

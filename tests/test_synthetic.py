@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from cdgcn.gcn import GcnWeights
+from cdgcn.graphs import SubGraph
 from cdgcn.leiden import LeidenConfig
 from cdgcn.synthetic import (
     linkage_training_batches,
@@ -10,7 +13,6 @@ from cdgcn.synthetic import (
     rotate_batches,
     shared_speaker_labels,
 )
-from helpers import modules_after
 
 
 class TestMakeSession:
@@ -88,12 +90,21 @@ class TestLinkageLabels:
 
 
 class TestRotateBatches:
-    def test_no_rotation_leaves_scipy_stats_unloaded(self):
-        loaded = modules_after(
-            "from cdgcn.synthetic import linkage_training_batches, make_session, rotate_batches\n"
-            "session = make_session(num_speakers=2, segments_per_speaker=5, dim=8, seed=7)\n"
-            "assert len(rotate_batches(linkage_training_batches(session, k=4), 0)) == 1")
-        assert "cdgcn.synthetic" in loaded and "scipy.stats" not in loaded
+    @pytest.mark.parametrize("seed, dim, rotations, sha256", [
+        (0, 2, 1, "f57f88319e9cf15a4b72e704153bf7aad765f92d7157c6f5499f984d0b141c50"),
+        (7, 16, 2, "de5d0fb9f6b009ba4bcc071ec76b727dc0c5f3c8e945dcc7431fe541186c43cf"),
+        (101, 32, 1, "4e5435cc0a696bb69b1b246f1f54374920d760047d47819fcc2c052a136a19dc"),
+        (3, 5, 3, "d6ee88a7e7c7cbfac7bfa6d68c1db0f739202437a912c3fa082282dae9151b30"),
+    ], ids=["dim2", "dim16-twice", "dim32", "dim5-thrice"])
+    def test_rotations_are_pinned(self, seed, dim, rotations, sha256):
+        """Identity features make each rotated copy's features the rotation
+        itself. The hashes are those of scipy 1.17.1's ortho_group.rvs at
+        the same seeds, so training data with --rotations stays the same."""
+        identity = SubGraph(np.zeros((1, dim), dtype=np.int64), np.eye(dim)[None],
+                            np.zeros((1, dim, dim)))
+        out = rotate_batches([(identity, np.zeros((1, dim - 1)))], rotations, seed=seed)
+        digest = hashlib.sha256(b"".join(sub.features.tobytes() for sub, _ in out[1:]))
+        assert digest.hexdigest() == sha256
 
     def test_counts_and_invariants(self):
         session = make_session(num_speakers=2, segments_per_speaker=5, dim=8, seed=7)
