@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from cdgcn.scoring import _best_matching_total, der, rttm_speaker_counts, speaker_count_mse
 from cdgcn.timeline import RttmRecord
-from helpers import brute_force_matching_total
+from helpers import brute_force_matching_total, modules_after
 
 
 def rec(onset, duration, speaker, file_id="f"):
@@ -143,6 +143,17 @@ class TestSpeakerCountMse:
         records = [rec(0.0, 1.0, "a", "f1"), rec(1.0, 1.0, "b", "f1"),
                    rec(0.0, 1.0, "a", "f2")]
         assert rttm_speaker_counts(records) == {"f1": 2, "f2": 1}
+
+
+def test_import_cdgcn_leaves_scipy_unloaded():
+    assert not any(name.split(".")[0] == "scipy" for name in modules_after("import cdgcn"))
+
+
+def test_import_cdgcn_cli_leaves_scipy_unloaded():
+    """The CLI imports this module, which scores without scipy."""
+    loaded = modules_after("import cdgcn.cli")
+    assert "cdgcn.scoring" in loaded
+    assert not any(name.split(".")[0] == "scipy" for name in loaded)
 
 
 integer_matrices = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(

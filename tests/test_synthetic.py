@@ -13,6 +13,7 @@ from cdgcn.synthetic import (
     rotate_batches,
     shared_speaker_labels,
 )
+from helpers import modules_after
 
 
 class TestMakeSession:
@@ -90,6 +91,13 @@ class TestLinkageLabels:
 
 
 class TestRotateBatches:
+    def test_no_rotation_leaves_scipy_stats_unloaded(self):
+        loaded = modules_after(
+            "from cdgcn.synthetic import linkage_training_batches, make_session, rotate_batches\n"
+            "session = make_session(num_speakers=2, segments_per_speaker=5, dim=8, seed=7)\n"
+            "assert len(rotate_batches(linkage_training_batches(session, k=4), 0)) == 1")
+        assert "cdgcn.synthetic" in loaded and "scipy.stats" not in loaded
+
     @pytest.mark.parametrize("seed, dim, rotations, sha256", [
         (0, 2, 1, "f57f88319e9cf15a4b72e704153bf7aad765f92d7157c6f5499f984d0b141c50"),
         (7, 16, 2, "de5d0fb9f6b009ba4bcc071ec76b727dc0c5f3c8e945dcc7431fe541186c43cf"),
