@@ -151,7 +151,16 @@ def gcn_forward(sub: SubGraph, weights: GcnWeights) -> np.ndarray:
     _check_stack(sub, weights)
     dtype = weights.dtype
     a_hat = normalize_adjacency(sub.adjacency.astype(dtype))
-    return _forward(sub.features.astype(dtype), a_hat, weights)[-1][:, 1:, 1]
+    # _forward's arithmetic, but each activation is freed once the next layer
+    # has it: keeping them all for a backward pass no inference makes sets
+    # aside several MB per block, and the allocator hands that back to the
+    # OS and takes it again for the next block.
+    *layers, w1, b1, w2, b2 = weights.tensors
+    h = sub.features.astype(dtype)
+    for w in layers:
+        h = np.maximum(np.concatenate([h, a_hat @ h], axis=-1) @ w, 0)
+    z = np.maximum(h @ w1 + b1, 0)
+    return _softmax(z @ w2 + b2)[:, 1:, 1]
 
 
 def bce_loss(pred: np.ndarray, labels: np.ndarray):

@@ -109,10 +109,11 @@ def _score_file(file_id: str, ref, hyp, collar: float):
         matched = _best_matching_total(
             np.array([[int((rm & hm).sum()) for hm in hyp_masks] for rm in ref_masks]))
 
-    miss = int(np.maximum(n_ref - n_hyp, 0).sum())
-    fa = int(np.maximum(n_hyp - n_ref, 0).sum())
-    confusion = int(np.minimum(n_ref, n_hyp).sum()) - matched
-    return miss, fa, confusion, int(n_ref.sum())
+    # Per frame, missed speakers are n_ref - min(n_ref, n_hyp) and false
+    # alarms n_hyp - min(n_ref, n_hyp), so one per-frame array gives all three.
+    both = int(np.minimum(n_ref, n_hyp).sum())
+    ref_total, hyp_total = int(n_ref.sum()), int(n_hyp.sum())
+    return ref_total - both, hyp_total - both, both - matched, ref_total
 
 
 def der(ref, hyp, collar: float = 0.0) -> DerBreakdown:
