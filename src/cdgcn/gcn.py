@@ -2,16 +2,16 @@
 
 Each aggregation layer computes relu([H || A_hat @ H] @ W) on a pivot
 sub-graph; a two-layer head then scores every node and the positive-class
-softmax component becomes the probability that the node shares the pivot's
-speaker. Forward and backward passes are plain numpy so the analytic
-gradients can be checked against finite differences; inference runs in
-float32 and training in float64.
+softmax component is the probability that the node shares the pivot's speaker.
+Plain numpy, so the gradients can be checked against finite differences.
 
-Both passes run on stacks of equal-size sub-graphs (a leading sub-graph
-axis). A stacked matmul computes each sub-graph's product as an unstacked
-one would, and training adds each sub-graph's loss and gradient to the
-totals in sub-graph order, so no result depends on how sub-graphs are
-stacked: inference stacks graphs.BLOCK (32) pivots, training BLOCK (8).
+Inference (float32) and training (float64) share one aggregation stack: each
+layer's [H || A_hat @ H] is one buffer whose left half the layer before fills
+with its relu output. Inference frees each buffer once the next layer has it;
+training keeps the buffers (no pre-activations) and, per block, the normalized
+adjacency and softmax targets. A stacked matmul gives each sub-graph's product
+as an unstacked one would and training sums in sub-graph order, so no result
+depends on stacking: graphs.BLOCK (32) pivots per block, BLOCK (8) in training.
 """
 
 from __future__ import annotations
@@ -114,29 +114,32 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / (e[..., 0] + e[..., 1])[..., None]
 
 
-def _forward(h: np.ndarray, a_hat: np.ndarray, weights: GcnWeights):
-    """Every activation of the forward pass: each layer's [H || A_hat @ H] and
-    pre-activation, the last layer's output, the head's hidden z and softmax."""
-    *layers, w1, b1, w2, b2 = weights.tensors
-    concats = []
-    pre_acts = []
-    for w in layers:
-        m = np.concatenate([h, a_hat @ h], axis=-1)
-        pre = m @ w
-        h = np.maximum(pre, 0)
-        concats.append(m)
-        pre_acts.append(pre)
-    z = np.maximum(h @ w1 + b1, 0)
-    return concats, pre_acts, h, z, _softmax(z @ w2 + b2)
+def _aggregate(h, a_hat, layers, kept=None):
+    """The aggregation layers on features h; returns the last one's relu
+    output. A layer's [H || A_hat @ H] is one buffer, whose left half the layer
+    before fills with its relu output. kept, when a list, receives each buffer
+    for a backward pass; otherwise each is freed once the next layer has it."""
+    m = np.empty(h.shape[:-1] + (2 * h.shape[-1],), a_hat.dtype)
+    m[..., :h.shape[-1]] = h
+    for index, w in enumerate(layers, 1):
+        d = w.shape[0] // 2
+        np.matmul(a_hat, m[..., :d], out=m[..., d:])
+        if kept is not None:
+            kept.append(m)
+        nxt = np.empty(m.shape[:-1] + (2 * w.shape[1],), m.dtype) if index < len(layers) else None
+        h = np.matmul(m, w, out=None if nxt is None else nxt[..., :w.shape[1]])
+        np.maximum(h, 0, out=h)
+        m = nxt
+    return h
 
 
-def _check_stack(sub: SubGraph, weights: GcnWeights) -> None:
+def _check_stack(sub: SubGraph, weights: GcnWeights, where: str = "") -> None:
     """Refuses a stack whose features or adjacency the weights cannot take."""
     if sub.features.shape[-1] != weights.feature_dim:
-        raise ValueError(f"sub-graph feature dim {sub.features.shape[-1]} does not match "
-                         f"weights feature dim {weights.feature_dim}")
+        raise ValueError(f"{where}sub-graph feature dim {sub.features.shape[-1]} does not "
+                         f"match weights feature dim {weights.feature_dim}")
     if sub.adjacency.shape != sub.members.shape + sub.members.shape[1:]:
-        raise ValueError(f"adjacency shape {sub.adjacency.shape} does not match "
+        raise ValueError(f"{where}adjacency shape {sub.adjacency.shape} does not match "
                          f"{sub.members.shape[1]} nodes")
 
 
@@ -149,16 +152,9 @@ def gcn_forward(sub: SubGraph, weights: GcnWeights) -> np.ndarray:
     component for the non-pivot members, in member order.
     """
     _check_stack(sub, weights)
-    dtype = weights.dtype
-    a_hat = normalize_adjacency(sub.adjacency.astype(dtype))
-    # _forward's arithmetic, but each activation is freed once the next layer
-    # has it: keeping them all for a backward pass no inference makes sets
-    # aside several MB per block, and the allocator hands that back to the
-    # OS and takes it again for the next block.
     *layers, w1, b1, w2, b2 = weights.tensors
-    h = sub.features.astype(dtype)
-    for w in layers:
-        h = np.maximum(np.concatenate([h, a_hat @ h], axis=-1) @ w, 0)
+    a_hat = normalize_adjacency(sub.adjacency.astype(weights.dtype))
+    h = _aggregate(sub.features, a_hat, layers)
     z = np.maximum(h @ w1 + b1, 0)
     return _softmax(z @ w2 + b2)[:, 1:, 1]
 
@@ -177,52 +173,61 @@ def bce_loss(pred: np.ndarray, labels: np.ndarray):
 
 
 def _training_blocks(batches, weights: GcnWeights):
-    """(features, normalized adjacency, labels) of each batch's sub-graphs in
-    the weights' precision, BLOCK at a time, in order. Sub-graphs without
-    neighbors carry no loss and are left out."""
+    """(features, normalized adjacency, softmax targets [1 - y, y]) of each
+    batch's sub-graphs in the weights' precision, BLOCK at a time, in order.
+    Sub-graphs without neighbors carry no loss and are left out."""
     blocks = []
-    for sub, labels in batches:
-        _check_stack(sub, weights)
+    for index, (sub, labels) in enumerate(batches):
+        _check_stack(sub, weights, f"batch {index}: ")
         labels = np.asarray(labels, dtype=np.float64)
         if labels.shape != sub.members[:, 1:].shape:
-            raise ValueError(f"labels of shape {labels.shape} for neighbors of shape "
-                             f"{sub.members[:, 1:].shape}")
+            raise ValueError(f"batch {index}: labels of shape {labels.shape} for neighbors "
+                             f"of shape {sub.members[:, 1:].shape}")
         if not np.isin(labels, (0.0, 1.0)).all():
-            raise ValueError("labels must be 0 or 1")
+            raise ValueError(f"batch {index}: labels must be 0 or 1")
         if sub.members.shape[1] > 1:
             features, adjacency, labels = (array.astype(weights.dtype, copy=False)
                                            for array in (sub.features, sub.adjacency, labels))
+            target = np.stack([1.0 - labels, labels], axis=-1)
             blocks += [(features[i:i + BLOCK], normalize_adjacency(adjacency[i:i + BLOCK]),
-                        labels[i:i + BLOCK]) for i in range(0, len(labels), BLOCK)]
+                        target[i:i + BLOCK]) for i in range(0, len(target), BLOCK)]
     return blocks
 
 
-def _block_loss_and_grads(features, a_hat, labels, weights: GcnWeights):
+def _block_loss_and_grads(features, a_hat, target, weights: GcnWeights, transposed):
     """Per-sub-graph losses and stacked parameter gradients (in the order of
-    weights.tensors) of one block, by backpropagation."""
-    concats, pre_acts, h, z, sm = _forward(features, a_hat, weights)
-    *layers, w1, _, w2, _ = weights.tensors
+    weights.tensors) of one block, by backpropagation; transposed holds the
+    contiguous transposes of the aggregation weights, W1 and W2."""
+    *layers, w1, b1, w2, b2 = weights.tensors
+    *layers_t, w1_t, w2_t = transposed
+    buffers = []
+    h = _aggregate(features, a_hat, layers, buffers)
+    z = np.maximum(h @ w1 + b1, 0)
+    sm = _softmax(z @ w2 + b2)
     probs = sm[:, 1:, 1]
     k = probs.shape[1]
-    losses = bce_loss(probs, labels)
+    losses = bce_loss(probs, target[..., 1])
 
     # Clipped predictions contribute a flat loss, hence zero gradient.
     active = (probs > PROB_EPSILON) & (probs < 1.0 - PROB_EPSILON)
-    target = np.stack([1.0 - labels, labels], axis=-1)
     dlogits = np.zeros_like(sm)
     dlogits[:, 1:] = (sm[:, 1:] - target) * (active[..., None] / k)
 
-    ds = (dlogits @ w2.T) * (z > 0)
+    ds = (dlogits @ w2_t) * (z > 0)
     grads = [None] * len(layers) + [h.transpose(0, 2, 1) @ ds, ds.sum(axis=1),
                                     z.transpose(0, 2, 1) @ dlogits, dlogits.sum(axis=1)]
-    dh = ds @ w1.T
+    dh = ds @ w1_t
+    # relu(x) > 0 exactly where x > 0 (-0.0 and NaN too): kept outputs give the masks.
+    dh *= h > 0
     for l in range(len(layers) - 1, -1, -1):
-        dpre = dh * (pre_acts.pop() > 0)
-        grads[l] = concats.pop().transpose(0, 2, 1) @ dpre
+        m = buffers.pop()
+        grads[l] = m.transpose(0, 2, 1) @ dh
         if l:   # the input gradient of layer 0 is never used
-            dm = dpre @ layers[l].T
-            d_in = layers[l].shape[0] // 2
-            dh = dm[..., :d_in] + a_hat.transpose(0, 2, 1) @ dm[..., d_in:]
+            d_in = m.shape[-1] // 2
+            dm = dh @ layers_t[l]
+            dh = np.matmul(a_hat.transpose(0, 2, 1), dm[..., d_in:])
+            dh += dm[..., :d_in]
+            dh *= m[..., :d_in] > 0
     return losses, grads
 
 
@@ -233,15 +238,16 @@ def loss_and_gradients(batches, weights: GcnWeights):
 
 
 def _loss_and_gradients(blocks, weights: GcnWeights):
-    count = sum(len(labels) for _, _, labels in blocks)
+    count = sum(len(target) for _, _, target in blocks)
     if not count:
         return 0.0, GcnWeights([np.zeros_like(t) for t in weights.tensors])
     # Each sub-graph's loss and gradient join the totals in sub-graph
     # order, so the sums do not depend on how sub-graphs are blocked.
     total_loss = 0.0
     total = [np.zeros_like(t) for t in weights.tensors]
+    transposed = [np.ascontiguousarray(t.T) for t in weights.tensors if t.ndim == 2]
     for block in blocks:
-        losses, grads = _block_loss_and_grads(*block, weights)
+        losses, grads = _block_loss_and_grads(*block, weights, transposed)
         for loss in losses.tolist():
             total_loss += loss
         for acc, grad in zip(total, grads):

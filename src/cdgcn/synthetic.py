@@ -186,6 +186,10 @@ def rotate_batches(batches, rotations: int, seed: int = 0):
     if rotations == 0 or not batches:
         return list(batches)
     dim = batches[0][0].features.shape[-1]
+    for index, (sub, _) in enumerate(batches):
+        if sub.features.shape[-1] != dim:
+            raise ValueError(f"batch {index}: feature dim {sub.features.shape[-1]} does not "
+                             f"match batch 0's feature dim {dim}")
     out = list(batches)
     for _ in range(rotations):
         # Haar-distributed: QR of a Gaussian matrix, with q's columns signed

@@ -29,11 +29,14 @@ from cdgcn.timeline import FRAME_DURATION, RttmRecord
 
 def random_gcn_weights(rng, feature_dim, layers=2, hidden_dim=None, scale=0.5):
     """Fully random weights (biases included) at a generic point, so ReLU
-    pre-activations never sit exactly on the kink during gradient checks."""
+    pre-activations never sit exactly on the kink during gradient checks.
+    layers is a count of feature_dim-wide layers or a list of each
+    aggregation layer's output width."""
     hidden = feature_dim if hidden_dim is None else hidden_dim
-    aggregation = [rng.normal(scale=scale, size=(2 * feature_dim, feature_dim))
-                   for _ in range(layers)]
-    w1 = rng.normal(scale=scale, size=(feature_dim, hidden))
+    widths = [feature_dim] * layers if isinstance(layers, int) else list(layers)
+    aggregation = [rng.normal(scale=scale, size=(2 * d_in, d_out))
+                   for d_in, d_out in zip([feature_dim, *widths], widths)]
+    w1 = rng.normal(scale=scale, size=(widths[-1], hidden))
     w2 = rng.normal(scale=scale, size=(hidden, 2))
     b1 = rng.normal(scale=scale, size=hidden)
     b2 = rng.normal(scale=scale, size=2)

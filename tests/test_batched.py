@@ -12,7 +12,7 @@ from helpers import (
     reference_top_neighbors,
     unstack,
 )
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cdgcn import gcn, graphs, pipeline
@@ -167,6 +167,30 @@ def test_batched_loss_and_gradients_match_reference(seed, block, dtype):
     ref_loss, ref_grads = reference_loss_and_gradients(batches, weights)
     assert same_bits(loss, ref_loss)
     for a, b in zip(grads.tensors, ref_grads.tensors):
+        assert same_bits(a, b)
+
+
+@example(dims=[4, 6, 3], zero_column=True, dtype=np.float64, seed=0)
+@example(dims=[3, 5], zero_column=True, dtype=np.float32, seed=1)
+@given(dims=st.lists(st.integers(1, 6), min_size=2, max_size=4), zero_column=st.booleans(),
+       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 10_000))
+def test_unequal_layer_widths_match_reference(dims, zero_column, dtype, seed):
+    """dims are the feature dim, then each layer's width: every layer's
+    [H || A_hat @ H] buffer differs in width from the next. A zero weight
+    column makes that layer's pre-activations exactly 0 in that column, so
+    the relu masks read 0 there."""
+    rng = np.random.default_rng(seed)
+    batches = mixed_batches(rng, dim=dims[0])
+    weights = random_gcn_weights(rng, dims[0], layers=dims[1:]).astype(dtype)
+    if zero_column:
+        layer = int(rng.integers(len(dims) - 1))
+        weights.tensors[layer][:, rng.integers(dims[layer + 1])] = 0.0
+    for sub, _ in batches:
+        assert same_bits(gcn_forward(sub, weights), reference_forward(sub, weights))
+    loss, grads = loss_and_gradients(batches, weights)
+    ref_loss, ref_grads = reference_loss_and_gradients(batches, weights)
+    assert same_bits(loss, ref_loss)
+    for a, b in zip(grads.tensors, ref_grads.tensors, strict=True):
         assert same_bits(a, b)
 
 

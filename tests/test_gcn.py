@@ -269,10 +269,22 @@ class TestTrain:
     def test_feature_dim_mismatch_refused_like_the_forward_pass(self, rng):
         batches = [(random_subgraph(rng, nodes=4, dim=3), np.zeros((1, 3))),
                    (random_subgraph(rng, nodes=4, dim=2), np.zeros((1, 3)))]
-        message = "^sub-graph feature dim 2 does not match weights feature dim 3$"
+        message = "^batch 1: sub-graph feature dim 2 does not match weights feature dim 3$"
         with pytest.raises(ValueError, match=message):
             loss_and_gradients(batches, GcnWeights.glorot(3))
         with pytest.raises(ValueError, match=message):
+            train(batches, epochs=1)
+
+    @pytest.mark.parametrize("labels, message", [
+        (np.zeros((1, 2)), "batch 1: labels of shape (1, 2) for neighbors of shape (1, 3)"),
+        (np.full((1, 3), 0.5), "batch 1: labels must be 0 or 1"),
+    ], ids=["shape", "value"])
+    def test_bad_labels_refused_by_batch(self, rng, labels, message):
+        batches = [(random_subgraph(rng, nodes=4, dim=3), np.zeros((1, 3))),
+                   (random_subgraph(rng, nodes=4, dim=3), labels)]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            loss_and_gradients(batches, GcnWeights.glorot(3))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             train(batches, epochs=1)
 
     def test_default_init_seeded(self, rng):

@@ -5,6 +5,10 @@ several communities, and each mode gives a different RTTM, so the hashes
 pin graph construction, the GCN refinement, Leiden's tie-breaks and the
 overlap labels at once.
 
+The weights the shared fixture trains are pinned as well, so a change to
+training arithmetic shows here and not only where CI regenerates
+perfbench/weights.gcnw.
+
 A refactor that is meant to leave behaviour alone must leave these hashes
 alone. If a change alters output on purpose, update the hash and say why
 in CHANGES.md.
@@ -15,6 +19,7 @@ import time
 
 import pytest
 
+from cdgcn.gcn import save_weights
 from cdgcn.pipeline import MODES, PipelineConfig, run_pipeline
 from cdgcn.timeline import write_rttm
 
@@ -24,6 +29,7 @@ GOLDEN_SHA256 = {
     "cdgcn_no_osd": "c3ea948dbb10efdfdefd987e32a5ce5de2c1423f591ee44ea953bb8b7a675bae",
     "cdgcn": "facb1409eb5e5cc8d9f4e136f96b1ed6fa51988560cc8479bcfa026193e84700",
 }
+TRAINED_WEIGHTS_SHA256 = "36cf1f21853415456fd0a5af5725f01d556a450e7843c53e49421fa4dc0ec946"
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -38,3 +44,8 @@ def test_rttm_matches_golden_hash(mode, overlap_session, trained_weights):
     digest = hashlib.sha256(write_rttm(records).encode()).hexdigest()
     assert digest == GOLDEN_SHA256[mode]
     assert elapsed < 2.0
+
+
+def test_trained_weights_match_golden_hash(trained_weights):
+    digest = hashlib.sha256(save_weights(trained_weights)).hexdigest()
+    assert digest == TRAINED_WEIGHTS_SHA256

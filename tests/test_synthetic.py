@@ -128,6 +128,13 @@ class TestRotateBatches:
             sub0.features @ sub0.features.swapaxes(-1, -2), abs=1e-9)
         assert not np.allclose(rot0.features, sub0.features)
 
+    def test_mixed_feature_dims_refused_by_batch(self):
+        batches = [(SubGraph(np.zeros((1, 2), dtype=np.int64), np.ones((1, 2, dim)),
+                             np.zeros((1, 2, 2))), np.zeros((1, 1))) for dim in (8, 16)]
+        message = r"^batch 1: feature dim 16 does not match batch 0's feature dim 8$"
+        with pytest.raises(ValueError, match=message):
+            rotate_batches(batches, 1)
+
     def test_zero_rotations_is_copy(self):
         session = make_session(num_speakers=2, segments_per_speaker=5, dim=8, seed=8)
         base = linkage_training_batches(session, k=4)
