@@ -114,6 +114,7 @@ def load() -> ctypes.CDLL:
             ("aggregate_graph", idx, [graph, idx, ints, reals, ints, ints, reals]),
             ("climb", idx, [graph, real, real, idx, ints, draw, addr]),
             ("community_sums", idx, [graph, idx, ints, reals]),
+            ("quality", idx, [graph, idx, ints, real, ctypes.POINTER(real)]),
             ("build_graph", idx, [idx, idx, ints, ints, reals, ints, ints, reals]),
             ("complete_graph", idx, [idx, reals, ints, ints, reals]),
             ("seal_graph", None, [graph]),

@@ -5,12 +5,13 @@
  * phases (cdgcn/leiden.py): the sequential sweeps local_move and
  * refine_partition, and aggregate_graph, one call per phase; climb, which
  * runs them level after level in one call, on aggregates that never leave
- * C; and community_sums for its quality function. Each kernel that needs
- * scratch allocates and frees its own, once per call, and returns -1,
- * before writing any output, if it cannot. The scratch is not cleared on
- * allocation: each phase clears what it reads, as it starts. Each Leiden
- * kernel checks the labels it is given in its first pass over them, and
- * returns BAD_LABEL or EMPTY_COMMUNITY before writing any output.
+ * C; and quality, the quality function, from the sums community_sums
+ * gives. Each kernel that needs scratch allocates and frees its own, once
+ * per call, and returns -1, before writing any output, if it cannot. The
+ * scratch is not cleared on allocation: each phase clears what it reads,
+ * as it starts. Each Leiden kernel checks the labels it is given in its
+ * first pass over them, and returns BAD_LABEL or EMPTY_COMMUNITY before
+ * writing any output.
  *
  * The sweeps draw their visit orders from numpy's generator, reproduced
  * here: np.random.default_rng(seed) for a seed below 2**32 and its shuffle,
@@ -876,4 +877,27 @@ idx community_sums(const graph *g, idx communities, const idx *labels, double *s
         degree[labels[i]] += g->k[i];
     }
     return communities;
+}
+
+/* The quality Q of labels of g's nodes (0..C-1, none empty) into *q, bit for
+ * bit as internal.sum() - gamma * np.sum(degree**2) / (4.0 * m) gives it
+ * from community_sums' rows, internal being the inside weights plus the
+ * self-loops: each sum numpy's pairwise sum after the 0.0 np.sum starts
+ * from, and Q 0.0 at m = 0. Returns C. The sums get room for no more than
+ * n communities: community_sums refuses more before writing any. */
+idx quality(const graph *g, idx communities, const idx *labels, double gamma, double *q) {
+    scratch s;
+    idx status = scratch_alloc(&s, communities < g->n ? communities : g->n, 3, 0, 0)
+        ? community_sums(g, communities, labels, s.real) : -1;
+    if (status >= 0) {
+        double *internal = s.real, *loop = internal + communities, *degree = loop + communities;
+        for (idx c = 0; c < communities; c++) {
+            internal[c] += loop[c];
+            degree[c] *= degree[c];
+        }
+        *q = g->m == 0.0 ? 0.0 : (0.0 + pairwise_sum(internal, communities))
+                                 - gamma * (0.0 + pairwise_sum(degree, communities)) / (4.0 * g->m);
+    }
+    scratch_free(&s);
+    return status;
 }

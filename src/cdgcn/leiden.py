@@ -39,6 +39,7 @@ picks), and -ffp-contract=off, so no multiply-add is fused.
 
 from __future__ import annotations
 
+import ctypes
 import numbers
 from dataclasses import dataclass
 
@@ -88,25 +89,16 @@ class Partition:
         return cls(np.argsort(np.argsort(first))[inverse], first.size)
 
 
-def _community_sums(graph: SpeakerGraph, labels: np.ndarray, c: int):
-    """(m_c, K_c) for int64 labels in 0..c-1 by the community_sums kernel: m_c
-    is the inside edges' weight, summed in stream order, plus the self-loops."""
+def quality(graph: SpeakerGraph, partition: Partition, gamma: float) -> float:
+    """Evaluate Q from the partition's labels, by the quality kernel."""
     from ._kernel import load
 
-    sums = np.empty((3, c))
-    _counted(load().community_sums(graph.handle, c, labels, sums), "community_sums", graph, c)
-    return sums[0] + sums[1], sums[2]
-
-
-def quality(graph: SpeakerGraph, partition: Partition, gamma: float) -> float:
-    """Evaluate Q from the partition's labels."""
     if partition.labels.shape != (graph.node_count,):
         raise ValueError("partition does not cover the graph")
-    labels, m = _checked_labels(graph, partition), graph.total_weight
-    internal, degree = _community_sums(graph, labels, partition.community_count)   # checks labels
-    if m == 0.0:
-        return 0.0
-    return float(internal.sum() - gamma * np.sum(degree**2) / (4.0 * m))
+    c, q = partition.community_count, ctypes.c_double()
+    labels = _checked_labels(graph, partition)
+    _counted(load().quality(graph.handle, c, labels, gamma, ctypes.byref(q)), "quality", graph, c)
+    return q.value
 
 
 def _check_total_weight(graph: SpeakerGraph) -> None:

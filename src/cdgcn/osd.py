@@ -53,7 +53,10 @@ def read_overlap_mask(path) -> OverlapMask:
     if set(chars) - {"0", "1"}:
         raise ValueError(f"{path}: mask frames must be '0' or '1'")
     frames = np.frombuffer(chars.encode(), dtype=np.uint8) == ord("1")
-    return OverlapMask(frames=frames, frame_duration=frame_duration)
+    try:
+        return OverlapMask(frames=frames, frame_duration=frame_duration)
+    except ValueError as exc:   # a frame_duration that is not finite and positive
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def belonging_coefficients(graph: SpeakerGraph, partition: Partition) -> np.ndarray:

@@ -1,8 +1,12 @@
 """Diarization scoring: overlap-aware error rate and speaker-count MSE.
 
-Time is discretized at 1 ms so collar handling stays exact; reference and
-hypothesis speakers are matched one-to-one by maximizing co-occurring
-speech time before counting misses, false alarms and confusions.
+Every turn and collar boundary is rounded to the 1 ms grid, so collar
+handling stays exact, but nothing is allocated per millisecond. No speaker
+starts or stops between two neighbouring boundaries, so every count is a
+sum of interval lengths, and time and memory grow with the records, not
+with the seconds. Reference and hypothesis speakers are matched one-to-one
+by maximizing co-occurring speech time before counting misses, false
+alarms and confusions.
 """
 
 from __future__ import annotations
@@ -35,16 +39,11 @@ class DerBreakdown:
                 f"FA={self.false_alarm_seconds:.3f} SPKERR={self.speaker_error_seconds:.3f}")
 
 
-def _frame_index(seconds: float) -> int:
-    return int(round(seconds / RESOLUTION))
-
-
-def _speaker_masks(records, total_frames: int) -> dict[str, np.ndarray]:
-    masks: dict[str, np.ndarray] = {}
-    for r in records:
-        mask = masks.setdefault(r.speaker, np.zeros(total_frames, dtype=bool))
-        mask[_frame_index(r.onset):_frame_index(r.end)] = True
-    return masks
+def _frame_index(seconds: np.ndarray, last: float) -> np.ndarray:
+    """The nearest 1 ms frame of each time clipped to 0..last, halves to even
+    as round() takes them. The rounding is monotone, so clipping the times
+    clips the frames to the first and last, and no division overflows."""
+    return np.rint(np.clip(seconds, 0.0, last) / RESOLUTION).astype(np.int64)
 
 
 def _best_matching_total(overlap: np.ndarray) -> int:
@@ -83,36 +82,49 @@ def _best_matching_total(overlap: np.ndarray) -> int:
 
 def _score_file(file_id: str, ref, hyp, collar: float):
     """Frame counts (miss, fa, confusion, scored reference) for one file."""
-    last = max((r.end for r in ref + hyp), default=0.0)
+    records = ref + hyp
+    onsets, ends = np.array([[r.onset for r in records], [r.end for r in records]])
+    last = float(ends.max(initial=0.0))
     if not last / RESOLUTION < np.iinfo(np.intp).max:
         raise ValueError(f"file {file_id}: a turn ends at {last:g} s, past the last frame to score")
-    total_frames = _frame_index(last)
-    if total_frames == 0:
-        return 0, 0, 0, 0
-    scored = np.ones(total_frames, dtype=bool)
+    ref_rows, hyp_rows = {}, {}   # speaker -> row of its side
+    rows = [ref_rows.setdefault(r.speaker, len(ref_rows)) for r in ref]
+    rows += [len(ref_rows) + hyp_rows.setdefault(r.speaker, len(hyp_rows)) for r in hyp]
+    speakers = len(ref_rows) + len(hyp_rows)
+    # (speakers + 1) * total frames bounds every sum below, the matching's too.
+    if (speakers + 1) * round(last / RESOLUTION) > np.iinfo(np.int64).max:
+        raise ValueError(f"file {file_id}: {speakers} speakers over {last:g} s overflow "
+                         f"the 64-bit frame counts")
+
+    # Runs of frames [start, stop): each record's, then the collars' around
+    # every reference boundary, which a last row marks unscored. A collar
+    # wider than the file excludes all of it, as one of the file's length does.
+    starts, stops = _frame_index(onsets, last), _frame_index(ends, last)
     if collar > 0.0:
-        for r in ref:
-            for boundary in (r.onset, r.end):
-                lo = max(0, _frame_index(boundary - collar))
-                hi = min(total_frames, _frame_index(boundary + collar))
-                scored[lo:hi] = False
+        edges, collar = np.concatenate([onsets[:len(ref)], ends[:len(ref)]]), min(collar, last)
+        starts = np.concatenate([starts, _frame_index(edges - collar, last)])
+        stops = np.concatenate([stops, _frame_index(edges + collar, last)])
+        rows += [speakers] * edges.size
+    # Between two neighbouring bounds no run starts or stops, so coverage is
+    # constant on each of these intervals: a row covers one where it has more
+    # runs open than closed.
+    bounds = np.sort(np.concatenate([starts, stops]))
+    bounds = bounds[np.diff(bounds, prepend=-1) > 0]   # np.unique would load numpy.ma
+    cells, size = np.asarray(rows) * bounds.size, (speakers + 1) * bounds.size
+    opened = (np.bincount(cells + np.searchsorted(bounds, starts), minlength=size)
+              - np.bincount(cells + np.searchsorted(bounds, stops), minlength=size))
+    covered = np.cumsum(opened.reshape(speakers + 1, bounds.size)[:, :-1], axis=1) > 0
+    scored = np.diff(bounds) * ~covered[speakers]   # each interval's scored frames
+    on_ref, on_hyp = covered[:len(ref_rows)], covered[len(ref_rows):speakers]
 
-    ref_masks = [m & scored for m in _speaker_masks(ref, total_frames).values()]
-    hyp_masks = [m & scored for m in _speaker_masks(hyp, total_frames).values()]
-    n_ref = np.sum(ref_masks, axis=0) if ref_masks else np.zeros(total_frames, dtype=np.int64)
-    n_hyp = np.sum(hyp_masks, axis=0) if hyp_masks else np.zeros(total_frames, dtype=np.int64)
-
-    # A frame's correct speakers are the matched pairs both active on it, so
-    # the matched frames sum to the best matching's total.
-    matched = 0
-    if ref_masks and hyp_masks:
-        matched = _best_matching_total(
-            np.array([[int((rm & hm).sum()) for hm in hyp_masks] for rm in ref_masks]))
-
-    # Per frame, missed speakers are n_ref - min(n_ref, n_hyp) and false
-    # alarms n_hyp - min(n_ref, n_hyp), so one per-frame array gives all three.
-    both = int(np.minimum(n_ref, n_hyp).sum())
-    ref_total, hyp_total = int(n_ref.sum()), int(n_hyp.sum())
+    # An interval's correct speakers are the matched pairs both active on it,
+    # so the matched frames sum to the best matching's total.
+    matched = _best_matching_total((on_ref * scored) @ on_hyp.T)
+    # Per interval, missed speakers are n_ref - min(n_ref, n_hyp) and false
+    # alarms n_hyp - min(n_ref, n_hyp), so three sums give all three.
+    n_ref, n_hyp = on_ref.sum(axis=0), on_hyp.sum(axis=0)
+    ref_total, hyp_total = int(n_ref @ scored), int(n_hyp @ scored)
+    both = int(np.minimum(n_ref, n_hyp) @ scored)
     return ref_total - both, hyp_total - both, both - matched, ref_total
 
 

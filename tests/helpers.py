@@ -14,16 +14,19 @@ import numpy as np
 import pytest
 
 import cdgcn
+from cdgcn._kernel import load
 from cdgcn.gcn import PROB_EPSILON, GcnWeights
 from cdgcn.graphs import SpeakerGraph, SubGraph
 from cdgcn.leiden import (
     GAIN_TOLERANCE,
     Partition,
+    _counted,
     aggregate_graph,
     local_move,
     refine_partition,
 )
 from cdgcn.pipeline import _EPS
+from cdgcn.scoring import RESOLUTION, DerBreakdown, _best_matching_total
 from cdgcn.timeline import FRAME_DURATION, RttmRecord
 
 
@@ -214,6 +217,57 @@ def brute_force_matching_total(overlap: np.ndarray) -> int:
     w = overlap if overlap.shape[0] <= overlap.shape[1] else overlap.T
     return max(sum(int(w[i, j]) for i, j in enumerate(cols))
                for cols in itertools.permutations(range(w.shape[1]), w.shape[0]))
+
+
+def _frame(seconds: float) -> int:
+    return int(round(seconds / RESOLUTION))
+
+
+def reference_score_file(file_id: str, ref, hyp, collar: float):
+    """Frame counts (miss, fa, confusion, scored reference) for one file from
+    a boolean mask per speaker and per-frame counts at 1 ms over the whole
+    file: the oracle of the interval sweep."""
+    last = max((r.end for r in ref + hyp), default=0.0)
+    if not last / RESOLUTION < np.iinfo(np.intp).max:
+        raise ValueError(f"file {file_id}: a turn ends at {last:g} s, past the last frame to score")
+    total_frames = _frame(last)
+    if total_frames == 0:
+        return 0, 0, 0, 0
+    scored = np.ones(total_frames, dtype=bool)
+    if collar > 0.0:
+        for r in ref:
+            for boundary in (r.onset, r.end):
+                lo = max(0, _frame(boundary - collar))
+                hi = min(total_frames, _frame(boundary + collar))
+                scored[lo:hi] = False
+
+    def masks(records):
+        by_speaker = {}
+        for r in records:
+            mask = by_speaker.setdefault(r.speaker, np.zeros(total_frames, dtype=bool))
+            mask[_frame(r.onset):_frame(r.end)] = True
+        return [m & scored for m in by_speaker.values()]
+
+    ref_masks, hyp_masks = masks(ref), masks(hyp)
+    n_ref = np.sum(ref_masks, axis=0) if ref_masks else np.zeros(total_frames, dtype=np.int64)
+    n_hyp = np.sum(hyp_masks, axis=0) if hyp_masks else np.zeros(total_frames, dtype=np.int64)
+    matched = 0
+    if ref_masks and hyp_masks:
+        matched = _best_matching_total(
+            np.array([[int((rm & hm).sum()) for hm in hyp_masks] for rm in ref_masks]))
+    both = int(np.minimum(n_ref, n_hyp).sum())
+    ref_total, hyp_total = int(n_ref.sum()), int(n_hyp.sum())
+    return ref_total - both, hyp_total - both, both - matched, ref_total
+
+
+def reference_der(ref, hyp, collar: float = 0.0) -> DerBreakdown:
+    """der with every file scored by reference_score_file."""
+    counts = [0, 0, 0, 0]
+    for file_id in sorted({r.file_id for r in ref + hyp}):
+        score = reference_score_file(file_id, [r for r in ref if r.file_id == file_id],
+                                     [r for r in hyp if r.file_id == file_id], collar)
+        counts = [total + count for total, count in zip(counts, score)]
+    return DerBreakdown(*(count * RESOLUTION for count in counts))
 
 
 def reference_top_neighbors(aff: np.ndarray, node: int, k: int) -> np.ndarray:
@@ -546,6 +600,23 @@ def reference_complete_graph(aff: np.ndarray):
     pair = np.where(aff.T >= aff, aff.T, aff)   # right above the diagonal
     weights = np.take_along_axis(np.where(upper, pair, pair.T), indices, axis=1)
     return np.arange(n + 1) * (n - 1), indices.ravel(), weights.ravel()
+
+
+def kernel_community_sums(graph: SpeakerGraph, labels: np.ndarray, c: int):
+    """(m_c, K_c) for int64 labels in 0..c-1 by the community_sums kernel,
+    whose sums the quality kernel adds up: m_c is the inside edges' weight,
+    summed in stream order, plus the self-loops."""
+    sums = np.empty((3, c))
+    _counted(load().community_sums(graph.handle, c, labels, sums), "community_sums", graph, c)
+    return sums[0] + sums[1], sums[2]
+
+
+def reference_quality(graph: SpeakerGraph, partition: Partition, gamma: float) -> float:
+    """Q from reference_community_sums by numpy's sums, 0.0 at m = 0: the
+    bit-for-bit oracle of the quality kernel."""
+    internal, degree = reference_community_sums(graph, partition.labels, partition.community_count)
+    m = graph.total_weight
+    return 0.0 if m == 0.0 else float(internal.sum() - gamma * np.sum(degree**2) / (4.0 * m))
 
 
 def reference_community_sums(graph: SpeakerGraph, labels: np.ndarray, c: int):

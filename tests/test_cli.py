@@ -159,8 +159,9 @@ class TestClusterCommand:
         assert scores[0] == scores[1]
         assert scores[0].startswith("DER=")
 
-    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "0", "-1"])
     def test_non_finite_mask_frame_duration_is_one_line_error(self, session_dir, capsys, bad):
+        """Like every other mask error, the bad header names its file."""
         frames = (session_dir / "e2e.mask").read_text().split("\n", 1)[1]
         (session_dir / "bad.mask").write_text(f"frame_duration={bad}\n{frames}")
         (session_dir / "w.gcnw").write_bytes(save_weights(GcnWeights.glorot(16, seed=0)))
@@ -169,7 +170,8 @@ class TestClusterCommand:
                      str(session_dir / "bad.mask"), "--out", str(session_dir / "x.rttm")])
         assert code == 1
         err = capsys.readouterr().err
-        assert err == f"cdgcn: frame_duration {bad} must be finite and positive\n"
+        assert err == (f"cdgcn: {session_dir / 'bad.mask'}: frame_duration {float(bad)} "
+                       f"must be finite and positive\n")
         assert not (session_dir / "x.rttm").exists()
 
     @pytest.mark.parametrize("bad", ["inf", "nan"])

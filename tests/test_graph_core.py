@@ -23,11 +23,12 @@ from hypothesis import strategies as st
 
 from cdgcn._kernel import Graph
 from cdgcn.graphs import SpeakerGraph, cosine_affinity, knn_graph, merge_subgraphs
-from cdgcn.leiden import LeidenConfig, Partition, _community_sums, aggregate_graph, leiden, quality
+from cdgcn.leiden import LeidenConfig, Partition, aggregate_graph, leiden, quality
 from cdgcn.osd import belonging_coefficients
 from helpers import (
     edge_dict,
     graph_from_edges,
+    kernel_community_sums,
     matrix_from_graph,
     neighbors,
     one_line_error_in_small_memory,
@@ -106,7 +107,7 @@ def test_from_labels_caches_match_dense(case):
     assert p.labels[np.sort(first)].tolist() == list(range(first.size))
     a = matrix_from_graph(graph)
     s = one_hot(p.labels, p.community_count)
-    internal = _community_sums(graph, p.labels, p.community_count)[0]   # m_c, as quality sums it
+    internal = kernel_community_sums(graph, p.labels, p.community_count)[0]   # m_c, as Q sums it
     assert internal.tolist() == (np.diag(s.T @ a @ s) / 2.0).tolist()
 
 
@@ -201,7 +202,7 @@ def test_sums_run_in_edge_stream_order(seed):
             key = (min(lab[i], lab[j]), max(lab[i], lab[j]))
             cross[key] = cross.get(key, 0.0) + w
     internal += np.bincount(lab, weights=loops, minlength=c)
-    assert _community_sums(graph, lab, c)[0].tolist() == internal.tolist()
+    assert kernel_community_sums(graph, lab, c)[0].tolist() == internal.tolist()
     assert belonging_coefficients(graph, p).tolist() == b.tolist()
     agg = aggregate_graph(graph, p)
     assert agg.self_loops.tolist() == agg_loops.tolist()

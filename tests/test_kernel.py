@@ -72,7 +72,7 @@ def test_argtypes_match_every_kernel_signature():
     source = _kernel.SOURCE.read_text()
     kernels = re.findall(r"^(?!static\b)\w[\w ]*?[\s*](\w+)\(([^)]*)\)\s*\{", source, re.M)
     assert {"local_move", "refine_partition", "aggregate_graph", "climb", "community_sums",
-            "seal_graph", "build_graph", "complete_graph", "permutation"} == {
+            "quality", "seal_graph", "build_graph", "complete_graph", "permutation"} == {
         name for name, _ in kernels}
     lib = _kernel.load()
     for name, parameters in kernels:

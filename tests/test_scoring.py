@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -6,7 +8,12 @@ from hypothesis.extra.numpy import arrays
 
 from cdgcn.scoring import _best_matching_total, der, rttm_speaker_counts, speaker_count_mse
 from cdgcn.timeline import RttmRecord
-from helpers import brute_force_matching_total, modules_after
+from helpers import (
+    brute_force_matching_total,
+    modules_after,
+    one_line_error_in_small_memory,
+    reference_der,
+)
 
 
 def rec(onset, duration, speaker, file_id="f"):
@@ -169,3 +176,98 @@ integer_matrices = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
 @given(integer_matrices)
 def test_best_matching_total_equals_brute_force(overlap):
     assert _best_matching_total(overlap) == brute_force_matching_total(overlap)
+
+
+FILES, REF_SPEAKERS, HYP_SPEAKERS = ["f1", "f2"], ["a", "b", "c"], ["x", "y", "z", "w"]
+# On the 1 ms grid, on its half-millisecond rounding ties, and anywhere.
+times = st.one_of(st.integers(0, 20_000).map(lambda ms: ms / 1000),
+                  st.integers(0, 40_000).map(lambda half: half / 2000),
+                  st.floats(0.0, 20.0))
+# Turns, turns that round to empty or to one frame, and durations anywhere.
+durations = st.one_of(st.integers(1, 6000).map(lambda ms: ms / 1000),
+                      st.sampled_from([1e-9, 0.0004, 0.0005, 0.0006, 0.0015]),
+                      st.floats(1e-6, 6.0))
+
+
+@st.composite
+def turns(draw, speakers):
+    """Records over two files; about half touch or overlap an earlier turn of
+    the same speaker."""
+    records = []
+    for _ in range(draw(st.integers(0, 8))):
+        file_id, speaker = draw(st.sampled_from(FILES)), draw(st.sampled_from(speakers))
+        onset = draw(times)
+        if records and draw(st.booleans()):
+            earlier = draw(st.sampled_from(records))
+            file_id, speaker = earlier.file_id, earlier.speaker
+            onset = draw(st.sampled_from([earlier.onset, earlier.onset + earlier.duration / 2,
+                                          earlier.end]))
+        records.append(rec(onset, draw(durations), speaker, file_id))
+    return records
+
+
+@st.composite
+def scored_pairs(draw):
+    """Reference and hypothesis records and a collar. A hypothesis may copy the
+    reference under two names per speaker, so that its best matchings tie."""
+    ref, hyp = draw(turns(REF_SPEAKERS)), draw(turns(HYP_SPEAKERS))
+    if draw(st.booleans()):
+        hyp += [rec(r.onset, r.duration, name + r.speaker, r.file_id) for r in ref for name in "pq"]
+    collar = draw(st.one_of(st.sampled_from([0.0, 0.0005, 0.25, 1.3, 30.0]), st.floats(0.0, 5.0)))
+    return ref, hyp, collar
+
+
+@example(([rec(0.0, 2.0, "a"), rec(2.0, 1.0, "a"), rec(1.0, 0.0004, "b")],
+          [rec(0.0, 3.0, "x"), rec(0.0, 3.0, "y")], 0.0))
+@example(([rec(0.0, 1.0, "a"), rec(0.5, 1.0, "a")], [rec(0.4, 0.2, "x")], 1.3))
+@given(scored_pairs())
+def test_der_equals_frame_mask_oracle(case):
+    ref, hyp, collar = case
+    assert der(ref, hyp, collar=collar) == reference_der(ref, hyp, collar)
+
+
+def one_hour_of_turns(rng, speakers, mean_turn, file_id="hour"):
+    """Turns of random speakers over an hour, each gap under a second."""
+    records, t = [], 0.0
+    while t < 3600.0:
+        t += round(float(rng.uniform(0.0, 1.0)), 3)
+        duration = round(float(rng.uniform(0.2, 2.0 * mean_turn)), 3)
+        records.append(rec(t, duration, str(rng.choice(speakers)), file_id))
+        t += duration
+    return records
+
+
+def traced(call, *args, **kwargs):
+    """call's result and the peak of the memory tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        return call(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_hour_scores_in_memory_that_follows_the_records():
+    """A per-millisecond scorer would hold 3.6 M frames per speaker here."""
+    rng = np.random.default_rng(5)
+    ref = one_hour_of_turns(rng, ["a", "b", "c", "d"], 5.0)
+    hyp = one_hour_of_turns(rng, ["p", "q", "r", "s", "t"], 4.8)
+    assert 600 < len(ref) < 720 and 620 < len(hyp) < 750
+    breakdown, peak = traced(der, ref, hyp, collar=0.25)
+    assert peak < 4 * 2**20
+    assert 0.0 < breakdown.der_percent < 200.0
+
+
+def test_turns_a_billion_seconds_in_score_against_themselves():
+    """Frame masks here would need about 1e12 frames per speaker."""
+    ref = [rec(1e9, 1.0, "a"), rec(1e9 + 1.0, 1.0, "b")]
+    breakdown, peak = traced(der, ref, ref, collar=0.25)
+    assert peak < 2**20
+    assert breakdown.der_percent == 0.0
+    assert breakdown.total_reference_seconds == pytest.approx(1.0)
+
+
+def test_counts_past_64_bits_are_one_line_error():
+    """Three speakers over 4e18 frames could sum past int64; the file is refused."""
+    ref = [rec(0.0, 4e15, "a"), rec(0.0, 4e15, "b")]
+    message = one_line_error_in_small_memory(der, ref, [rec(0.0, 4e15, "x")])
+    assert message == "file f: 3 speakers over 4e+15 s overflow the 64-bit frame counts"

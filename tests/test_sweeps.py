@@ -21,7 +21,6 @@ from cdgcn.graphs import EmbeddingSet, SpeakerGraph, cosine_affinity, knn_graph
 from cdgcn.leiden import (
     LeidenConfig,
     Partition,
-    _community_sums,
     aggregate_graph,
     climb,
     leiden,
@@ -32,10 +31,12 @@ from cdgcn.leiden import (
 from cdgcn.synthetic import make_session
 from helpers import (
     graph_from_edges,
+    kernel_community_sums,
     reference_aggregate_graph,
     reference_community_sums,
     reference_hierarchy_pass,
     reference_local_move,
+    reference_quality,
     reference_refine_partition,
     singletons,
 )
@@ -212,9 +213,25 @@ def test_community_sums_match_reference(seed, kind, start, zeros, negate):
     if negate:
         graph = negated(graph)
     c = partition.community_count
-    got = _community_sums(graph, partition.labels, c)
+    got = kernel_community_sums(graph, partition.labels, c)
     expected = reference_community_sums(graph, partition.labels, c)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expected, strict=True))
+
+
+@given(seed=st.integers(0, 10**6), kind=st.sampled_from(KINDS), start=st.sampled_from(STARTS),
+       zeros=st.booleans(), gamma=st.sampled_from([0.3, 1.0, 2.5, 1e-300]))
+def test_quality_matches_reference(seed, kind, start, zeros, gamma):
+    rng = np.random.default_rng(seed)
+    graph = sweep_graph(rng, kind)
+    partition = start_partition(rng, graph, start, 1.0)
+    if zeros:
+        graph = with_signed_zeros(rng, graph)
+    if graph.total_weight < 0.0:   # Q is undefined there
+        with pytest.raises(ValueError, match="negative total weight"):
+            quality(graph, partition, gamma)
+        return
+    got, expected = quality(graph, partition, gamma), reference_quality(graph, partition, gamma)
+    assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
 
 @given(seed=st.integers(0, 10**6), kind=st.sampled_from(KINDS), start=st.sampled_from(STARTS),
