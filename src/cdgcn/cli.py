@@ -27,11 +27,11 @@ def _read_speakers(path, expected: int) -> np.ndarray:
         if not line:
             continue
         try:
-            ids = np.unique(np.array([int(tok) for tok in line.split()], dtype=np.int64))
+            ids = sorted({int(tok) for tok in line.split()})
         except ValueError:
             raise ValueError(f"{path} line {lineno}: speaker ids must be integers") from None
-        except OverflowError:
-            raise ValueError(f"{path} line {lineno}: speaker ids must fit in 64 bits") from None
+        if not -2**63 <= ids[0] <= ids[-1] < 2**63:
+            raise ValueError(f"{path} line {lineno}: speaker ids must fit in 64 bits")
         if not 1 <= len(ids) <= 2:
             raise ValueError(f"{path} line {lineno}: expected 1 or 2 speaker ids")
         rows.append((ids[0], ids[-1]))

@@ -111,9 +111,9 @@ def cosine_affinity(emb: EmbeddingSet) -> np.ndarray:
     if bad.size:
         raise ValueError(f"segment {bad[0]} has a zero-norm embedding")
     unit = emb.vectors / norms[:, None]
+    # numpy computes a matrix times its own transposed view as a symmetric
+    # rank-k update and mirrors the triangle, so this is exactly symmetric.
     scores = unit @ unit.T
-    scores = scores + scores.T
-    scores *= 0.5   # rounds exactly as dividing by 2.0
     np.clip(scores, -1.0, 1.0, out=scores)
     np.fill_diagonal(scores, 1.0)
     return scores
@@ -196,16 +196,28 @@ class SpeakerGraph:
 
 def top_neighbors(aff: np.ndarray, k: int, rows: np.ndarray) -> np.ndarray:
     """(len(rows), k) ids of the k largest affinities in each given row, the
-    row's own node left out, largest first with ties going to lower ids."""
+    row's own node left out, largest first with ties going to lower ids.
+    k outside [0, max(N - 1, 0)] and rows outside the graph are refused."""
     n = aff.shape[1]
+    if not 0 <= k <= max(n - 1, 0):
+        raise ValueError(f"k must lie in [0, {max(n - 1, 0)}] for a graph of {n} nodes, got {k}")
+    bad = rows[(rows < 0) | (rows >= n)]
+    if bad.size:
+        raise ValueError(f"row {bad[0]} outside graph of {n} nodes")
     scores = np.negative(aff[rows])
     scores[np.arange(rows.size), rows] = np.inf
     ids = np.broadcast_to(np.arange(n), scores.shape)
-    if k < n - 1:
-        # Keep only scores up to each row's k-th smallest, ties included:
-        # a stable sort of the exceeds-flag moves them first, in id order.
-        beyond = scores > np.partition(scores, k - 1, axis=1)[:, k - 1:k]
-        ids = np.argsort(beyond, axis=1, kind="stable")[:, :n - beyond.sum(axis=1).min()]
+    if 0 < k < n - 1:
+        # Keep each row's scores up to its k-th smallest, in id order; where
+        # more than k reach the k-th, those equal to it go to the lowest ids.
+        kth = np.partition(scores, k - 1, axis=1)[:, k - 1:k]
+        keep = scores <= kth
+        tied = np.flatnonzero(keep.sum(axis=1) > k)
+        if tied.size:
+            at = scores[tied] == kth[tied]
+            room = k - np.count_nonzero(scores[tied] < kth[tied], axis=1)
+            keep[tied] &= ~at | (np.cumsum(at, axis=1) <= room[:, None])
+        ids = np.flatnonzero(keep).reshape(-1, k) % n
         scores = np.take_along_axis(scores, ids, axis=1)
     order = np.argsort(scores, axis=1, kind="stable")[:, :k]
     return np.take_along_axis(ids, order, axis=1)
@@ -285,7 +297,7 @@ def build_subgraph(aff: np.ndarray, emb: EmbeddingSet, pivots, k: int) -> SubGra
         raise ValueError(f"pivot {bad[0]} outside graph of {n} nodes")
     if k < 1:
         raise ValueError("k must be >= 1")
-    members = np.column_stack((pivots, top_neighbors(aff, min(k, n - 1), pivots)))
+    members = np.column_stack((pivots, top_neighbors(aff, max(min(k, n - 1), 0), pivots)))
     features = emb.vectors[members]
     features -= emb.vectors[pivots][:, None, :]
     adjacency = np.take(aff.ravel(), members[:, :, None] * n + members[:, None, :])

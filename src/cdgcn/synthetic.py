@@ -36,7 +36,7 @@ class SyntheticSession:
 
     @property
     def speaker_count(self) -> int:
-        return len(np.unique(self.speakers))
+        return len(set(self.speakers.ravel().tolist()))
 
 
 def _check_spread(noise: float, mean_cosine: float | None) -> None:

@@ -105,13 +105,12 @@ class DiarizationTimeline:
         for label in labels[(labels >= 0) & (np.diff(labels, prepend=-1) != 0)]:
             active = (self.primary == label) | (self.secondary == label)
             padded = np.concatenate([[False], active, [False]])
-            flips = np.flatnonzero(padded[1:] != padded[:-1])
-            for start, stop in flips.reshape(-1, 2):
-                records.append(RttmRecord(
-                    file_id=file_id,
-                    onset=round(start * FRAME_DURATION, 3),
-                    duration=round((stop - start) * FRAME_DURATION, 3),
-                    speaker=f"spk{label}",
-                ))
+            start, stop = np.flatnonzero(padded[1:] != padded[:-1]).reshape(-1, 2).T
+            # np.round, as round() on a numpy float; Python's float round differs.
+            onsets = np.round(start * FRAME_DURATION, 3).tolist()
+            durations = np.round((stop - start) * FRAME_DURATION, 3).tolist()
+            speaker = f"spk{label}"
+            records.extend(RttmRecord(file_id, onset, duration, speaker)
+                           for onset, duration in zip(onsets, durations))
         records.sort(key=lambda r: (r.onset, r.speaker))
         return records

@@ -270,6 +270,17 @@ def reference_der(ref, hyp, collar: float = 0.0) -> DerBreakdown:
     return DerBreakdown(*(count * RESOLUTION for count in counts))
 
 
+def reference_cosine_affinity(emb) -> np.ndarray:
+    """cosine_affinity with an explicit symmetrizing pass: the mean of the
+    unit rows' Gram matrix and its transpose, clipped, with a unit diagonal."""
+    unit = emb.vectors / np.linalg.norm(emb.vectors, axis=1)[:, None]
+    scores = unit @ unit.T
+    scores = (scores + scores.T) * 0.5
+    np.clip(scores, -1.0, 1.0, out=scores)
+    np.fill_diagonal(scores, 1.0)
+    return scores
+
+
 def reference_top_neighbors(aff: np.ndarray, node: int, k: int) -> np.ndarray:
     """Top-k affinities of one row by a full lexsort, ties to lower ids."""
     row = aff[node].copy()

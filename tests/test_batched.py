@@ -52,11 +52,15 @@ def reference_subgraph_members(aff, pivot, k):
 
 @given(n=st.integers(1, 60), k=st.integers(1, 40), complete=st.booleans(),
        symmetric=st.booleans(), levels=st.integers(1, 4), seed=st.integers(0, 10_000))
+@example(n=2 * graphs.BLOCK + 6, k=5, complete=False, symmetric=False, levels=1, seed=0)
+@example(n=2 * graphs.BLOCK + 6, k=5, complete=False, symmetric=False, levels=2**40, seed=0)
 def test_top_neighbors_match_per_row_lexsort(n, k, complete, symmetric, levels, seed):
     """Few affinity levels give many ties. An asymmetric matrix with random
     signs holds both +0.0 and -0.0, so a pair's two entries can differ, in
     sign alone too. At k >= N - 1 knn_graph lays out the complete graph
-    without the union-of-top-k build, which stays the oracle."""
+    without the union-of-top-k build, which stays the oracle. The examples
+    span three knn_graph blocks: at one level every row has more than k
+    scores tied with its k-th, at 2**40 levels no row has."""
     rng = np.random.default_rng(seed)
     if complete:
         k = max(1, n - 1 + k % 3)

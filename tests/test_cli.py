@@ -456,7 +456,8 @@ def test_successive_calls_behave_as_fresh_ones(session_dir, capsys):
 
 def test_cli_runs_where_scipy_cannot_be_imported(session_dir):
     """cluster in cdgcn mode, score with counts and train-gcn with rotations
-    each exit 0 in a fresh interpreter where `import scipy` fails."""
+    each exit 0 in a fresh interpreter where `import scipy` fails. numpy.ma
+    stays unloaded too, after train-gcn has read a .spk file."""
     (session_dir / "w.gcnw").write_bytes(save_weights(GcnWeights.glorot(16, seed=0)))
     train = session_dir / "train"
     train.mkdir()
@@ -475,8 +476,9 @@ def test_cli_runs_where_scipy_cannot_be_imported(session_dir):
     printed = printed_by("import sys\n"
                          "sys.modules['scipy'] = None\n"
                          "from cdgcn.cli import main\n"
-                         f"print(*[main(argv) for argv in {commands!r}])")
-    assert printed.splitlines()[-1] == "0 0 0"
+                         f"print(*[main(argv) for argv in {commands!r}],\n"
+                         "      'numpy.ma' in sys.modules)")
+    assert printed.splitlines()[-1] == "0 0 0 False"
 
 
 class TestSyntheticScript:

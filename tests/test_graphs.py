@@ -16,9 +16,15 @@ from cdgcn.graphs import (
     knn_graph,
     merge_subgraphs,
     read_embeddings,
+    top_neighbors,
     write_embeddings,
 )
-from helpers import edge_dict, graph_from_edges, one_line_error_in_small_memory
+from helpers import (
+    edge_dict,
+    graph_from_edges,
+    one_line_error_in_small_memory,
+    reference_cosine_affinity,
+)
 
 
 def embedding_set(vectors):
@@ -127,6 +133,37 @@ class TestCosineAffinity:
         scaled = embedding_set(emb.vectors * scales[:, None])
         assert np.abs(cosine_affinity(emb) - cosine_affinity(scaled)).max() < 1e-9
 
+    @given(n=st.integers(1, 300), dim=st.integers(1, 64), pool=st.integers(1, 300),
+           fortran=st.booleans(), seed=st.integers(0, 10_000))
+    def test_equals_symmetrized_reference_bit_for_bit(self, n, dim, pool, fortran, seed):
+        """Rows drawn from a pool of directions repeat (duplicate rows) and
+        flip sign (antipodal rows); each is scaled by 1e-3 to 1e3. The Gram
+        matrix comes out exactly symmetric, so the reference's mean with its
+        transpose changes no bit; column-major vectors are covered too."""
+        rng = np.random.default_rng(seed)
+        vectors = rng.normal(size=(pool, dim))[rng.integers(0, pool, n)]
+        vectors *= rng.choice([-1.0, 1.0], (n, 1)) * 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
+        emb = embedding_set(np.asfortranarray(vectors) if fortran else vectors)
+        aff = cosine_affinity(emb)
+        assert aff.tobytes() == reference_cosine_affinity(emb).tobytes()
+        assert aff.tobytes() == aff.T.copy().tobytes()
+
+
+class TestTopNeighbors:
+    def test_k_and_rows_outside_the_graph_are_one_line_errors(self, rng):
+        """k runs from 0 to N - 1: beyond it a row would list itself. A
+        negative row would wrap around to the last ones."""
+        aff = cosine_affinity(random_embeddings(rng, 4))
+        for k in (-1, 4, 5):
+            with pytest.raises(ValueError,
+                               match=rf"^k must lie in \[0, 3\] for a graph of 4 nodes, got {k}$"):
+                top_neighbors(aff, k, np.arange(4))
+        for row in (-1, 4):
+            with pytest.raises(ValueError, match=f"^row {row} outside graph of 4 nodes$"):
+                top_neighbors(aff, 2, np.array([0, row]))
+        assert top_neighbors(aff, 0, np.arange(3)).shape == (3, 0)
+        assert top_neighbors(np.ones((1, 1)), 0, np.arange(1)).shape == (1, 0)
+
 
 def brute_force_top_k(aff, i, k):
     scores = [(-aff[i, j], j) for j in range(aff.shape[0]) if j != i]
@@ -217,6 +254,11 @@ class TestBuildSubgraph:
         emb = random_embeddings(rng, 9)
         sub = build_subgraph(cosine_affinity(emb), emb, pivots=[4], k=5)
         assert (sub.adjacency == sub.adjacency.swapaxes(1, 2)).all()
+
+    def test_empty_graph_gives_an_empty_stack(self):
+        emb = EmbeddingSet(np.zeros((0, 4)), np.zeros((0, 2)))
+        sub = build_subgraph(cosine_affinity(emb), emb, np.arange(0), k=5)
+        assert sub.members.shape == (0, 1) and sub.adjacency.shape == (0, 1, 1)
 
     def test_pivot_out_of_range(self, rng):
         emb = random_embeddings(rng, 3)
