@@ -5,12 +5,12 @@ On first use the library is compiled into $XDG_CACHE_HOME/cdgcn (default
 flags and platform, via a temporary file renamed into place so concurrent
 processes never load a partial one. The compiler is the one Python was built
 with or, if that cannot run or fails (conda and standalone builds record
-their build machine's), `cc`. A graph goes to the kernels as one `Graph`,
-the C `graph` struct, whose arrays are checked once when it is made; arrays
-made per call pass through ctypes' dtype and order checks. `climb` also
-takes numpy's own typed C function pointer, a bit generator's
-`ctypes.next_uint32`, and calls it on the generator's
-`ctypes.state_address`.
+their build machine's), `cc`. A graph goes to the kernels by reference to
+the `SpeakerGraph` itself, which mirrors the C `graph` struct and checks its
+arrays once, when it is sealed; arrays made per call pass through ctypes'
+dtype and order checks. `climb` also takes numpy's own typed C function
+pointer, a bit generator's `ctypes.next_uint32`, and calls it on the
+generator's `ctypes.state_address`.
 """
 
 from __future__ import annotations
@@ -64,35 +64,6 @@ def _build(target: Path) -> None:
             os.unlink(partial)
 
 
-class Graph(ctypes.Structure):
-    """The kernels' `graph`, field for field: a graph's rows (indptr,
-    indices, weights) and self-loops, as given, and its weighted degrees k,
-    (heads, tails, weights) stream of pair edges with head < tail and total
-    weight m, which one seal_graph call derives. Its arrays, in field order,
-    are checked once to be int64 or float64 in C order, made read-only and
-    kept alive; copies and pickles are made anew from the given four."""
-
-    _fields_ = [("n", ctypes.c_int64), ("edges", ctypes.c_int64),
-                *((name, ctypes.c_void_p) for name in
-                  ("ptr", "nbr", "w", "k", "loops", "heads", "tails", "weights")),
-                ("m", ctypes.c_double)]
-
-    def __init__(self, indptr, indices, weights, self_loops):
-        n, edges = len(self_loops), len(indices) // 2   # each pair sits in two rows
-        self.arrays = (indptr, indices, weights, np.empty(n), self_loops,
-                       np.empty(edges, np.int64), np.empty(edges, np.int64), np.empty(edges))
-        for array in self.arrays:
-            if array.dtype not in (np.int64, np.float64) or not array.flags.c_contiguous:
-                raise ValueError(f"a kernel array must be int64 or float64 in C order, "
-                                 f"got {array.dtype} with strides {array.strides}")
-            array.flags.writeable = False
-        super().__init__(n, edges, *(array.ctypes.data for array in self.arrays))
-        load().seal_graph(self)
-
-    def __reduce__(self):
-        return Graph, (*self.arrays[:3], self.arrays[4])
-
-
 @functools.cache
 def load() -> ctypes.CDLL:
     """The compiled kernels, built into the cache first if missing."""
@@ -103,7 +74,9 @@ def load() -> ctypes.CDLL:
     idx, real, addr, seed = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p, ctypes.c_uint32
     ints, reals = (np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
                    for dtype in (np.int64, np.float64))
-    graph = ctypes.POINTER(Graph)   # a Graph passes by reference
+    from .graphs import SpeakerGraph
+
+    graph = ctypes.POINTER(SpeakerGraph)   # a SpeakerGraph passes by reference
     draw = ctypes.CFUNCTYPE(ctypes.c_uint32, ctypes.c_void_p)   # as numpy types next_uint32
     # Each kernel but permutation and seal_graph returns a count, or -1 if it
     # lacks scratch; the Leiden kernels -2 or -3 for labels they cannot take,

@@ -26,7 +26,7 @@
  * The other kernels are bit-exact with the numpy code the tests keep as
  * their oracles. Built with -ffp-contract=off and no fast-math, so nothing
  * is contracted or reassociated. Every kernel that reads a graph takes it as
- * one `graph *`, whose layout cdgcn/_kernel.py mirrors as `Graph`. */
+ * one `graph *`, whose layout cdgcn/graphs.py mirrors as `SpeakerGraph`. */
 #include <stddef.h>
 #include <stdint.h>
 #include <math.h>

@@ -15,7 +15,7 @@ from .osd import read_overlap_mask
 from .pipeline import MODES, PipelineConfig, read_vad_regions, run_pipeline
 from .scoring import der, rttm_speaker_counts, speaker_count_mse
 from .synthetic import labelled_subgraphs, rotate_batches
-from .timeline import check_rttm_field, read_rttm, write_rttm
+from .timeline import RttmRecord, check_rttm_field, read_rttm, write_rttm
 
 
 def _read_speakers(path, expected: int) -> np.ndarray:
@@ -89,9 +89,17 @@ def cmd_train_gcn(args) -> int:
     return 0
 
 
+def _read_rttm_file(path) -> list[RttmRecord]:
+    """read_rttm of a file, whose '<path> line <n>: ...' errors name it."""
+    try:
+        return read_rttm(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path} {exc}") from None
+
+
 def cmd_score(args) -> int:
-    ref = read_rttm(Path(args.ref).read_text())
-    hyp = read_rttm(Path(args.hyp).read_text())
+    ref = _read_rttm_file(args.ref)
+    hyp = _read_rttm_file(args.hyp)
     breakdown = der(ref, hyp, collar=args.collar)
     line = str(breakdown)
     if args.counts:

@@ -10,6 +10,7 @@ edge arrays in one compiled pass, whose rows keep insertion order.
 
 from __future__ import annotations
 
+import ctypes
 import numbers
 import struct
 from dataclasses import dataclass
@@ -119,7 +120,7 @@ def cosine_affinity(emb: EmbeddingSet) -> np.ndarray:
     return scores
 
 
-class SpeakerGraph:
+class SpeakerGraph(ctypes.Structure):
     """Immutable weighted undirected graph over segment nodes, in CSR form.
 
     Every pair edge is stored in both rows of (indptr, indices, weights);
@@ -129,14 +130,19 @@ class SpeakerGraph:
     twice in a node's weighted degree. Derived once from the rows and
     self-loops: weighted_degrees, total_weight (m) and edges, the (heads,
     tails, weights) stream of pair edges with head < tail in row order,
-    edge_count long. All are held by handle, the `_kernel.Graph` that the
-    kernels take, which _seal makes.
+    edge_count long. A SpeakerGraph is the kernels' `graph` struct, field
+    for field; _seal fills it, and copies and pickles are sealed anew.
     """
+
+    _fields_ = [("_n", ctypes.c_int64), ("_edges", ctypes.c_int64),
+                *((name, ctypes.c_void_p) for name in
+                  ("_ptr", "_nbr", "_w", "_k", "_loops", "_heads", "_tails", "_weights")),
+                ("_m", ctypes.c_double)]
 
     def __init__(self, node_count: int, heads=(), tails=(), weights=(), self_loops=None):
         if node_count < 0:
             raise ValueError("node_count must be non-negative")
-        n = self.node_count = node_count
+        n = node_count
         heads = np.ascontiguousarray(heads, dtype=np.int64).reshape(-1)
         tails = np.ascontiguousarray(tails, dtype=np.int64).reshape(-1)
         weights = np.ascontiguousarray(weights, dtype=np.float64).reshape(-1)
@@ -150,36 +156,47 @@ class SpeakerGraph:
             raise ValueError(f"edge ({heads[bad[0]]}, {tails[bad[0]]}) outside graph of {n} nodes")
         if not np.isfinite(weights).all():
             raise ValueError("edge weights must be finite")
-        self.self_loops = np.array(np.zeros(n) if self_loops is None else self_loops, dtype=float)
-        if self.self_loops.shape != (n,) or not np.isfinite(self.self_loops).all():
+        loops = np.array(np.zeros(n) if self_loops is None else self_loops, dtype=float)
+        if loops.shape != (n,) or not np.isfinite(loops).all():
             raise ValueError("self_loops must hold one finite weight per node")
 
         from ._kernel import load
 
         entries = heads.size
-        self.indptr = np.empty(n + 1, np.int64)
+        indptr = np.empty(n + 1, np.int64)
         indices, both = np.empty(2 * entries, np.int64), np.empty(2 * entries)
-        pairs = load().build_graph(n, entries, heads, tails, weights, self.indptr, indices, both)
+        pairs = load().build_graph(n, entries, heads, tails, weights, indptr, indices, both)
         if pairs < 0:
             raise MemoryError(f"build_graph: cannot allocate scratch for a graph of {n} nodes "
                               f"and {entries} edges")
         # Copies trimmed to the pairs, so the graph pins no room left for repeats.
-        self.indices, self.weights = indices[:2 * pairs].copy(), both[:2 * pairs].copy()
-        self._seal()
+        self._seal(indptr, indices[:2 * pairs].copy(), both[:2 * pairs].copy(), loops)
 
-    def _seal(self) -> None:
-        """Makes the handle, which derives the degrees, stream and m from the
-        rows and self-loops in one kernel call; m is the stream's weights
-        summed in stream order plus np.sum of the self-loops, each bit for
-        bit as numpy sums them."""
-        from ._kernel import Graph
+    def _seal(self, indptr, indices, weights, self_loops) -> None:
+        """Takes the rows and self-loops, checks each array once to be int64 or
+        float64 in C order, makes it read-only and keeps it alive, and fills
+        the fields, deriving the degrees, stream and m in one kernel call; m is
+        the stream's weights summed in stream order plus np.sum of the
+        self-loops, each bit for bit as numpy sums them."""
+        from ._kernel import load
 
-        self.handle = Graph(self.indptr, self.indices, self.weights, self.self_loops)
+        n, edges = len(self_loops), len(indices) // 2   # each pair sits in two rows
+        self.indptr, self.indices, self.weights, self.self_loops = (indptr, indices, weights,
+                                                                    self_loops)
+        self.weighted_degrees = np.empty(n)
+        self.edges = (np.empty(edges, np.int64), np.empty(edges, np.int64), np.empty(edges))
+        arrays = (indptr, indices, weights, self.weighted_degrees, self_loops, *self.edges)
+        for array in arrays:
+            if array.dtype not in (np.int64, np.float64) or not array.flags.c_contiguous:
+                raise ValueError(f"a kernel array must be int64 or float64 in C order, "
+                                 f"got {array.dtype} with strides {array.strides}")
+            array.flags.writeable = False
+        ctypes.Structure.__init__(self, n, edges, *(array.ctypes.data for array in arrays))
+        load().seal_graph(self)
 
-    weighted_degrees = property(lambda self: self.handle.arrays[3])
-    edges = property(lambda self: self.handle.arrays[5:])
-    edge_count = property(lambda self: self.handle.edges)
-    total_weight = property(lambda self: self.handle.m)
+    node_count = property(lambda self: self._n)
+    edge_count = property(lambda self: self._edges)
+    total_weight = property(lambda self: self._m)
 
     @classmethod
     def _adopt(cls, indptr, indices, weights, self_loops) -> "SpeakerGraph":
@@ -187,11 +204,11 @@ class SpeakerGraph:
         constructor lays them out (rows in pair order), taken as they are;
         aggregate_graph's kernel and knn_graph's complete layout build them."""
         graph = cls.__new__(cls)
-        graph.node_count = len(self_loops)
-        graph.indptr, graph.indices, graph.weights = indptr, indices, weights
-        graph.self_loops = self_loops
-        graph._seal()
+        graph._seal(indptr, indices, weights, self_loops)
         return graph
+
+    def __reduce__(self):
+        return SpeakerGraph._adopt, (self.indptr, self.indices, self.weights, self.self_loops)
 
 
 def top_neighbors(aff: np.ndarray, k: int, rows: np.ndarray) -> np.ndarray:

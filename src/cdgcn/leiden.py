@@ -18,23 +18,23 @@ edgeless graph has Q defined as 0.
 
 Each cascade is two C calls (`_sweeps.c`, built on first use by
 `_kernel.py`): level 0's local move, then `climb`, which runs level 0's
-refinement and every level after it in one loop whose aggregates never
-leave C; each `quality` is one more. The exported phases run one phase each
-through the same C code. Every call passes the graph as its one handle, the
-`_kernel.Graph` whose arrays were checked when it was made; the kernels
-check their labels, derive 2m from m themselves, and draw the sweeps'
-orders from numpy's generator, reproduced in C and seeded per level from
-`leiden`'s own generator, which the climb draws from through numpy's
-`next_uint32`. Each sweep and each level's lift compact labels by first
-appearance, so a climb's flat labels go to `quality` and the next climb as
-they are, and `leiden` calls `Partition.from_labels` once, for its answer.
-Refinement is greedy: a node joins the part of largest gain, the
+refinement and every level after it in one loop whose aggregates never leave
+C; each `quality` is one more. The exported phases run one phase each
+through the same C code. Every call passes the SpeakerGraph itself, which is
+the kernels' `graph` struct and whose arrays were checked when it was
+sealed; the kernels check their labels, derive 2m from m themselves, and
+draw the sweeps' orders from numpy's generator, reproduced in C and seeded
+per level from `leiden`'s own generator, which the climb draws from through
+numpy's `next_uint32`. Each sweep and each level's lift compact labels by
+first appearance, so a climb's flat labels go to `quality` and the next
+climb as they are, and `leiden` calls `Partition.from_labels` once, for its
+answer. Refinement is greedy: a node joins the part of largest gain, the
 zero-temperature limit of Traag et al.'s randomized merge. The kernels are
-bit-exact with the per-node loops and numpy code the tests keep as
-oracles, the climb with the level-by-level pass: the same visit order, sums
-from 0.0 in CSR row or edge-stream order, every gain in the same operand
-order, the smallest label among equal best gains (what an ascending scan
-picks), and -ffp-contract=off, so no multiply-add is fused.
+bit-exact with the per-node loops and numpy code the tests keep as oracles,
+the climb with the level-by-level pass: the same visit order, sums from 0.0
+in CSR row or edge-stream order, every gain in the same operand order, the
+smallest label among equal best gains (what an ascending scan picks), and
+-ffp-contract=off, so no multiply-add is fused.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernel
 from .graphs import SpeakerGraph, seeded_rng
 
 #: Quality gains at or below this threshold are treated as noise.
@@ -91,13 +92,11 @@ class Partition:
 
 def quality(graph: SpeakerGraph, partition: Partition, gamma: float) -> float:
     """Evaluate Q from the partition's labels, by the quality kernel."""
-    from ._kernel import load
-
     if partition.labels.shape != (graph.node_count,):
         raise ValueError("partition does not cover the graph")
     c, q = partition.community_count, ctypes.c_double()
     labels = _checked_labels(graph, partition)
-    _counted(load().quality(graph.handle, c, labels, gamma, ctypes.byref(q)), "quality", graph, c)
+    _counted(_kernel.load().quality(graph, c, labels, gamma, ctypes.byref(q)), "quality", graph, c)
     return q.value
 
 
@@ -160,9 +159,7 @@ def local_move(graph: SpeakerGraph, partition: Partition, gamma: float, seed: in
     """
     labels, c = _checked_labels(graph, partition), partition.community_count
 
-    from ._kernel import load
-
-    count = load().local_move(graph.handle, gamma, GAIN_TOLERANCE, c, labels, _seed(seed))
+    count = _kernel.load().local_move(graph, gamma, GAIN_TOLERANCE, c, labels, _seed(seed))
     return Partition(labels, _counted(count, "local_move", graph, c))
 
 
@@ -181,11 +178,9 @@ def refine_partition(graph: SpeakerGraph, partition: Partition, gamma: float,
     """
     parent, c = _checked_labels(graph, partition), partition.community_count
 
-    from ._kernel import load
-
     ref_labels = np.empty(graph.node_count, np.int64)
-    count = load().refine_partition(graph.handle, parent, gamma, GAIN_TOLERANCE, c, _seed(seed),
-                                    ref_labels)
+    count = _kernel.load().refine_partition(graph, parent, gamma, GAIN_TOLERANCE, c,
+                                            _seed(seed), ref_labels)
     return Partition(ref_labels, _counted(count, "refine_partition", graph, c))
 
 
@@ -202,12 +197,10 @@ def aggregate_graph(graph: SpeakerGraph, refined: Partition) -> SpeakerGraph:
     labels = _valid_labels(graph, refined)
     c, edges = refined.community_count, graph.edge_count
 
-    from ._kernel import load
-
     loops, indptr = np.empty(c), np.empty(c + 1, np.int64)
     indices, weights = np.empty(2 * edges, np.int64), np.empty(2 * edges)
-    pairs = _counted(load().aggregate_graph(graph.handle, c, labels, loops, indptr, indices,
-                                            weights), "aggregate_graph", graph, c)
+    pairs = _counted(_kernel.load().aggregate_graph(graph, c, labels, loops, indptr, indices,
+                                                    weights), "aggregate_graph", graph, c)
     # Copies trimmed to the pairs, so the aggregate pins no parent-sized buffer.
     return SpeakerGraph._adopt(indptr, indices[:2 * pairs].copy(), weights[:2 * pairs].copy(),
                                loops)
@@ -225,12 +218,10 @@ def climb(graph: SpeakerGraph, moved: Partition, gamma: float, rng) -> Partition
     node."""
     labels, c = _checked_labels(graph, moved), moved.community_count
 
-    from ._kernel import load
-
     bits = rng.bit_generator
     with bits.lock:
-        count = load().climb(graph.handle, gamma, GAIN_TOLERANCE, c, labels,
-                             bits.ctypes.next_uint32, bits.ctypes.state_address)
+        count = _kernel.load().climb(graph, gamma, GAIN_TOLERANCE, c, labels,
+                                     bits.ctypes.next_uint32, bits.ctypes.state_address)
     return Partition(labels, _counted(count, "climb", graph, c))
 
 

@@ -65,7 +65,8 @@ def segment_speech(vad_regions):
 
 
 def read_vad_regions(path):
-    """Read '<start> <end>' lines (seconds); blank lines are skipped."""
+    """Read '<start> <end>' lines (seconds), finite and with end >= start;
+    blank lines are skipped."""
     regions = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
@@ -80,6 +81,8 @@ def read_vad_regions(path):
             raise ValueError(f"{path} line {lineno}: values are not numbers") from None
         if not (math.isfinite(start) and math.isfinite(end)):
             raise ValueError(f"{path} line {lineno}: bounds must be finite")
+        if end < start:
+            raise ValueError(f"{path} line {lineno}: end {end:g} is before start {start:g}")
         regions.append((start, end))
     return regions
 
@@ -164,7 +167,9 @@ def run_pipeline(emb: EmbeddingSet, mode: str, weights: GcnWeights | None = None
     mode selects the graph fed to community detection (raw cosine graph,
     KNN graph, or GCN-refined graph) and whether overlap labels are added;
     the GCN modes need weights and the overlap mode also needs a mask.
-    Community labels become speakers "spk<index>".
+    vad_regions, if given, are (start, end) pairs of finite seconds with
+    end >= start; frames outside them get no speaker. Community labels
+    become speakers "spk<index>".
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {', '.join(MODES)}")
@@ -182,6 +187,10 @@ def run_pipeline(emb: EmbeddingSet, mode: str, weights: GcnWeights | None = None
     if mode != "raw_leiden" and cfg.knn_k < 1:
         raise ValueError("k must be >= 1")
     check_rttm_field("file id", file_id)
+    for i, (start, end) in enumerate(() if vad_regions is None else vad_regions):
+        if not (math.isfinite(start) and math.isfinite(end) and start <= end):
+            raise ValueError(f"VAD region {i} ({start:g}, {end:g}) needs finite bounds "
+                             f"with end >= start")
 
     aff = cosine_affinity(emb)
     if mode == "raw_leiden":

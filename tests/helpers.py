@@ -618,7 +618,7 @@ def kernel_community_sums(graph: SpeakerGraph, labels: np.ndarray, c: int):
     whose sums the quality kernel adds up: m_c is the inside edges' weight,
     summed in stream order, plus the self-loops."""
     sums = np.empty((3, c))
-    _counted(load().community_sums(graph.handle, c, labels, sums), "community_sums", graph, c)
+    _counted(load().community_sums(graph, c, labels, sums), "community_sums", graph, c)
     return sums[0] + sums[1], sums[2]
 
 

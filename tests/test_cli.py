@@ -184,6 +184,15 @@ class TestClusterCommand:
         assert capsys.readouterr().err == f"cdgcn: {vad} line 1: bounds must be finite\n"
         assert not (session_dir / "x.rttm").exists()
 
+    def test_inverted_vad_region_is_one_line_error(self, session_dir, capsys):
+        vad = session_dir / "bad.vad"
+        vad.write_text("".join(f"{end} {start}\n" for start, end in [(0.0, 1.5), (2.0, 3.0)]))
+        code = main(["cluster", "--embeddings", str(session_dir / "e2e.emb"), "--mode",
+                     "knn_leiden", "--vad", str(vad), "--out", str(session_dir / "x.rttm")])
+        assert code == 1
+        assert capsys.readouterr().err == f"cdgcn: {vad} line 1: end 0 is before start 1.5\n"
+        assert not (session_dir / "x.rttm").exists()
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_gamma_is_one_line_error(self, tmp_path, capsys, bad):
         session = make_session(num_speakers=2, segments_per_speaker=10, dim=8, seed=5)
@@ -404,7 +413,8 @@ class TestScoreCommand:
         assert code == 1
         name = "onset" if field == 3 else "duration"
         err = capsys.readouterr().err
-        assert err.startswith(f"cdgcn: line 1: {name} {bad} must be finite")
+        assert err.startswith(f"cdgcn: {session_dir / 'bad.rttm'} line 1: {name} {bad} "
+                              f"must be finite")
         assert err.count("\n") == 1
 
     def test_turn_past_the_last_frame_is_one_line_error(self, session_dir, capsys):
@@ -417,6 +427,16 @@ class TestScoreCommand:
         assert code == 1
         assert capsys.readouterr().err == ("cdgcn: file far: a turn ends at 1e+300 s, past the "
                                            "last frame to score\n")
+
+    @pytest.mark.parametrize("side", ["--ref", "--hyp"])
+    def test_malformed_rttm_is_one_line_error_naming_its_file(self, session_dir, capsys, side):
+        bad = session_dir / "bad.rttm"
+        bad.write_text(" ".join(write_rttm([RttmRecord("f", 0.0, 1.5, "spk0")]).split()[:9]))
+        files = {"--ref": str(session_dir / "ref.rttm"), "--hyp": str(session_dir / "ref.rttm"),
+                 side: str(bad)}
+        code = main(["score", *(arg for pair in files.items() for arg in pair)])
+        assert code == 1
+        assert capsys.readouterr().err == f"cdgcn: {bad} line 1: expected 10 fields, got 9\n"
 
     @pytest.mark.parametrize("bad", ["inf", "nan", "-0.5"])
     def test_bad_collar_is_one_line_error(self, session_dir, capsys, bad):

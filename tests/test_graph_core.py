@@ -21,7 +21,6 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from cdgcn._kernel import Graph
 from cdgcn.graphs import SpeakerGraph, cosine_affinity, knn_graph, merge_subgraphs
 from cdgcn.leiden import LeidenConfig, Partition, aggregate_graph, leiden, quality
 from cdgcn.osd import belonging_coefficients
@@ -238,12 +237,22 @@ def test_graph_arrays_are_read_only():
             array[0] = 1.0
 
 
+@pytest.mark.parametrize("name", ["node_count", "edge_count", "total_weight"])
+def test_graph_counts_are_read_only(name):
+    """The kernels read these from the struct's own fields, so a graph
+    whose count could be set would no longer describe its arrays."""
+    graph = graph_from_edges(3, [(0, 1, 0.5), (1, 2, 0.25)])
+    with pytest.raises(AttributeError):
+        setattr(graph, name, 7)
+    assert (graph.node_count, graph.edge_count, graph.total_weight) == (3, 2, 0.75)
+
+
 @pytest.mark.parametrize("array", [np.zeros(3, np.int32), np.zeros(3, np.float32),
                                    np.zeros(6)[::2]], ids=["int32", "float32", "strided"])
 def test_pinned_refuses_what_the_kernels_cannot_read(array):
     with pytest.raises(ValueError, match="^a kernel array must be int64 or float64 in C order, "
                                          "got ") as caught:
-        Graph(np.zeros(2, np.int64), array, np.zeros(3), np.zeros(1))
+        SpeakerGraph._adopt(np.zeros(2, np.int64), array, np.zeros(3), np.zeros(1))
     assert "\n" not in str(caught.value)
 
 
@@ -251,18 +260,18 @@ def test_pinned_refuses_what_the_kernels_cannot_read(array):
                                    lambda graph: pickle.loads(pickle.dumps(graph))],
                          ids=["copy", "deepcopy", "pickle"])
 def test_copies_pin_their_own_arrays(clone, four_speaker_session):
-    """The kernels read a graph's arrays at the addresses its handle holds,
-    so a copy's handle must hold the arrays the copy holds, and they must
+    """The kernels read a graph's arrays at the addresses its fields hold,
+    so a copy's fields must hold the arrays the copy holds, and they must
     outlive the original."""
     graph = knn_graph(cosine_affinity(four_speaker_session.embeddings), 20)
     expected = leiden(graph, LeidenConfig(seed=3)).labels
     twin = clone(graph)
     del graph
     gc.collect()
-    fields = ("ptr", "nbr", "w", "k", "loops", "heads", "tails", "weights")
+    fields = ("_ptr", "_nbr", "_w", "_k", "_loops", "_heads", "_tails", "_weights")
     arrays = (twin.indptr, twin.indices, twin.weights, twin.weighted_degrees, twin.self_loops,
               *twin.edges)
-    assert [getattr(twin.handle, f) for f in fields] == [a.ctypes.data for a in arrays]
+    assert [getattr(twin, f) for f in fields] == [a.ctypes.data for a in arrays]
     assert not any(a.flags.writeable for a in arrays)
     assert leiden(twin, LeidenConfig(seed=3)).labels.tolist() == expected.tolist()
 

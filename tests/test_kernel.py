@@ -82,9 +82,10 @@ def test_argtypes_match_every_kernel_signature():
 
 
 def test_graph_mirrors_the_c_struct():
-    """_kernel.Graph lists the C graph's fields in order, pointers as
-    pointers."""
+    """SpeakerGraph lists the C graph's fields in order, each under its C
+    name with a leading underscore, pointers as pointers."""
     source = _kernel.SOURCE.read_text()
     body = re.search(r"typedef struct \{([^}]*)\} graph;", source).group(1)
     fields = [(name, star == "*") for star, name in re.findall(r"(\*?)(\w+)\s*[,;]", body)]
-    assert fields == [(name, kind is ctypes.c_void_p) for name, kind in _kernel.Graph._fields_]
+    assert fields == [(name.removeprefix("_"), kind is ctypes.c_void_p)
+                      for name, kind in SpeakerGraph._fields_]

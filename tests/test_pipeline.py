@@ -144,6 +144,17 @@ class TestVadFile:
         with pytest.raises(ValueError, match="line 2: bounds must be finite$"):
             read_vad_regions(path)
 
+    def test_inverted_region_rejected(self, tmp_path):
+        """Swapped columns would mark no frame as speech and empty the
+        output; equal bounds mark no frame either, but are taken."""
+        path = tmp_path / "v.vad"
+        path.write_text("0.0 1.0\n2.5 2.5\n4.0 3.5\n")
+        with pytest.raises(ValueError) as caught:
+            read_vad_regions(path)
+        assert str(caught.value) == f"{path} line 3: end 3.5 is before start 4"
+        path.write_text("0.0 1.0\n2.5 2.5\n")
+        assert read_vad_regions(path) == [(0.0, 1.0), (2.5, 2.5)]
+
 
 class TestTimeline:
     def test_records_match_frames(self):
@@ -291,6 +302,24 @@ class TestRunPipeline:
             with pytest.raises(ValueError) as caught:
                 run()
             assert str(caught.value) == message
+
+    @pytest.mark.parametrize("region, message", [
+        ((2.0, 1.0), "VAD region 1 (2, 1) needs finite bounds with end >= start"),
+        ((0.0, float("inf")), "VAD region 1 (0, inf) needs finite bounds with end >= start"),
+        ((float("nan"), 1.0), "VAD region 1 (nan, 1) needs finite bounds with end >= start")],
+        ids=["inverted", "inf", "nan"])
+    def test_bad_vad_region_is_refused_before_the_graph_work(self, monkeypatch, region,
+                                                            message):
+        monkeypatch.setattr(pipeline, "cosine_affinity", None)   # called, it would raise
+        session = self.two_cluster_embeddings()
+        with pytest.raises(ValueError) as caught:
+            run_pipeline(session.embeddings, "raw_leiden", vad_regions=[(0.0, 1.0), region])
+        assert str(caught.value) == message
+
+    def test_empty_vad_region_marks_no_speech(self):
+        session = self.two_cluster_embeddings()
+        _, records = run_pipeline(session.embeddings, "raw_leiden", vad_regions=[(1.0, 1.0)])
+        assert records == []
 
     @pytest.mark.parametrize("file_id", ["", "my session", "tab\tid", "new\nline"])
     def test_file_id_rttm_cannot_read_back_is_refused_before_the_graph_work(

@@ -467,7 +467,7 @@ def test_kernels_check_labels_at_any_total_weight(weights, name):
 
 
 def test_kernel_arguments_reject_wrong_dtype_and_strides():
-    """A graph goes in as its one _kernel.Graph handle, so an array there is
+    """A graph goes in as the SpeakerGraph itself, so an array there is
     refused; arrays made per call keep ndpointer's checks."""
     from cdgcn._kernel import load
 
@@ -478,17 +478,18 @@ def test_kernel_arguments_reject_wrong_dtype_and_strides():
             load().local_move(indptr, *[None] * 5)
     for labels in (np.zeros(4), np.zeros(4, np.int32), np.zeros(8, np.int64)[::2]):
         with pytest.raises(ctypes.ArgumentError, match="argument 5"):
-            load().local_move(graph.handle, 1.0, 0.0, 4, labels, 0)
+            load().local_move(graph, 1.0, 0.0, 4, labels, 0)
 
 
 def test_kernels_return_minus_one_when_scratch_cannot_be_had():
     """Scratch for 2**62 nodes (or edges) overflows; each kernel gives up
     before it reads an argument array."""
-    from cdgcn._kernel import Graph, load
+    from cdgcn._kernel import load
 
     ids, reals, huge = np.zeros(1, np.int64), np.zeros(1), 2**62
-    nodes, edges = Graph.__new__(Graph), Graph.__new__(Graph)   # every array NULL
-    nodes.n, edges.n, edges.edges = huge, 1, huge
+    # Unsealed graphs: every array NULL.
+    nodes, edges = SpeakerGraph.__new__(SpeakerGraph), SpeakerGraph.__new__(SpeakerGraph)
+    nodes._n, edges._n, edges._edges = huge, 1, huge
     assert load().local_move(nodes, 1.0, 0.0, 1, ids, 0) == -1
     assert load().refine_partition(nodes, ids, 1.0, 0.0, 1, 0, ids) == -1
     assert load().aggregate_graph(edges, 1, ids, reals, ids, ids, reals) == -1
